@@ -1,7 +1,7 @@
 """Command-line front end: run verification suites or export a basis.
 
 Exit codes: 0 when every check passes (skips allowed), 1 when any check
-fails, 2 on a configuration error.
+fails, 2 on a configuration error or when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -50,12 +50,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(text: str, out_path: str | None) -> bool:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _run_export(args, cfg: SuiteConfig) -> int:
@@ -74,8 +79,7 @@ def _run_export(args, cfg: SuiteConfig) -> int:
     except (ValueError, ExactnessError) as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 2
-    _write(text, args.out)
-    return 0
+    return 0 if _write(text, args.out) else 2
 
 
 def main(argv=None) -> int:
@@ -99,7 +103,8 @@ def main(argv=None) -> int:
         return _run_export(args, cfg)
 
     records = run_suites(cfg)
-    _write("\n".join(report_lines(cfg, records)) + "\n", args.out)
+    if not _write("\n".join(report_lines(cfg, records)) + "\n", args.out):
+        return 2
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 

@@ -14,6 +14,12 @@ coupling M, reads
 
 Both families are eigen-connected through a pair of second-order operators
 whose composition gives each q_k a fourth-order differential equation.
+
+Every inner product here is a moment functional applied to the product,
+<f, g> = L(f g): a scalar multiple of the normalized Jacobi functional L_J^(a,b)
+(total mass 1) plus a point mass at t = 1.  jacobi_inner is L_J^(a,b),
+inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
+inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M.
 """
 
 from __future__ import annotations
@@ -89,18 +95,19 @@ def _jacobi_weight_moment(m: int, alpha: Fraction, beta: Fraction) -> Fraction:
     return total
 
 
+def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction) -> Fraction:
+    # L_J^(a,b)(f g): expand the product once, then one cached moment per power.
+    return sum(
+        (c * _jacobi_weight_moment(m, alpha, beta) for m, c in enumerate((f * g).coeffs) if c),
+        Fraction(0),
+    )
+
+
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
     """Jacobi-weight inner product of f and g, normalized so (1,1) = 1."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
-    total = Fraction(0)
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        for j, cj in enumerate(g.coeffs):
-            if cj:
-                total += ci * cj * _jacobi_weight_moment(i + j, alpha, beta)
-    return total
+    return _functional(f, g, alpha, beta)
 
 
 def _require_integer_alpha(alpha: Fraction) -> int:
@@ -112,42 +119,20 @@ def _require_integer_alpha(alpha: Fraction) -> int:
     return alpha.numerator
 
 
-@cache
-def _mass_weighted_moment(m: int, alpha: Fraction, beta: Fraction, dim: int) -> Fraction:
-    # Moment of t^m for the prefactored weight
-    #   Gamma(a + d/2 + 1)/(Gamma(d/2) Gamma(a+1)) * 2^-(a+b+1) * (1-t)^a (1+t)^b.
-    # Integer a makes every term a Pochhammer ratio times a power of two.
-    a = _require_integer_alpha(alpha)
-    lead = rising_factorial(Fraction(dim, 2), a + 1) / factorial(a)
-    total = Fraction(0)
-    for i in range(m + 1):
-        piece = (
-            2 ** i
-            * rising_factorial(alpha + 1, i)
-            / rising_factorial(beta + 1, a + i + 1)
-        )
-        total += comb(m, i) * (-1) ** i * piece
-    return lead * total
-
-
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
-    """Prefactored Jacobi-weight product plus lam * f(1)g(1).
+    """Prefactored Jacobi-weight product plus lam * f(1)g(1), for integer a >= 0.
 
-    This is the radial inner product whose orthogonal polynomials are
+    The weight Gamma(a+d/2+1)/(Gamma(d/2) Gamma(a+1)) 2^-(a+b+1) (1-t)^a (1+t)^b
+    has total mass (d/2)_(a+1) / (b+1)_(a+1).  Its orthogonal polynomials are
     mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
     alpha, beta, lam = as_fraction(alpha), as_fraction(beta), as_fraction(lam)
     _check_jacobi_params(alpha, beta)
     if lam <= 0:
         raise ValueError(f"the point-mass coupling must be positive, got {lam}")
-    total = Fraction(0)
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        for j, cj in enumerate(g.coeffs):
-            if cj:
-                total += ci * cj * _mass_weighted_moment(i + j, alpha, beta, dim)
-    return total + lam * f.evaluate(1) * g.evaluate(1)
+    a = _require_integer_alpha(alpha)
+    total_mass = rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
+    return total_mass * _functional(f, g, alpha, beta) + lam * f.evaluate(1) * g.evaluate(1)
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
@@ -190,31 +175,18 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
     return (mass + Fraction(k) * (k + beta + 1)) * p - UniPoly([1, 1]) * p.derivative()
 
 
-@cache
-def _type_weight_moment(m: int, beta: Fraction) -> Fraction:
-    # Moment of t^m against 2^-(b+1) (1+t)^b; the 2^b factors cancel exactly,
-    # so this is rational for every rational b > -1.
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += comb(m, j) * (-1) ** (m - j) * Fraction(2 ** j) / (beta + j + 1)
-    return total
-
-
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
-    """2^-(b+1) * integral of f*g*(1+t)^b over [-1,1] plus (1/M) f(1)g(1)."""
+    """2^-(b+1) * integral of f*g*(1+t)^b over [-1,1] plus (1/M) f(1)g(1).
+
+    The weighted part has total mass 1/(b+1), so it is L_J^(0,b)(f g) / (b+1).
+    """
     beta, mass = as_fraction(beta), as_fraction(mass)
     if beta <= -1:
         raise ValueError(f"beta must exceed -1, got {beta}")
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    total = Fraction(0)
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        for j, cj in enumerate(g.coeffs):
-            if cj:
-                total += ci * cj * _type_weight_moment(i + j, beta)
-    return total + f.evaluate(1) * g.evaluate(1) / mass
+    weighted = _functional(f, g, Fraction(0), beta) / (beta + 1)
+    return weighted + f.evaluate(1) * g.evaluate(1) / mass
 
 
 def connection_op(f: UniPoly, beta, mass) -> UniPoly:

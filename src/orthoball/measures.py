@@ -11,6 +11,10 @@ a rational number:
 Both reduce by half-integer Gamma splitting and Pochhammer telescoping, so no
 pi power or irrational survives.  The same is true of the sphere-area to
 weighted-ball-mass ratio for the parameter ranges accepted below.
+
+Each inner product is a moment functional applied to the product,
+<f, g> = L(f g), with L the sphere moments, the ball moments, or ball plus lam
+times sphere; one kernel applies L once per distinct exponent of f g.
 """
 
 from __future__ import annotations
@@ -38,12 +42,16 @@ def _sphere_moment(exps: Exponents) -> Fraction:
     return gamma_ratio(numer, denom)
 
 
-def sphere_moment(exps) -> Fraction:
-    """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
+def _exponents(exps) -> Exponents:
     exps = tuple(int(e) for e in exps)
     if any(e < 0 for e in exps):
         raise ValueError(f"negative exponent in {exps}")
-    return _sphere_moment(exps)
+    return exps
+
+
+def sphere_moment(exps) -> Fraction:
+    """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
+    return _sphere_moment(_exponents(exps))
 
 
 @cache
@@ -53,31 +61,39 @@ def _radial_factor(half_degree: int, dim: int, mu: Fraction) -> Fraction:
     return top / bottom
 
 
-def ball_moment(exps, mu) -> Fraction:
-    """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
-    exps = tuple(int(e) for e in exps)
+@cache
+def _ball_moment(exps: Exponents, mu: Fraction) -> Fraction:
+    return _sphere_moment(exps) * _radial_factor(sum(exps) // 2, len(exps), mu)
+
+
+def _check_mu(mu) -> Fraction:
     mu = as_fraction(mu)
     if mu <= Fraction(-1, 2):
         raise ValueError(f"mu must exceed -1/2 for an integrable weight, got {mu}")
-    if any(e & 1 for e in exps):
-        return Fraction(0)
-    s = sum(exps) // 2
-    return sphere_moment(exps) * _radial_factor(s, len(exps), mu)
+    return mu
+
+
+def ball_moment(exps, mu) -> Fraction:
+    """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
+    return _ball_moment(_exponents(exps), _check_mu(mu))
 
 
 def _bilinear(f: MultiPoly, g: MultiPoly, moment) -> Fraction:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     # Moments vanish unless exponents match parity componentwise, so bucket g
-    # by parity and only pair compatible terms.
+    # by parity and only pair compatible terms; the moment table is then
+    # applied once per distinct exponent of that part of f*g.
     buckets: dict[Exponents, list[tuple[Exponents, Fraction]]] = {}
     for eb, cb in g.terms.items():
         buckets.setdefault(_parity(eb), []).append((eb, cb))
-    total = Fraction(0)
+    product: dict[Exponents, Fraction] = {}
     for ea, ca in f.terms.items():
         for eb, cb in buckets.get(_parity(ea), ()):
-            total += ca * cb * moment(tuple(x + y for x, y in zip(ea, eb)))
-    return total
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            product[e] = product[e] + c if e in product else c
+    return sum((c * moment(e) for e, c in product.items() if c), Fraction(0))
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
@@ -87,24 +103,20 @@ def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
 
 def inner_ball(f: MultiPoly, g: MultiPoly, mu) -> Fraction:
     """Normalized weighted-ball inner product of f and g."""
-    mu = as_fraction(mu)
-    if mu <= Fraction(-1, 2):
-        raise ValueError(f"mu must exceed -1/2, got {mu}")
-    return _bilinear(f, g, lambda e: ball_moment(e, mu))
+    mu = _check_mu(mu)
+    return _bilinear(f, g, lambda e: _ball_moment(e, mu))
 
 
 def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
-    """Ball inner product plus lam times the sphere inner product.
+    """Ball inner product plus lam times the sphere inner product, in one pass.
 
     lam = 0 degrades to the plain ball product.
     """
     lam = as_fraction(lam)
     if lam < 0:
         raise ValueError(f"the sphere coupling must be non-negative, got {lam}")
-    value = inner_ball(f, g, mu)
-    if lam:
-        value += lam * inner_sphere(f, g)
-    return value
+    mu = _check_mu(mu)
+    return _bilinear(f, g, lambda e: _ball_moment(e, mu) + lam * _sphere_moment(e))
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:
@@ -113,9 +125,7 @@ def sphere_ball_ratio(dim: int, mu) -> Fraction:
     Rational whenever mu is an integer or half-integer, and for every rational
     mu in even dimension; raises ExactnessError otherwise.
     """
-    mu = as_fraction(mu)
-    if mu <= Fraction(-1, 2):
-        raise ValueError(f"mu must exceed -1/2, got {mu}")
+    mu = _check_mu(mu)
     if mu.denominator in (1, 2):
         return 2 * gamma_ratio(
             [mu + Fraction(dim + 1, 2)],

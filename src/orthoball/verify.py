@@ -77,6 +77,8 @@ class SuiteConfig:
                 names.append(name)
             else:
                 raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        if not names:
+            raise ValueError("no suites selected; a report with zero checks cannot pass")
         seen = set()
         self.suites = tuple(n for n in names if not (n in seen or seen.add(n)))
 

@@ -91,6 +91,30 @@ def iterated_disk_moment(a: int, b: int, mu) -> Fraction:
     return part_x * part_y
 
 
+def _binomial(n: int, k: int) -> int:
+    return _factorial(n) // (_factorial(k) * _factorial(n - k))
+
+
+def radial_weight_integral(m: int, a: int, b) -> Fraction:
+    """2^-(a+b+1) * integral of t^m (1-t)^a (1+t)^b over [-1, 1], for integer a >= 0.
+
+    With s = 1 + t the integrand is (s-1)^m (2-s)^a s^b on [0, 2]; both
+    binomials expand into powers s^(b+j), each integrating to
+    2^(b+j+1)/(b+j+1).  The 2^b factor cancels the normalization, so the sum
+    stays rational for every rational b > -1.
+    """
+    b = Fraction(b)
+    total = Fraction(0)
+    for i in range(m + 1):  # (s-1)^m
+        for k in range(a + 1):  # (2-s)^a
+            sign = (-1) ** (m - i + k)
+            scale = _binomial(m, i) * _binomial(a, k) * 2 ** (a - k)
+            j = i + k
+            # 2^-(a+b+1) * 2^(b+j+1) = 2^(j-a)
+            total += sign * scale * Fraction(2) ** (j - a) / (b + j + 1)
+    return total
+
+
 def gram_schmidt(vectors, inner):
     """Plain unnormalized Gram-Schmidt against the given bilinear form."""
     ortho = []

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
-from oracles import gram_schmidt, jacobi_explicit_sum
+from oracles import gram_schmidt, jacobi_explicit_sum, radial_weight_integral
 
 from orthoball import (
     ExactnessError,
@@ -25,6 +25,7 @@ from orthoball import (
 from orthoball.exact_gamma import rising_factorial
 
 PARAM_GRID = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]
+MASS_ALPHAS = (0, 1, 2, 3)  # mu - 1/2 for mu in {1/2, 3/2, 5/2, 7/2}
 
 
 class TestClassicalJacobi:
@@ -120,13 +121,15 @@ class TestMassOrthogonalFamily:
             assert q.evaluate(1) == Q(d, 2) * 2
 
     def test_orthogonality(self):
-        for d in (2, 3):
-            for lam in (Q(1, 4), Q(1, 2), Q(1)):
-                for beta in (Q(0), Q(1), Q(1, 2), Q(3, 2), Q(2)):
-                    qs = [mass_orthogonal_poly(k, 0, beta, lam, d) for k in range(7)]
-                    for j in range(7):
-                        for k in range(j + 1, 7):
-                            assert inner_jacobi_mass(qs[j], qs[k], 0, beta, lam, d) == 0
+        # alpha = mu - 1/2 for mu in {1/2, 3/2, 5/2, 7/2}.
+        for alpha in MASS_ALPHAS:
+            for d in (2, 3):
+                for lam in (Q(1, 4), Q(1, 2), Q(1)):
+                    for beta in (Q(0), Q(1), Q(1, 2), Q(3, 2), Q(2)):
+                        qs = [mass_orthogonal_poly(k, alpha, beta, lam, d) for k in range(7)]
+                        for j in range(7):
+                            for k in range(j + 1, 7):
+                                assert inner_jacobi_mass(qs[j], qs[k], alpha, beta, lam, d) == 0
 
     def test_exact_degree(self):
         for k in range(7):
@@ -134,13 +137,14 @@ class TestMassOrthogonalFamily:
 
     def test_gram_schmidt_oracle(self):
         # Orthogonalizing the monomials must reproduce q_k up to a scalar.
-        for d, lam, beta in [(2, Q(1, 2), Q(0)), (3, Q(1, 4), Q(3, 2)), (2, Q(1), Q(2))]:
-            inner = lambda f, g: inner_jacobi_mass(f, g, 0, beta, lam, d)
-            monomials = [UniPoly([0] * k + [1]) for k in range(6)]
-            gs = gram_schmidt(monomials, inner)
-            for k in range(6):
-                q = mass_orthogonal_poly(k, 0, beta, lam, d)
-                assert gs[k] * q.leading_coeff() == q * gs[k].leading_coeff()
+        monomials = [UniPoly([0] * k + [1]) for k in range(6)]
+        for alpha in MASS_ALPHAS:
+            for d, lam, beta in [(2, Q(1, 2), Q(0)), (3, Q(1, 4), Q(3, 2)), (2, Q(1), Q(2))]:
+                inner = lambda f, g: inner_jacobi_mass(f, g, alpha, beta, lam, d)
+                gs = gram_schmidt(monomials, inner)
+                for k in range(6):
+                    q = mass_orthogonal_poly(k, alpha, beta, lam, d)
+                    assert gs[k] * q.leading_coeff() == q * gs[k].leading_coeff()
 
     def test_fractional_alpha_rejected(self):
         with pytest.raises(ExactnessError):
@@ -155,6 +159,29 @@ class TestMassOrthogonalFamily:
     def test_mass_inner_orthogonality_to_one(self):
         q1 = mass_orthogonal_poly(1, 0, 2, Q(1, 2), 3)
         assert inner_jacobi_mass(q1, UniPoly.constant(1), 0, 2, Q(1, 2), 3) == 0
+
+
+class TestRadialWeightOracle:
+    def test_monomial_pairs(self):
+        # All three radial products against the termwise-integrated weight.
+        monomials = [UniPoly([0] * k + [1]) for k in range(5)]
+        for a in MASS_ALPHAS:
+            for b in (Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(5, 2)):
+                total = radial_weight_integral(0, a, b)
+                for i, ti in enumerate(monomials):
+                    for j, tj in enumerate(monomials):
+                        w = radial_weight_integral(i + j, a, b)
+                        assert jacobi_inner(ti, tj, a, b) == w / total
+                        for d in (2, 3):
+                            # Gamma(a + d/2 + 1) / (Gamma(d/2) Gamma(a + 1))
+                            prefactor = Q(1)
+                            for r in range(a + 1):
+                                prefactor *= Q(d, 2) + r
+                            prefactor /= factorial(a)
+                            got = inner_jacobi_mass(ti, tj, a, b, Q(1, 3), d)
+                            assert got == prefactor * w + Q(1, 3)
+                        if a == 0:
+                            assert inner_jacobi_type(ti, tj, b, Q(7, 3)) == w + Q(3, 7)
 
 
 class TestJacobiTypeFamily:

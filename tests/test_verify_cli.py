@@ -129,6 +129,25 @@ class TestCli:
         assert main(["--lambda", "1/4", "--M", "2"]) == 2
         assert main(["--dim", "1"]) == 2
         assert main(["--suites", "nonsense"]) == 2
+        # An empty suite list would run zero checks: never a passing report.
+        assert main(["--suites", ","]) == 2
+        assert main(["--suites", ""]) == 2
+
+    def test_exit_two_on_unwritable_out(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x")
+        assert main(["--dim", "2", "--max-degree", "1", "--suites", "jacobi",
+                     "--out", missing]) == 2
+        assert main(["--dim", "2", "--export-basis", "1,lambda", "--out", missing]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 2
+        assert all(line.startswith(f"cannot write {missing}") for line in err)
+
+    def test_higher_mu_passes(self, tmp_path):
+        out = tmp_path / "report.jsonl"
+        assert main(["--dim", "2", "--mu", "5/2", "--max-degree", "4", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text().strip().split("\n")[-1])
+        assert summary["status"] == "pass"
+        assert summary["counts"]["failed"] == 0
 
     def test_export_basis(self, tmp_path):
         out1 = tmp_path / "basis1.json"
