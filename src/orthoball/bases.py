@@ -24,7 +24,7 @@ from functools import cache
 from .exact_gamma import ExactnessError
 from .harmonics import harmonic_basis
 from .jacobi import jacobi_polynomial, mass_orthogonal_poly
-from .measures import inner_ball, inner_mass
+from .measures import _check_mu, inner_ball, inner_mass
 from .polynomials import MultiPoly, as_fraction, substitute_radial
 
 
@@ -99,10 +99,7 @@ def classical_basis(n: int, dim: int, mu) -> tuple[BallBasisElement, ...]:
         raise ValueError(f"degree must be non-negative, got {n}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    mu = as_fraction(mu)
-    if mu <= Fraction(-1, 2):
-        raise ValueError(f"mu must exceed -1/2, got {mu}")
-    return _classical_basis(n, dim, mu)
+    return _classical_basis(n, dim, _check_mu(mu))
 
 
 @cache

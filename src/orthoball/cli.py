@@ -1,7 +1,8 @@
 """Command-line front end: run verification suites or export a basis.
 
 Exit codes: 0 when every check passes (skips allowed), 1 when any check
-fails, 2 on a configuration error or when the output cannot be written.
+fails, 2 on a configuration error, when every selected suite is skipped (a
+report with nothing checked cannot pass), or when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from fractions import Fraction
 from .bases import basis_export_text
 from .exact_gamma import ExactnessError
 from .operators import fourth_order_eigenvalue
-from .verify import SUITE_NAMES, STATUS_FAIL, SuiteConfig, report_lines, run_suites
+from .verify import SUITE_NAMES, STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
+
+_RATIONAL_OPTIONS = ("--mu", "--lambda", "--M")
 
 
 def _fraction(text: str) -> Fraction:
@@ -21,6 +24,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a rational like '1/2', got {text!r}: {exc}")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--mu -1/4' as '--mu=-1/4': argparse reads a lone '-1/4' as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +97,8 @@ def _run_export(args, cfg: SuiteConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         cfg = SuiteConfig(
             dim=args.dim,
@@ -103,6 +118,10 @@ def main(argv=None) -> int:
         return _run_export(args, cfg)
 
     records = run_suites(cfg)
+    if all(r.status == STATUS_SKIP for r in records):
+        reasons = "; ".join(f"{r.suite}: {r.params['reason']}" for r in records)
+        print(f"configuration error: every selected suite was skipped ({reasons})", file=sys.stderr)
+        return 2
     if not _write("\n".join(report_lines(cfg, records)) + "\n", args.out):
         return 2
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0

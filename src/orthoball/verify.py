@@ -1,10 +1,20 @@
 """Parameterized verification suites producing structured, deterministic reports.
 
-Each suite re-derives a family of identities at the configured parameters and
-checks them in exact arithmetic.  A check either reduces a residual to the
-literal zero ("exact-zero"), matches two independently computed values
-("exact-match"), fails with a serialized witness, or is skipped when the
-requested parameters fall outside the exact construction.
+Each suite re-derives a family of identities and checks them in exact
+arithmetic.  Two tables declare the verifier:
+
+* ``_IDENTITIES``: each identity's kind and statement.  An "exact-zero" check
+  passes when every item (tag, residual) is the literal zero, an "exact-match"
+  check when every item (tag, got, want) has got == want.
+* ``_SUITES``: each suite's runner and the parameter range its exact
+  construction needs; outside that range the suite emits one skipped record.
+
+A runner declares each check as an identity, its params and a producer: a thunk
+that builds the items.  The one check primitive, ``_Collector.check``, runs the
+producer inside the check's timer, so ``elapsed_ms`` covers building the items,
+and serializes a witness of the first item that fails.  The producer runs before
+``check`` returns, so it may read the variables of the loop that declares it.
+Orthogonality suites read every check from one Gram matrix per basis.
 """
 
 from __future__ import annotations
@@ -12,9 +22,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache, partial
+from itertools import combinations
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
 from . import bases, harmonics, jacobi, measures, operators
 from .exact_gamma import rising_factorial
@@ -37,6 +50,70 @@ STATUS_MATCH = "exact-match"
 STATUS_FAIL = "FAIL"
 STATUS_SKIP = "skipped: unsupported-exact"
 
+_HALF = Fraction(1, 2)
+
+# identity -> (kind, statement); the kind is the status of a passing check.
+_IDENTITIES = {
+    "jacobi-normalization": (STATUS_MATCH, "P_n(1) = (a+1)_n / n!"),
+    "jacobi-derivative": (STATUS_ZERO, "d/dt P_n^(a,b) = ((n+a+b+1)/2) P_(n-1)^(a+1,b+1)"),
+    "jacobi-ode": (STATUS_ZERO, "(1-t^2) y'' + (b-a-(a+b+2)t) y' + n(n+a+b+1) y = 0"),
+    "pointmass-orthogonality":
+        (STATUS_ZERO, "(q_j, q_k) = 0 for j != k under the mass-modified radial product"),
+    "pointmass-normalization":
+        (STATUS_MATCH, "q_k(1) = (1/lam) G(a+d/2+1)/G(d/2) * G(b+k+1)/G(a+b+k+1)"),
+    "pointmass-degree": (STATUS_MATCH, "q_k has exact degree k with positive squared norm"),
+    "pointmass-gram-schmidt":
+        (STATUS_ZERO, "Gram-Schmidt on 1, t, t^2, ... reproduces q_k up to a nonzero scalar"),
+    "pointmass-type-agreement":
+        (STATUS_MATCH, "q_k = [M - (1+t) d/dt + k(k+b+1)] P_k^(0,b) with M = d/(2 lam)"),
+    "harmonic-dimension": (STATUS_MATCH, "dim of degree-m harmonics = C(m+d-1,d-1) - C(m+d-3,d-1)"),
+    "harmonic-laplace": (STATUS_ZERO, "Delta Y = 0 for every basis element"),
+    "harmonic-sphere-orthogonality": (STATUS_ZERO, "<Y_i, Y_j>_sphere = 0 for i != j"),
+    "harmonic-norm-positive": (STATUS_MATCH, "<Y, Y>_sphere > 0"),
+    "euler-identity": (STATUS_ZERO, "<x, grad> Y = m Y on homogeneous Y"),
+    "laplace-beltrami-eigen": (STATUS_ZERO, "Delta_0 Y = -m(m+d-2) Y"),
+    "polar-decomposition":
+        (STATUS_ZERO, "||x||^2 Delta f = Delta_0 f + m(m+d-2) f on homogeneous f"),
+    "sphere-moment-consistency":
+        (STATUS_ZERO, "sum_i m(nu + 2 e_i) = m(nu) since sum xi_i^2 = 1 on the sphere"),
+    "ball-weight-recurrence":
+        (STATUS_ZERO, "m_mu(nu) - sum_i m_mu(nu+2e_i) = ((mu+1/2)/(mu+(d+1)/2)) m_(mu+1)(nu)"),
+    "sphere-ball-ratio": (STATUS_MATCH, "sphere area over ball mass equals d when mu = 1/2"),
+    "unit-mass": (STATUS_MATCH, "<1,1>_mu = 1 and the mass-modified product gives 1 + lam"),
+    "product-symmetry": (STATUS_ZERO, "<f,g> = <g,f> and <f+g,h> = <f,h> + <g,h>, exactly"),
+    "product-positivity": (STATUS_MATCH, "<f,f>_lam > 0 for nonzero monomials through degree 4"),
+    "classical-gram-offdiagonal":
+        (STATUS_ZERO, "<P, P'>_mu = 0 for distinct indices, across all degrees"),
+    "classical-gram-diagonal": (STATUS_MATCH, "<P, P>_mu > 0"),
+    "classical-dimension": (STATUS_MATCH, "number of degree-n elements = C(n+d-1, d-1)"),
+    "classical-lower-degree":
+        (STATUS_ZERO, "<P, x^nu>_mu = 0 for every monomial of lower total degree"),
+    "classical-second-order-eigen":
+        (STATUS_ZERO, "[Delta - sum_j d/dx_j x_j (2mu-1 + <x,grad>)] P = -(n+d)(n+2mu-1) P"),
+    "mass-gram-offdiagonal":
+        (STATUS_ZERO, "<Q, Q'>_lam = 0 for distinct indices, across all degrees"),
+    "mass-gram-diagonal": (STATUS_MATCH, "<Q, Q>_lam > 0"),
+    "mass-product-factorization":
+        (STATUS_ZERO, "<Q_j^n, Q_k^m>_lam = (q_j, q_k) <Y,Y>_sphere delta(n-2j, m-2k) delta(nu, eta)"),
+    "connection-forward": (STATUS_ZERO, "[M - (1/4)(1-||x||^2) Delta] P(n,k,nu) = Q(n,k,nu)"),
+    "connection-backward":
+        (STATUS_ZERO, "[M + d/2 - (1/4)(1-||x||^2) Delta + <x,grad>] Q(n,k,nu) = Lambda(n,k) P(n,k,nu)"),
+    "connection-radial":
+        (STATUS_ZERO, "the radial one-variable forms of both connection identities"),
+    "connection-univariate":
+        (STATUS_ZERO, "[M - (1-t^2) d2/dt2 - (b+1)(1-t) d/dt] P_k = q_k and its conjugate sends q_k to the eigenvalue times P_k"),
+    "parts-identity":
+        (STATUS_ZERO, "integral of g (connection f) against the point-mass measure equals the plain weighted integral of f (conjugate g)"),
+    "connection-lift":
+        (STATUS_ZERO, "the ball connection of u(2||x||^2-1) Y equals the lifted univariate image"),
+    "fourth-order-eigen":
+        (STATUS_ZERO, "[M - (1/4)(1-||x||^2) Delta][M + d/2 - (1/4)(1-||x||^2) Delta + <x,grad>] Q = Lambda(n,k) Q"),
+    "eigenvalue-forms":
+        (STATUS_MATCH, "(M+k(k+b_k))(M+(k+1)(k+b_k+1)) = (M+k(n-k+(d-2)/2))(M+(k+1)(n-k+d/2))"),
+    "fourth-order-negative-control":
+        (STATUS_MATCH, "a polynomial outside the eigenspace leaves a nonzero residual"),
+}
+
 
 @dataclass
 class SuiteConfig:
@@ -54,9 +131,7 @@ class SuiteConfig:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be non-negative, got {self.max_degree}")
-        self.mu = as_fraction(self.mu)
-        if self.mu <= Fraction(-1, 2):
-            raise ValueError(f"mu must exceed -1/2, got {self.mu}")
+        self.mu = measures._check_mu(self.mu)
         if self.lam is not None and self.mass is not None:
             raise ValueError("give exactly one of the sphere coupling and the point mass")
         if self.lam is None and self.mass is None:
@@ -71,16 +146,12 @@ class SuiteConfig:
             self.mass = bases.mass_parameter(self.dim, self.lam)
         names = []
         for name in self.suites:
-            if name == "all":
-                names.extend(SUITE_NAMES)
-            elif name in SUITE_NAMES:
-                names.append(name)
-            else:
+            if name != "all" and name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+            names.extend(SUITE_NAMES if name == "all" else [name])
         if not names:
             raise ValueError("no suites selected; a report with zero checks cannot pass")
-        seen = set()
-        self.suites = tuple(n for n in names if not (n in seen or seen.add(n)))
+        self.suites = tuple(dict.fromkeys(names))
 
 
 @dataclass
@@ -112,56 +183,49 @@ def _serialize(value) -> str:
     return str(value)
 
 
+def _witness(kind: str, values) -> str | None:
+    """Serialized evidence that one check item fails, or None when it passes."""
+    if kind == STATUS_ZERO:
+        (value,) = values
+        ok = value.is_zero() if hasattr(value, "is_zero") else value == 0
+        return None if ok else _serialize(value)
+    got, want = values
+    return None if got == want else f"got {_serialize(got)}, expected {_serialize(want)}"
+
+
 class _Collector:
     def __init__(self, suite: str):
         self.suite = suite
         self.records: list[CheckRecord] = []
 
-    def zero(self, identity: str, statement: str, params: dict, residuals) -> None:
-        """Check that every produced residual is exactly zero."""
+    def check(self, identity: str, params: dict, producer) -> None:
+        """Run ``producer()`` inside the timer and record the first item that fails."""
+        kind, statement = _IDENTITIES[identity]
         t0 = time.perf_counter()
         witness = None
-        label = None
-        for tag, value in residuals:
-            ok = value.is_zero() if hasattr(value, "is_zero") else value == 0
-            if not ok:
-                witness = _serialize(value)
-                label = tag
+        p = dict(params)
+        for tag, *values in producer():
+            witness = _witness(kind, values)
+            if witness is not None:
+                p["first_failure"] = tag
                 break
         elapsed = (time.perf_counter() - t0) * 1000
-        status = STATUS_ZERO if witness is None else STATUS_FAIL
-        p = dict(params)
-        if label is not None:
-            p["first_failure"] = _fmt(label)
-        self.records.append(
-            CheckRecord(self.suite, identity, statement, _fmt(p), status, witness, elapsed)
-        )
-
-    def match(self, identity: str, statement: str, params: dict, pairs) -> None:
-        """Check that every (got, want) pair agrees exactly."""
-        t0 = time.perf_counter()
-        witness = None
-        label = None
-        for tag, got, want in pairs:
-            if got != want:
-                witness = f"got {_serialize(got)}, expected {_serialize(want)}"
-                label = tag
-                break
-        elapsed = (time.perf_counter() - t0) * 1000
-        status = STATUS_MATCH if witness is None else STATUS_FAIL
-        p = dict(params)
-        if label is not None:
-            p["first_failure"] = _fmt(label)
+        status = kind if witness is None else STATUS_FAIL
         self.records.append(
             CheckRecord(self.suite, identity, statement, _fmt(p), status, witness, elapsed)
         )
 
     def skip(self, identity: str, statement: str, params: dict, reason: str) -> None:
-        p = dict(params)
-        p["reason"] = reason
+        p = dict(params, reason=reason)
         self.records.append(
             CheckRecord(self.suite, identity, statement, _fmt(p), STATUS_SKIP, None, 0.0)
         )
+
+
+def _params(cfg: SuiteConfig, *names: str) -> dict:
+    fields = {"dim": cfg.dim, "mu": cfg.mu, "lambda": cfg.lam, "mass": cfg.mass,
+              "max_degree": cfg.max_degree}
+    return {name: fields[name] for name in names}
 
 
 def _rng(cfg: SuiteConfig, suite: str) -> random.Random:
@@ -189,39 +253,33 @@ def _random_homogeneous(rng: random.Random, dim: int, degree: int) -> MultiPoly:
 
 def _suite_jacobi(cfg: SuiteConfig, out: _Collector) -> None:
     grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    pairs = [(a, b) for a in grid for b in grid]
     for n in range(cfg.max_degree + 1):
-        out.match(
+        out.check(
             "jacobi-normalization",
-            "P_n(1) = (a+1)_n / n!",
-            {"n": n, "grid": [(a, b) for a in grid for b in grid]},
-            (
+            {"n": n, "grid": pairs},
+            lambda: (
                 ((a, b), jacobi.jacobi_polynomial(n, a, b).evaluate(1),
                  rising_factorial(a + 1, n) / factorial(n))
-                for a in grid
-                for b in grid
+                for a, b in pairs
             ),
         )
         if n >= 1:
-            out.zero(
+            out.check(
                 "jacobi-derivative",
-                "d/dt P_n^(a,b) = ((n+a+b+1)/2) P_(n-1)^(a+1,b+1)",
                 {"n": n},
-                (((a, b), jacobi.jacobi_derivative_residual(n, a, b)) for a in grid for b in grid),
+                lambda: (((a, b), jacobi.jacobi_derivative_residual(n, a, b)) for a, b in pairs),
             )
-        out.zero(
+        out.check(
             "jacobi-ode",
-            "(1-t^2) y'' + (b-a-(a+b+2)t) y' + n(n+a+b+1) y = 0",
             {"n": n},
-            (((a, b), jacobi.jacobi_ode_residual(n, a, b)) for a in grid for b in grid),
+            lambda: (((a, b), jacobi.jacobi_ode_residual(n, a, b)) for a, b in pairs),
         )
 
 
 def _beta_values(cfg: SuiteConfig) -> list[Fraction]:
-    values = set()
-    for n in range(cfg.max_degree + 1):
-        for k in range(n // 2 + 1):
-            values.add(bases.beta_shift(n, k, cfg.dim))
-    return sorted(values)
+    degrees = range(cfg.max_degree + 1)
+    return sorted({bases.beta_shift(n, k, cfg.dim) for n in degrees for k in range(n // 2 + 1)})
 
 
 def _gram_schmidt(vectors, inner):
@@ -235,76 +293,44 @@ def _gram_schmidt(vectors, inner):
 
 
 def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
-    alpha = cfg.mu - Fraction(1, 2)
-    params = {"dim": cfg.dim, "mu": cfg.mu, "lambda": cfg.lam}
-    if alpha.denominator != 1 or alpha < 0:
-        out.skip(
-            "pointmass-family",
-            "closed construction of the mass-modified radial family",
-            params,
-            "exact construction needs mu - 1/2 to be a non-negative integer",
-        )
-        return
-    kmax = max(cfg.max_degree, 2)
+    alpha = cfg.mu - _HALF
+    ks = range(max(cfg.max_degree, 2) + 1)
     for beta in _beta_values(cfg):
-        p = dict(params, beta=beta)
-        qs = [jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim) for k in range(kmax + 1)]
+        p = dict(_params(cfg, "dim", "mu", "lambda"), beta=beta)
+        qs = cache(lambda: [
+            jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim) for k in ks
+        ])
+        inner = partial(jacobi.inner_jacobi_mass, alpha=alpha, beta=beta, lam=cfg.lam, dim=cfg.dim)
 
-        def inner(f, g, beta=beta):
-            return jacobi.inner_jacobi_mass(f, g, alpha, beta, cfg.lam, cfg.dim)
+        def gram_schmidt():
+            gs, q = _gram_schmidt([UniPoly([0] * k + [1]) for k in ks], inner), qs()
+            return ((k, gs[k] * q[k].leading_coeff() - q[k] * gs[k].leading_coeff()) for k in ks)
 
-        out.zero(
+        out.check(
             "pointmass-orthogonality",
-            "(q_j, q_k) = 0 for j != k under the mass-modified radial product",
             p,
-            (
-                ((j, k), inner(qs[j], qs[k]))
-                for j in range(kmax + 1)
-                for k in range(j + 1, kmax + 1)
-            ),
+            lambda: (((j, k), inner(qs()[j], qs()[k])) for j, k in combinations(ks, 2)),
         )
-        a = alpha.numerator
-        out.match(
+        scale = rising_factorial(Fraction(cfg.dim, 2), alpha.numerator + 1) / cfg.lam
+        out.check(
             "pointmass-normalization",
-            "q_k(1) = (1/lam) G(a+d/2+1)/G(d/2) * G(b+k+1)/G(a+b+k+1)",
             p,
-            (
-                (
-                    k,
-                    qs[k].evaluate(1),
-                    rising_factorial(Fraction(cfg.dim, 2), a + 1)
-                    / rising_factorial(beta + k + 1, a)
-                    / cfg.lam,
-                )
-                for k in range(kmax + 1)
+            lambda: (
+                (k, qs()[k].evaluate(1), scale / rising_factorial(beta + k + 1, alpha.numerator))
+                for k in ks
             ),
         )
-        out.match(
+        out.check(
             "pointmass-degree",
-            "q_k has exact degree k with positive squared norm",
             p,
-            ((k, (qs[k].degree, inner(qs[k], qs[k]) > 0), (k, True)) for k in range(kmax + 1)),
+            lambda: ((k, (qs()[k].degree, inner(qs()[k], qs()[k]) > 0), (k, True)) for k in ks),
         )
-        monomials = [UniPoly([0] * k + [1]) for k in range(kmax + 1)]
-        gs = _gram_schmidt(monomials, inner)
-        out.zero(
-            "pointmass-gram-schmidt",
-            "Gram-Schmidt on 1, t, t^2, ... reproduces q_k up to a nonzero scalar",
-            p,
-            (
-                (k, gs[k] * qs[k].leading_coeff() - qs[k] * gs[k].leading_coeff())
-                for k in range(kmax + 1)
-            ),
-        )
-        if cfg.mu == Fraction(1, 2):
-            out.match(
+        out.check("pointmass-gram-schmidt", p, gram_schmidt)
+        if cfg.mu == _HALF:
+            out.check(
                 "pointmass-type-agreement",
-                "q_k = [M - (1+t) d/dt + k(k+b+1)] P_k^(0,b) with M = d/(2 lam)",
                 p,
-                (
-                    (k, qs[k], jacobi.jacobi_type_poly(k, beta, cfg.mass))
-                    for k in range(kmax + 1)
-                ),
+                lambda: ((k, qs()[k], jacobi.jacobi_type_poly(k, beta, cfg.mass)) for k in ks),
             )
 
 
@@ -312,53 +338,37 @@ def _suite_harmonics(cfg: SuiteConfig, out: _Collector) -> None:
     rng = _rng(cfg, "harmonics")
     d = cfg.dim
     for m in range(cfg.max_degree + 1):
-        basis = harmonics.harmonic_basis(d, m)
         p = {"dim": d, "degree": m}
-        out.match(
+        basis = partial(harmonics.harmonic_basis, d, m)
+
+        def each(residual, *args):
+            return lambda: ((i, residual(Y, *args)) for i, Y in enumerate(basis().elements))
+
+        out.check(
             "harmonic-dimension",
-            "dim of degree-m harmonics = C(m+d-1,d-1) - C(m+d-3,d-1)",
             p,
-            [(m, len(basis.elements), harmonics.harmonic_space_dim(d, m))],
+            lambda: [(m, len(basis().elements), harmonics.harmonic_space_dim(d, m))],
         )
-        out.zero(
-            "harmonic-laplace",
-            "Delta Y = 0 for every basis element",
-            p,
-            ((i, operators.laplacian(Y)) for i, Y in enumerate(basis.elements)),
-        )
-        out.zero(
+        out.check("harmonic-laplace", p, each(operators.laplacian))
+        out.check(
             "harmonic-sphere-orthogonality",
-            "<Y_i, Y_j>_sphere = 0 for i != j",
             p,
-            (
-                ((i, j), measures.inner_sphere(basis.elements[i], basis.elements[j]))
-                for i in range(len(basis.elements))
-                for j in range(i + 1, len(basis.elements))
+            lambda: (
+                ((i, j), measures.inner_sphere(Y, Z))
+                for (i, Y), (j, Z) in combinations(enumerate(basis().elements), 2)
             ),
         )
-        out.match(
+        out.check(
             "harmonic-norm-positive",
-            "<Y, Y>_sphere > 0",
             p,
-            ((i, norm > 0, True) for i, norm in enumerate(basis.sphere_norms)),
+            lambda: ((i, norm > 0, True) for i, norm in enumerate(basis().sphere_norms)),
         )
-        out.zero(
-            "euler-identity",
-            "<x, grad> Y = m Y on homogeneous Y",
-            p,
-            ((i, harmonics.euler_residual(Y, m)) for i, Y in enumerate(basis.elements)),
-        )
-        out.zero(
-            "laplace-beltrami-eigen",
-            "Delta_0 Y = -m(m+d-2) Y",
-            p,
-            ((i, harmonics.laplace_beltrami_residual(Y, m)) for i, Y in enumerate(basis.elements)),
-        )
-        out.zero(
+        out.check("euler-identity", p, each(harmonics.euler_residual, m))
+        out.check("laplace-beltrami-eigen", p, each(harmonics.laplace_beltrami_residual, m))
+        out.check(
             "polar-decomposition",
-            "||x||^2 Delta f = Delta_0 f + m(m+d-2) f on homogeneous f",
             p,
-            (
+            lambda: (
                 (trial, harmonics.polar_decomposition_residual(_random_homogeneous(rng, d, m), m))
                 for trial in range(3)
             ),
@@ -370,342 +380,208 @@ def _exps_upto(dim: int, total: int):
         yield from harmonics._monomials(dim, deg)
 
 
+def _bumps(e):
+    """Each exponent e + 2 e_i, for i along every axis."""
+    return [e[:i] + (e[i] + 2,) + e[i + 1:] for i in range(len(e))]
+
+
 def _suite_moments(cfg: SuiteConfig, out: _Collector) -> None:
     rng = _rng(cfg, "moments")
-    d = cfg.dim
+    d, mu = cfg.dim, cfg.mu
     cap = min(6, 2 * cfg.max_degree)
-    out.zero(
-        "sphere-moment-consistency",
-        "sum_i m(nu + 2 e_i) = m(nu) since sum xi_i^2 = 1 on the sphere",
-        {"dim": d, "max_total_degree": cap},
-        (
-            (
-                e,
-                sum(
-                    measures.sphere_moment(e[:i] + (e[i] + 2,) + e[i + 1:])
-                    for i in range(d)
-                )
-                - measures.sphere_moment(e),
-            )
-            for e in _exps_upto(d, cap)
-        ),
-    )
-    ratio = (cfg.mu + Fraction(1, 2)) / (cfg.mu + Fraction(d + 1, 2))
-    out.zero(
-        "ball-weight-recurrence",
-        "m_mu(nu) - sum_i m_mu(nu+2e_i) = ((mu+1/2)/(mu+(d+1)/2)) m_(mu+1)(nu)",
-        {"dim": d, "mu": cfg.mu, "max_total_degree": cap},
-        (
-            (
-                e,
-                measures.ball_moment(e, cfg.mu)
-                - sum(
-                    measures.ball_moment(e[:i] + (e[i] + 2,) + e[i + 1:], cfg.mu)
-                    for i in range(d)
-                )
-                - ratio * measures.ball_moment(e, cfg.mu + 1),
-            )
-            for e in _exps_upto(d, cap)
-        ),
-    )
-    out.match(
-        "sphere-ball-ratio",
-        "sphere area over ball mass equals d when mu = 1/2",
-        {"dims": [2, 3, 4, 5, 6]},
-        ((dd, measures.sphere_ball_ratio(dd, Fraction(1, 2)), Fraction(dd)) for dd in range(2, 7)),
-    )
+    ratio = (mu + Fraction(1, 2)) / (mu + Fraction(d + 1, 2))
+    p = _params(cfg, "dim", "mu", "lambda")
     one = MultiPoly.constant(d, 1)
-    out.match(
+    mass = partial(measures.inner_mass, mu=mu, lam=cfg.lam)
+    ball = partial(measures.ball_moment, mu=mu)
+
+    def symmetry():
+        fs = [_random_multipoly(rng, d, 3) for _ in range(3)]
+        gs = [_random_multipoly(rng, d, 3) for _ in range(3)]
+        for i, (f, g) in enumerate(zip(fs, gs)):
+            h = fs[(i + 1) % 3]
+            yield ("symmetry", i), mass(f, g) - mass(g, f)
+            yield ("bilinearity", i), mass(f + g, h) - mass(f, h) - mass(g, h)
+
+    out.check(
+        "sphere-moment-consistency",
+        {"dim": d, "max_total_degree": cap},
+        lambda: (
+            (e, sum(map(measures.sphere_moment, _bumps(e))) - measures.sphere_moment(e))
+            for e in _exps_upto(d, cap)
+        ),
+    )
+    out.check(
+        "ball-weight-recurrence",
+        {"dim": d, "mu": mu, "max_total_degree": cap},
+        lambda: (
+            (e, ball(e) - sum(map(ball, _bumps(e))) - ratio * measures.ball_moment(e, mu + 1))
+            for e in _exps_upto(d, cap)
+        ),
+    )
+    out.check(
+        "sphere-ball-ratio",
+        {"dims": [2, 3, 4, 5, 6]},
+        lambda: ((dd, measures.sphere_ball_ratio(dd, _HALF), Fraction(dd)) for dd in range(2, 7)),
+    )
+    out.check(
         "unit-mass",
-        "<1,1>_mu = 1 and the mass-modified product gives 1 + lam",
-        {"dim": d, "mu": cfg.mu, "lambda": cfg.lam},
-        [
-            ("ball", measures.inner_ball(one, one, cfg.mu), Fraction(1)),
+        p,
+        lambda: [
+            ("ball", measures.inner_ball(one, one, mu), Fraction(1)),
             ("sphere", measures.inner_sphere(one, one), Fraction(1)),
-            ("mass", measures.inner_mass(one, one, cfg.mu, cfg.lam), 1 + cfg.lam),
+            ("mass", mass(one, one), 1 + cfg.lam),
         ],
     )
-    fs = [_random_multipoly(rng, d, 3) for _ in range(3)]
-    gs = [_random_multipoly(rng, d, 3) for _ in range(3)]
-    out.zero(
-        "product-symmetry",
-        "<f,g> = <g,f> and <f+g,h> = <f,h> + <g,h>, exactly",
-        {"dim": d, "mu": cfg.mu, "lambda": cfg.lam, "trials": len(fs)},
-        (
-            pair
-            for i, (f, g) in enumerate(zip(fs, gs))
-            for pair in (
-                (
-                    ("symmetry", i),
-                    measures.inner_mass(f, g, cfg.mu, cfg.lam)
-                    - measures.inner_mass(g, f, cfg.mu, cfg.lam),
-                ),
-                (
-                    ("bilinearity", i),
-                    measures.inner_mass(f + g, fs[(i + 1) % len(fs)], cfg.mu, cfg.lam)
-                    - measures.inner_mass(f, fs[(i + 1) % len(fs)], cfg.mu, cfg.lam)
-                    - measures.inner_mass(g, fs[(i + 1) % len(fs)], cfg.mu, cfg.lam),
-                ),
-            )
-        ),
-    )
-    out.match(
+    out.check("product-symmetry", dict(p, trials=3), symmetry)
+    out.check(
         "product-positivity",
-        "<f,f>_lam > 0 for nonzero monomials through degree 4",
-        {"dim": d, "mu": cfg.mu, "lambda": cfg.lam},
-        (
-            (e, measures.inner_mass(mono, mono, cfg.mu, cfg.lam) > 0, True)
+        p,
+        lambda: (
+            (e, mass(mono, mono) > 0, True)
             for e in _exps_upto(d, min(4, cap))
             for mono in [MultiPoly(d, {e: 1})]
         ),
     )
 
 
-def _classical_elements(cfg: SuiteConfig):
-    return [
-        el for n in range(cfg.max_degree + 1) for el in bases.classical_basis(n, cfg.dim, cfg.mu)
-    ]
+def _key(el: bases.BallBasisElement) -> tuple[int, int, int]:
+    return (el.index.n, el.index.k, el.index.nu)
+
+
+def _offdiagonal(els, gram):
+    """The entries above the diagonal of ``gram``, each tagged with both element keys."""
+    return ((_key(a) + _key(b), gram[i][j]) for (i, a), (j, b) in combinations(enumerate(els), 2))
+
+
+def _diagonal(els, gram):
+    """Each recorded squared norm must be positive and equal its diagonal entry of ``gram``."""
+    return (
+        (_key(el), el.sq_norm > 0 and gram[i][i] == el.sq_norm, True) for i, el in enumerate(els)
+    )
+
+
+def _elements(cfg: SuiteConfig, basis, *args) -> list[bases.BallBasisElement]:
+    """Every element of ``basis`` through degree max_degree, in degree order."""
+    return [el for n in range(cfg.max_degree + 1) for el in basis(n, cfg.dim, *args)]
 
 
 def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
-    els = _classical_elements(cfg)
-    p = {"dim": cfg.dim, "mu": cfg.mu, "max_degree": cfg.max_degree}
-    out.zero(
-        "classical-gram-offdiagonal",
-        "<P, P'>_mu = 0 for distinct indices, across all degrees",
-        p,
-        (
-            (
-                (els[i].index.n, els[i].index.k, els[i].index.nu,
-                 els[j].index.n, els[j].index.k, els[j].index.nu),
-                measures.inner_ball(els[i].poly, els[j].poly, cfg.mu),
-            )
-            for i in range(len(els))
-            for j in range(i + 1, len(els))
-        ),
-    )
-    out.match(
-        "classical-gram-diagonal",
-        "<P, P>_mu > 0",
-        p,
-        (
-            ((el.index.n, el.index.k, el.index.nu), el.sq_norm > 0 and
-             measures.inner_ball(el.poly, el.poly, cfg.mu) == el.sq_norm, True)
-            for el in els
-        ),
-    )
-    out.match(
+    d, mu = cfg.dim, cfg.mu
+    p = _params(cfg, "dim", "mu", "max_degree")
+    els = partial(_elements, cfg, bases.classical_basis, mu)
+    gram = cache(lambda: bases.gram_matrix(els(), partial(measures.inner_ball, mu=mu)))
+    out.check("classical-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
+    out.check("classical-gram-diagonal", p, lambda: _diagonal(els(), gram()))
+    out.check(
         "classical-dimension",
-        "number of degree-n elements = C(n+d-1, d-1)",
         p,
-        (
-            (n, len(bases.classical_basis(n, cfg.dim, cfg.mu)), comb(n + cfg.dim - 1, cfg.dim - 1))
+        lambda: (
+            (n, len(bases.classical_basis(n, d, mu)), comb(n + d - 1, d - 1))
             for n in range(cfg.max_degree + 1)
         ),
     )
-    def lower_degree_pairs():
-        for n in range(1, cfg.max_degree + 1):
-            for el in bases.classical_basis(n, cfg.dim, cfg.mu):
-                for e in _exps_upto(cfg.dim, n - 1):
-                    yield (
-                        (n, el.index.k, el.index.nu, e),
-                        measures.inner_ball(el.poly, MultiPoly(cfg.dim, {e: 1}), cfg.mu),
-                    )
-    out.zero(
+    out.check(
         "classical-lower-degree",
-        "<P, x^nu>_mu = 0 for every monomial of lower total degree",
         p,
-        lower_degree_pairs(),
+        lambda: (
+            (_key(el) + (e,), measures.inner_ball(el.poly, MultiPoly(d, {e: 1}), mu))
+            for el in els()
+            for e in _exps_upto(d, el.index.n - 1)
+        ),
     )
 
 
 def _suite_d_mu_eigen(cfg: SuiteConfig, out: _Collector) -> None:
     for n in range(cfg.max_degree + 1):
         eig = -(n + cfg.dim) * (n + 2 * cfg.mu - 1)
-        out.zero(
-            "classical-second-order-eigen",
-            "[Delta - sum_j d/dx_j x_j (2mu-1 + <x,grad>)] P = -(n+d)(n+2mu-1) P",
-            {"dim": cfg.dim, "mu": cfg.mu, "n": n, "eigenvalue": eig},
-            (
-                (
-                    (el.index.k, el.index.nu),
-                    operators.classical_ball_op(el.poly, cfg.mu) - eig * el.poly,
-                )
-                for el in bases.classical_basis(n, cfg.dim, cfg.mu)
-            ),
-        )
 
+        def eigen():
+            for el in bases.classical_basis(n, cfg.dim, cfg.mu):
+                residual = operators.classical_ball_op(el.poly, cfg.mu) - eig * el.poly
+                yield (el.index.k, el.index.nu), residual
 
-def _mass_elements(cfg: SuiteConfig):
-    return [
-        el
-        for n in range(cfg.max_degree + 1)
-        for el in bases.mass_basis(n, cfg.dim, cfg.mu, cfg.lam)
-    ]
+        params = {"dim": cfg.dim, "mu": cfg.mu, "n": n, "eigenvalue": eig}
+        out.check("classical-second-order-eigen", params, eigen)
 
 
 def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
-    alpha = cfg.mu - Fraction(1, 2)
-    p = {"dim": cfg.dim, "mu": cfg.mu, "lambda": cfg.lam, "max_degree": cfg.max_degree}
-    if alpha.denominator != 1 or alpha < 0:
-        out.skip(
-            "mass-gram-diagonal",
-            "mutual orthogonality of the mass-modified basis",
-            p,
-            "exact construction needs mu - 1/2 to be a non-negative integer",
-        )
-        return
-    els = _mass_elements(cfg)
-    out.zero(
-        "mass-gram-offdiagonal",
-        "<Q, Q'>_lam = 0 for distinct indices, across all degrees",
-        p,
-        (
-            (
-                (els[i].index.n, els[i].index.k, els[i].index.nu,
-                 els[j].index.n, els[j].index.k, els[j].index.nu),
-                measures.inner_mass(els[i].poly, els[j].poly, cfg.mu, cfg.lam),
-            )
-            for i in range(len(els))
-            for j in range(i + 1, len(els))
-        ),
-    )
-    out.match(
-        "mass-gram-diagonal",
-        "<Q, Q>_lam > 0",
-        p,
-        (((el.index.n, el.index.k, el.index.nu), el.sq_norm > 0, True) for el in els),
-    )
+    alpha = cfg.mu - _HALF
+    p = _params(cfg, "dim", "mu", "lambda", "max_degree")
+    els = partial(_elements, cfg, bases.mass_basis, cfg.mu, cfg.lam)
+    inner = partial(measures.inner_mass, mu=cfg.mu, lam=cfg.lam)
+    gram = cache(lambda: bases.gram_matrix(els(), inner))
 
-    def factorization_pairs():
-        for i in range(len(els)):
-            for j in range(i, len(els)):
-                a, b = els[i], els[j]
-                lhs = measures.inner_mass(a.poly, b.poly, cfg.mu, cfg.lam)
-                same_harmonic = (
-                    a.index.n - 2 * a.index.k == b.index.n - 2 * b.index.k
-                    and a.index.nu == b.index.nu
-                )
-                if same_harmonic:
-                    qa = jacobi.mass_orthogonal_poly(
-                        a.index.k, alpha, a.index.beta_k, cfg.lam, cfg.dim
+    def radial(el):
+        return jacobi.mass_orthogonal_poly(el.index.k, alpha, el.index.beta_k, cfg.lam, cfg.dim)
+
+    def harmonic(el):
+        return (el.index.n - 2 * el.index.k, el.index.nu)
+
+    def factorization():
+        elements, entries = els(), gram()
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements[i:], start=i):
+                rhs = Fraction(0)
+                if harmonic(a) == harmonic(b):
+                    product = jacobi.inner_jacobi_mass(
+                        radial(a), radial(b), alpha, a.index.beta_k, cfg.lam, cfg.dim
                     )
-                    qb = jacobi.mass_orthogonal_poly(
-                        b.index.k, alpha, b.index.beta_k, cfg.lam, cfg.dim
-                    )
-                    radial = jacobi.inner_jacobi_mass(
-                        qa, qb, alpha, a.index.beta_k, cfg.lam, cfg.dim
-                    )
-                    rhs = radial * a.harmonic_sq_norm
-                else:
-                    rhs = Fraction(0)
-                yield (
-                    (a.index.n, a.index.k, a.index.nu, b.index.n, b.index.k, b.index.nu),
-                    lhs - rhs,
-                )
+                    rhs = product * a.harmonic_sq_norm
+                yield _key(a) + _key(b), entries[i][j] - rhs
 
-    out.zero(
-        "mass-product-factorization",
-        "<Q_j^n, Q_k^m>_lam = (q_j, q_k) <Y,Y>_sphere delta(n-2j, m-2k) delta(nu, eta)",
-        p,
-        factorization_pairs(),
-    )
-
-
-def _require_half(cfg: SuiteConfig, out: _Collector, identity: str, statement: str) -> bool:
-    if cfg.mu != Fraction(1, 2):
-        out.skip(
-            identity,
-            statement,
-            {"dim": cfg.dim, "mu": cfg.mu},
-            "the fourth-order theory lives at mu = 1/2",
-        )
-        return False
-    return True
+    out.check("mass-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
+    out.check("mass-gram-diagonal", p, lambda: _diagonal(els(), gram()))
+    out.check("mass-product-factorization", p, factorization)
 
 
 def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
-    if not _require_half(cfg, out, "connection-forward", "connection identities between the two bases"):
-        return
     rng = _rng(cfg, "connection")
     d, M, lam = cfg.dim, cfg.mass, cfg.lam
-    p = {"dim": d, "mass": M, "lambda": lam}
+    p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
-        pn = dict(p, n=n)
-        pairs1, pairs2 = [], []
-        for el in bases.classical_basis(n, d, Fraction(1, 2)):
-            k, nu = el.index.k, el.index.nu
-            r1, r2 = operators.connection_residuals(n, k, nu, d, M)
-            pairs1.append(((k, nu), r1))
-            pairs2.append(((k, nu), r2))
-        out.zero(
-            "connection-forward",
-            "[M - (1/4)(1-||x||^2) Delta] P(n,k,nu) = Q(n,k,nu)",
-            pn,
-            pairs1,
-        )
-        out.zero(
-            "connection-backward",
-            "[M + d/2 - (1/4)(1-||x||^2) Delta + <x,grad>] Q(n,k,nu) = Lambda(n,k) P(n,k,nu)",
-            pn,
-            pairs2,
-        )
-        out.zero(
-            "connection-radial",
-            "the radial one-variable forms of both connection identities",
-            pn,
-            (
-                ((n, k, which), res)
-                for k in range(n // 2 + 1)
-                for which, res in zip(
-                    ("forward", "backward"),
-                    operators.radial_connection_residuals(n, k, d, M),
-                )
-            ),
-        )
-    kmax = max(cfg.max_degree, 2)
+
+        def partners():
+            """(P, Q) with equal (k, nu): both bases list degree n in the same order."""
+            return zip(bases.classical_basis(n, d, _HALF), bases.mass_basis(n, d, _HALF, lam))
+
+        def forward():
+            for P, Q in partners():
+                yield (P.index.k, P.index.nu), operators.ball_connection_op(P.poly, M) - Q.poly
+
+        def backward():
+            for P, Q in partners():
+                eig = operators.fourth_order_eigenvalue(n, P.index.k, d, M)
+                yield (P.index.k, P.index.nu), operators.ball_conjugate_op(Q.poly, M) - eig * P.poly
+
+        def radial():
+            for k in range(n // 2 + 1):
+                first, second = operators.radial_connection_residuals(n, k, d, M)
+                yield (n, k, "forward"), first
+                yield (n, k, "backward"), second
+
+        out.check("connection-forward", dict(p, n=n), forward)
+        out.check("connection-backward", dict(p, n=n), backward)
+        out.check("connection-radial", dict(p, n=n), radial)
     for beta in _beta_values(cfg):
-        pb = dict(p, beta=beta)
-        out.zero(
-            "connection-univariate",
-            "[M - (1-t^2) d2/dt2 - (b+1)(1-t) d/dt] P_k = q_k and its conjugate sends q_k to the eigenvalue times P_k",
-            pb,
-            (
-                ((k, which), res)
-                for k in range(kmax + 1)
-                for which, res in zip(
-                    ("forward", "backward", "fourth-order"),
-                    _univariate_connection_residuals(k, beta, M),
-                )
-            ),
-        )
-        out.zero(
-            "parts-identity",
-            "integral of g (connection f) against the point-mass measure equals the plain weighted integral of f (conjugate g)",
-            pb,
-            (
-                (trial, jacobi.parts_residual(
-                    _random_unipoly(rng, 5), _random_unipoly(rng, 5), beta, M
-                ))
-                for trial in range(3)
-            ),
-        )
-    out.zero(
-        "connection-lift",
-        "the ball connection of u(2||x||^2-1) Y equals the lifted univariate image",
-        p,
-        _lift_pairs(cfg, rng),
-    )
 
+        def univariate():
+            for k in range(max(cfg.max_degree, 2) + 1):
+                pk, qk = jacobi.jacobi_polynomial(k, 0, beta), jacobi.jacobi_type_poly(k, beta, M)
+                eig = jacobi.type_eigenvalue(k, beta, M)
+                conjugate = jacobi.conjugate_connection_op(qk, beta, M)
+                yield (k, "forward"), jacobi.connection_op(pk, beta, M) - qk
+                yield (k, "backward"), conjugate - eig * pk
+                yield (k, "fourth-order"), jacobi.connection_op(conjugate, beta, M) - eig * qk
 
-def _univariate_connection_residuals(k: int, beta, M):
-    pk = jacobi.jacobi_polynomial(k, 0, beta)
-    qk = jacobi.jacobi_type_poly(k, beta, M)
-    eig = jacobi.type_eigenvalue(k, beta, M)
-    forward = jacobi.connection_op(pk, beta, M) - qk
-    backward = jacobi.conjugate_connection_op(qk, beta, M) - eig * pk
-    fourth = jacobi.connection_op(jacobi.conjugate_connection_op(qk, beta, M), beta, M) - eig * qk
-    return forward, backward, fourth
+        def parts():
+            for trial in range(3):
+                f, g = _random_unipoly(rng, 5), _random_unipoly(rng, 5)
+                yield trial, jacobi.parts_residual(f, g, beta, M)
+
+        out.check("connection-univariate", dict(p, beta=beta), univariate)
+        out.check("parts-identity", dict(p, beta=beta), parts)
+    out.check("connection-lift", p, lambda: _lift_pairs(cfg, rng))
 
 
 def _lift_pairs(cfg: SuiteConfig, rng: random.Random):
@@ -724,69 +600,86 @@ def _lift_pairs(cfg: SuiteConfig, rng: random.Random):
 
 
 def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
-    if not _require_half(cfg, out, "fourth-order-eigen", "the fourth-order eigen-equation"):
-        return
     d, M, lam = cfg.dim, cfg.mass, cfg.lam
     offset = Fraction(1) if cfg.corrupt_eigenvalue else Fraction(0)
-    p = {"dim": d, "mass": M, "lambda": lam}
+    p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
-        out.zero(
-            "fourth-order-eigen",
-            "[M - (1/4)(1-||x||^2) Delta][M + d/2 - (1/4)(1-||x||^2) Delta + <x,grad>] Q = Lambda(n,k) Q",
-            dict(p, n=n),
-            (
-                (
-                    (el.index.k, el.index.nu),
-                    operators.fourth_order_op(el.poly, M)
-                    - (operators.fourth_order_eigenvalue(n, el.index.k, d, M) + offset) * el.poly,
-                )
-                for el in bases.mass_basis(n, d, Fraction(1, 2), lam)
-            ),
-        )
-    out.match(
-        "eigenvalue-forms",
-        "(M+k(k+b_k))(M+(k+1)(k+b_k+1)) = (M+k(n-k+(d-2)/2))(M+(k+1)(n-k+d/2))",
-        p,
-        (
-            (
-                (n, k),
-                jacobi.type_eigenvalue(k, bases.beta_shift(n, k, d), M),
-                operators.fourth_order_eigenvalue(n, k, d, M),
-            )
-            for n in range(max(cfg.max_degree, 10) + 1)
-            for k in range(n // 2 + 1)
-        ),
-    )
+
+        def eigen():
+            for el in bases.mass_basis(n, d, _HALF, lam):
+                eig = operators.fourth_order_eigenvalue(n, el.index.k, d, M) + offset
+                residual = operators.fourth_order_op(el.poly, M) - eig * el.poly
+                yield (el.index.k, el.index.nu), residual
+
+        out.check("fourth-order-eigen", dict(p, n=n), eigen)
+
+    def forms():
+        for n in range(max(cfg.max_degree, 10) + 1):
+            for k in range(n // 2 + 1):
+                product = jacobi.type_eigenvalue(k, bases.beta_shift(n, k, d), M)
+                yield (n, k), product, operators.fourth_order_eigenvalue(n, k, d, M)
+
+    out.check("eigenvalue-forms", p, forms)
     control = MultiPoly.constant(d, 1) + MultiPoly.variable(d, 0)
-    residual = operators.fourth_order_op(control, M) - operators.fourth_order_eigenvalue(
-        1, 0, d, M
-    ) * control
-    out.match(
+    eig = operators.fourth_order_eigenvalue(1, 0, d, M)
+    residual = operators.fourth_order_op(control, M) - eig * control
+    out.check(
         "fourth-order-negative-control",
-        "a polynomial outside the eigenspace leaves a nonzero residual",
         dict(p, control=str(control), residual=residual.canonical()),
-        [("nonzero", residual.is_zero(), False)],
+        lambda: [("nonzero", residual.is_zero(), False)],
     )
 
 
-_SUITE_RUNNERS = {
-    "jacobi": _suite_jacobi,
-    "krall1d": _suite_krall1d,
-    "harmonics": _suite_harmonics,
-    "moments": _suite_moments,
-    "classical-orthogonality": _suite_classical_orthogonality,
-    "lambda-orthogonality": _suite_lambda_orthogonality,
-    "d-mu-eigen": _suite_d_mu_eigen,
-    "connection": _suite_connection,
-    "fourth-order": _suite_fourth_order,
+class _Requirement(NamedTuple):
+    """A parameter range that an exact construction needs, and the reason to skip outside it."""
+
+    holds: Callable[[SuiteConfig], bool]
+    reason: str
+
+
+_INTEGER_ALPHA = _Requirement(
+    lambda cfg: (cfg.mu - _HALF).denominator == 1 and cfg.mu >= _HALF,
+    "exact construction needs mu - 1/2 to be a non-negative integer",
+)
+_AT_HALF = _Requirement(lambda cfg: cfg.mu == _HALF, "the fourth-order theory lives at mu = 1/2")
+
+# name -> (runner, requirement or None, then the identity, statement and params that the
+# skipped record carries when the configuration falls outside the requirement).
+_SUITES = {
+    "jacobi": (_suite_jacobi, None),
+    "krall1d": (
+        _suite_krall1d, _INTEGER_ALPHA, "pointmass-family",
+        "closed construction of the mass-modified radial family", ("dim", "mu", "lambda"),
+    ),
+    "harmonics": (_suite_harmonics, None),
+    "moments": (_suite_moments, None),
+    "classical-orthogonality": (_suite_classical_orthogonality, None),
+    "lambda-orthogonality": (
+        _suite_lambda_orthogonality, _INTEGER_ALPHA, "mass-gram-diagonal",
+        "mutual orthogonality of the mass-modified basis", ("dim", "mu", "lambda", "max_degree"),
+    ),
+    "d-mu-eigen": (_suite_d_mu_eigen, None),
+    "connection": (
+        _suite_connection, _AT_HALF, "connection-forward",
+        "connection identities between the two bases", ("dim", "mu"),
+    ),
+    "fourth-order": (
+        _suite_fourth_order, _AT_HALF, "fourth-order-eigen",
+        "the fourth-order eigen-equation", ("dim", "mu"),
+    ),
 }
 
 
 def run_suites(cfg: SuiteConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     for name in cfg.suites:
+        runner, needs, *skipped = _SUITES[name]
         collector = _Collector(name)
-        _SUITE_RUNNERS[name](cfg, collector)
+        if needs is None or needs.holds(cfg):
+            runner(cfg, collector)
+        else:
+            identity, statement, params = skipped
+            collector.skip(identity, statement, _params(cfg, *params), needs.reason)
         records.extend(collector.records)
     return records
 
@@ -817,22 +710,9 @@ def summarize(cfg: SuiteConfig, records: list[CheckRecord]) -> dict:
 
 def report_lines(cfg: SuiteConfig, records: list[CheckRecord]) -> list[str]:
     """JSON Lines report: one object per check, then a summary object."""
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "check",
-                    "suite": r.suite,
-                    "identity": r.identity,
-                    "statement": r.statement,
-                    "params": r.params,
-                    "status": r.status,
-                    "witness": r.witness,
-                    "elapsed_ms": round(r.elapsed_ms, 3),
-                },
-                sort_keys=True,
-            )
-        )
+    lines = [
+        json.dumps(dict(asdict(r), type="check", elapsed_ms=round(r.elapsed_ms, 3)), sort_keys=True)
+        for r in records
+    ]
     lines.append(json.dumps(summarize(cfg, records), sort_keys=True))
     return lines

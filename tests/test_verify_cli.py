@@ -2,13 +2,17 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from orthoball import measures, operators, verify
+from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
     STATUS_FAIL,
     STATUS_SKIP,
+    STATUS_ZERO,
     SUITE_NAMES,
     SuiteConfig,
     report_lines,
@@ -91,6 +95,41 @@ class TestRunSuites:
         records = run_suites(cfg)
         assert records and all(r.status == STATUS_SKIP for r in records)
 
+    def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
+        real = measures.inner_mass
+        pairs = []
+
+        def counting(f, g, *args, **kwargs):
+            pairs.append(tuple(sorted((f.canonical(), g.canonical()))))
+            return real(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "inner_mass", counting)
+        records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
+        assert all(r.status != STATUS_FAIL for r in records)
+        # N = 6 elements through degree 2 in d = 2: one Gram matrix is N(N+1)/2 products.
+        assert len(pairs) == 21
+        assert len(set(pairs)) == len(pairs)
+
+    def test_connection_forward_times_its_own_residuals(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: clock[0])
+        real = operators.ball_connection_op
+
+        def slow(p, mass):
+            clock[0] += 1.0
+            return real(p, mass)
+
+        monkeypatch.setattr(operators, "ball_connection_op", slow)
+        records = run_suites(SuiteConfig(suites=("connection",), **SMALL))
+        forward = [r for r in records if r.identity == "connection-forward"]
+        assert [r.params["n"] for r in forward] == list(range(SMALL["max_degree"] + 1))
+        for r in forward:
+            assert r.status == STATUS_ZERO
+            # One connection per degree-n element, each charged to this check alone.
+            assert r.elapsed_ms == 1000.0 * len(classical_basis(r.params["n"], 2, Q(1, 2)))
+        backward = [r for r in records if r.identity == "connection-backward"]
+        assert backward and all(r.elapsed_ms == 0.0 for r in backward)
+
     def test_deterministic_given_config(self):
         cfg1 = SuiteConfig(suites=("all",), seed=3, **SMALL)
         cfg2 = SuiteConfig(suites=("all",), seed=3, **SMALL)
@@ -102,6 +141,29 @@ class TestRunSuites:
         cfg = SuiteConfig(suites=("harmonics",), **SMALL)
         for line in report_lines(cfg, run_suites(cfg)):
             assert json.dumps(json.loads(line), sort_keys=True) == line
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenReports:
+    """Reports must stay byte-identical apart from ``elapsed_ms``, summary included.
+
+    Each golden file is the CLI report for its argv with ``elapsed_ms`` removed
+    from every record, one ``json.dumps(record, sort_keys=True)`` per line.
+    """
+
+    @pytest.mark.parametrize("name, extra", [
+        ("report_d2_deg2.jsonl", []),
+        ("report_d2_deg2_mu3-4.jsonl", ["--mu", "3/4"]),  # covers the skip records
+    ])
+    def test_report_matches_golden(self, tmp_path, name, extra):
+        out = tmp_path / "report.jsonl"
+        argv = ["--dim", "2", "--max-degree", "2", "--suites", "all", "--out", str(out)]
+        assert main(argv + extra) == 0
+        got = [json.dumps(rec, sort_keys=True)
+               for rec in strip_timing(out.read_text().strip().split("\n"))]
+        assert got == (GOLDEN / name).read_text().strip().split("\n")
 
 
 class TestCli:
@@ -125,13 +187,34 @@ class TestCli:
         records = [json.loads(line) for line in out.read_text().strip().split("\n")]
         assert any(r.get("status") == "FAIL" and r.get("witness") for r in records)
 
-    def test_exit_two_on_bad_config(self):
+    def test_exit_two_on_bad_config(self, capsys):
         assert main(["--lambda", "1/4", "--M", "2"]) == 2
         assert main(["--dim", "1"]) == 2
         assert main(["--suites", "nonsense"]) == 2
         # An empty suite list would run zero checks: never a passing report.
         assert main(["--suites", ","]) == 2
         assert main(["--suites", ""]) == 2
+        # Neither would a run where every selected suite is skipped.
+        assert main(["--suites", "krall1d", "--mu", "1/3"]) == 2
+        assert main(["--suites", "connection", "--mu", "3/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().split("\n")
+        assert len(err) == 7
+        assert all(line.startswith("configuration error") for line in err)
+
+    def test_negative_rationals_as_separate_tokens(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        assert main(["--mu", "-1/4", "--max-degree", "2", "--suites", "jacobi,moments",
+                     "--out", str(out)]) == 0
+        summary = json.loads(out.read_text().strip().split("\n")[-1])
+        assert summary["config"]["mu"] == "-1/4"
+        assert summary["counts"]["failed"] == 0
+        assert main(["--lambda", "-1/4"]) == 2
+        assert main(["--M", "-3/2"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 2
+        assert all(line.startswith("configuration error") for line in err)
 
     def test_exit_two_on_unwritable_out(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "x")
