@@ -98,7 +98,10 @@ def _run_export(args, cfg: SuiteConfig) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
     try:
         cfg = SuiteConfig(
             dim=args.dim,

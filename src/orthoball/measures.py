@@ -2,48 +2,102 @@
 
 The ball carries the weight (1 - ||x||^2)^(mu - 1/2) with mu > -1/2, normalized
 so the total mass is 1; the sphere carries normalized surface measure.  A
-monomial moment vanishes unless every exponent is even, and in that case it is
-a rational number:
+monomial moment vanishes unless every exponent is even.  For x^(2a) with
+half-degree s = |a| it is an integer times a rational that depends on s alone:
 
-    sphere:  Gamma(d/2) * prod_i Gamma((v_i+1)/2) / (Gamma((|v|+d)/2) * Gamma(1/2)^d)
-    ball:    sphere moment * (d/2)_s / (d/2 + mu + 1/2)_s,   s = |v| / 2
+    L(x^(2a)) = N(a) * R(s),    N(a) = prod_i (2 a_i - 1)!!
+    sphere:  R(s) = 1 / prod_{j<s} (d + 2j)
+    ball:    R(s) = 1 / prod_{j<s} (d + 2 mu + 1 + 2j)
 
-Both reduce by half-integer Gamma splitting and Pochhammer telescoping, so no
-pi power or irrational survives.  The same is true of the sphere-area to
-weighted-ball-mass ratio for the parameter ranges accepted below.
+This is the Gamma form Gamma(d/2) prod_i Gamma(a_i + 1/2) / (Gamma(s + d/2)
+Gamma(1/2)^d) of the sphere moment, times (d/2)_s / (d/2 + mu + 1/2)_s on the
+ball, after Gamma(a + 1/2) / Gamma(1/2) = (2a - 1)!! / 2^a: no pi power or
+irrational survives, for every rational mu > -1/2.  The sphere-area to
+weighted-ball-mass ratio is rational for the parameter ranges accepted below.
 
 Each inner product is a moment functional applied to the product,
 <f, g> = L(f g), with L the sphere moments, the ball moments, or ball plus lam
-times sphere; one kernel applies L once per distinct exponent of f g.
+times sphere, so that R(s) = R_ball(s) + lam R_sphere(s).  The kernel works in
+integers: it scales f and g to integer coefficients over their denominators
+Df and Dg, packs each exponent tuple into one int (one bit field per variable,
+the total degree in the top field), pairs the parity-compatible terms with one
+int add per pair, sums c_a c_b N(a + b) per half-degree, and only then applies
+one rational R(s) per half-degree and one division by Df Dg.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
 from .polynomials import Exponents, MultiPoly, as_fraction
 
+_FIELD = 32  # bits per exponent of a packed monomial
+_FIELD_MASK = (1 << _FIELD) - 1
+# Below half a field, so the sum of two packed monomials carries into no neighbour.
+_EXPONENT_LIMIT = 1 << (_FIELD - 1)
 
-def _parity(exps: Exponents) -> Exponents:
-    return tuple(e & 1 for e in exps)
+# A moment functional as (weight, start) parts, each an int or a Fraction:
+# R(s) = sum of weight / prod_{j<s} (start + 2j) over the parts.
+Functional = tuple[tuple[int | Fraction, int | Fraction], ...]
 
 
 @cache
-def _sphere_moment(exps: Exponents) -> Fraction:
+def _pack(exps: Exponents) -> int:
+    """x^exps as one int: exponent i in field i, the total degree in the top field."""
+    packed = sum(exps)
+    for e in reversed(exps):
+        if e >= _EXPONENT_LIMIT:
+            raise ValueError(f"exponent {e} is too large for a packed monomial")
+        packed = packed << _FIELD | e
+    return packed
+
+
+@cache
+def _low_bits(dim: int) -> int:
+    """The lowest bit of each exponent field: x^e and x^f pair iff their packings agree here."""
+    return sum(1 << (i * _FIELD) for i in range(dim))
+
+
+@cache
+def _double_factorials(packed: int, dim: int) -> int:
+    """N(a) = prod_i (2 a_i - 1)!! for the even monomial x^(2a) packed as ``packed``."""
+    n = 1
+    for _ in range(dim):
+        n *= prod(range((packed & _FIELD_MASK) - 1, 0, -2))
+        packed >>= _FIELD
+    return n
+
+
+@cache
+def _radial(functional: Functional, s: int) -> Fraction:
+    """R(s), the factor that every moment of half-degree s shares."""
+    return sum(w / prod((start + 2 * j for j in range(s)), start=Fraction(1))
+               for w, start in functional)
+
+
+def _sphere(dim: int) -> Functional:
+    return ((1, dim),)
+
+
+def _ball(dim: int, mu: Fraction) -> Functional:
+    return ((1, dim + 2 * mu + 1),)
+
+
+def _moment(exps: Exponents, functional: Functional) -> Fraction:
     if any(e & 1 for e in exps):
         return Fraction(0)
-    d = len(exps)
-    total = sum(exps)
-    numer = [Fraction(d, 2)] + [Fraction(e + 1, 2) for e in exps]
-    denom = [Fraction(total + d, 2)] + [Fraction(1, 2)] * d
-    return gamma_ratio(numer, denom)
+    packed = _pack(exps)
+    dim = len(exps)
+    return _double_factorials(packed, dim) * _radial(functional, packed >> (dim * _FIELD + 1))
 
 
 def _exponents(exps) -> Exponents:
     exps = tuple(int(e) for e in exps)
+    if not exps:
+        raise ValueError("a monomial needs at least one exponent")
     if any(e < 0 for e in exps):
         raise ValueError(f"negative exponent in {exps}")
     return exps
@@ -51,19 +105,8 @@ def _exponents(exps) -> Exponents:
 
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
-    return _sphere_moment(_exponents(exps))
-
-
-@cache
-def _radial_factor(half_degree: int, dim: int, mu: Fraction) -> Fraction:
-    top = rising_factorial(Fraction(dim, 2), half_degree)
-    bottom = rising_factorial(Fraction(dim, 2) + mu + Fraction(1, 2), half_degree)
-    return top / bottom
-
-
-@cache
-def _ball_moment(exps: Exponents, mu: Fraction) -> Fraction:
-    return _sphere_moment(exps) * _radial_factor(sum(exps) // 2, len(exps), mu)
+    exps = _exponents(exps)
+    return _moment(exps, _sphere(len(exps)))
 
 
 def _check_mu(mu) -> Fraction:
@@ -75,36 +118,51 @@ def _check_mu(mu) -> Fraction:
 
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
-    return _ball_moment(_exponents(exps), _check_mu(mu))
+    exps = _exponents(exps)
+    return _moment(exps, _ball(len(exps), _check_mu(mu)))
 
 
-def _bilinear(f: MultiPoly, g: MultiPoly, moment) -> Fraction:
+def _integer_terms(p: MultiPoly) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D of p's coefficients, and (packed exponent, D * coefficient) pairs."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+
+
+def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    dim = f.dim
+    low = _low_bits(dim)
+    f_den, f_terms = _integer_terms(f)
+    g_den, g_terms = _integer_terms(g)
     # Moments vanish unless exponents match parity componentwise, so bucket g
-    # by parity and only pair compatible terms; the moment table is then
-    # applied once per distinct exponent of that part of f*g.
-    buckets: dict[Exponents, list[tuple[Exponents, Fraction]]] = {}
-    for eb, cb in g.terms.items():
-        buckets.setdefault(_parity(eb), []).append((eb, cb))
-    product: dict[Exponents, Fraction] = {}
-    for ea, ca in f.terms.items():
-        for eb, cb in buckets.get(_parity(ea), ()):
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            product[e] = product[e] + c if e in product else c
-    return sum((c * moment(e) for e, c in product.items() if c), Fraction(0))
+    # by parity and pair each term of f with its own bucket only.
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for kb, cb in g_terms:
+        buckets.setdefault(kb & low, []).append((kb, cb))
+    product: dict[int, int] = {}
+    for ka, ca in f_terms:
+        for kb, cb in buckets.get(ka & low, ()):
+            k = ka + kb
+            product[k] = product.get(k, 0) + ca * cb
+    shift = dim * _FIELD + 1
+    sums: dict[int, int] = {}
+    for k, c in product.items():
+        if c:
+            s = k >> shift
+            sums[s] = sums.get(s, 0) + c * _double_factorials(k, dim)
+    total = sum((_radial(functional, s) * t for s, t in sums.items()), Fraction(0))
+    return total / (f_den * g_den)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
     """Normalized sphere inner product: the average of f*g over the unit sphere."""
-    return _bilinear(f, g, _sphere_moment)
+    return _bilinear(f, g, _sphere(f.dim))
 
 
 def inner_ball(f: MultiPoly, g: MultiPoly, mu) -> Fraction:
     """Normalized weighted-ball inner product of f and g."""
-    mu = _check_mu(mu)
-    return _bilinear(f, g, lambda e: _ball_moment(e, mu))
+    return _bilinear(f, g, _ball(f.dim, _check_mu(mu)))
 
 
 def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
@@ -116,7 +174,7 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
     if lam < 0:
         raise ValueError(f"the sphere coupling must be non-negative, got {lam}")
     mu = _check_mu(mu)
-    return _bilinear(f, g, lambda e: _ball_moment(e, mu) + lam * _sphere_moment(e))
+    return _bilinear(f, g, _ball(f.dim, mu) + ((lam, f.dim),))
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:

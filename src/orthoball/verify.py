@@ -199,17 +199,20 @@ class _Collector:
         self.records: list[CheckRecord] = []
 
     def check(self, identity: str, params: dict, producer) -> None:
-        """Run ``producer()`` inside the timer and record the first item that fails."""
+        """Run ``producer()`` inside the timer and record the first item that fails.
+
+        ``params`` is read after the producer has run, so a producer may fill
+        in a parameter that it computes as part of the check's work.
+        """
         kind, statement = _IDENTITIES[identity]
         t0 = time.perf_counter()
         witness = None
-        p = dict(params)
         for tag, *values in producer():
             witness = _witness(kind, values)
             if witness is not None:
-                p["first_failure"] = tag
                 break
         elapsed = (time.perf_counter() - t0) * 1000
+        p = dict(params) if witness is None else dict(params, first_failure=tag)
         status = kind if witness is None else STATUS_FAIL
         self.records.append(
             CheckRecord(self.suite, identity, statement, _fmt(p), status, witness, elapsed)
@@ -620,14 +623,17 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
                 yield (n, k), product, operators.fourth_order_eigenvalue(n, k, d, M)
 
     out.check("eigenvalue-forms", p, forms)
-    control = MultiPoly.constant(d, 1) + MultiPoly.variable(d, 0)
-    eig = operators.fourth_order_eigenvalue(1, 0, d, M)
-    residual = operators.fourth_order_op(control, M) - eig * control
-    out.check(
-        "fourth-order-negative-control",
-        dict(p, control=str(control), residual=residual.canonical()),
-        lambda: [("nonzero", residual.is_zero(), False)],
-    )
+    control_params = dict(p, control=None, residual=None)
+
+    def negative_control():
+        control = MultiPoly.constant(d, 1) + MultiPoly.variable(d, 0)
+        control_params["control"] = str(control)
+        eig = operators.fourth_order_eigenvalue(1, 0, d, M)
+        residual = operators.fourth_order_op(control, M) - eig * control
+        control_params["residual"] = residual.canonical()
+        yield "nonzero", residual.is_zero(), False
+
+    out.check("fourth-order-negative-control", control_params, negative_control)
 
 
 class _Requirement(NamedTuple):

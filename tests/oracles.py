@@ -91,6 +91,51 @@ def iterated_disk_moment(a: int, b: int, mu) -> Fraction:
     return part_x * part_y
 
 
+def _gamma_half_over_sqrt_pi(twice: int) -> Fraction:
+    """Gamma(twice/2), divided by sqrt(pi) when twice is odd, for a positive integer twice."""
+    if twice % 2 == 0:
+        return Fraction(_factorial(twice // 2 - 1))
+    k = twice // 2  # Gamma(k + 1/2) = (2k-1)!! sqrt(pi) / 2^k
+    return Fraction(_double_factorial(2 * k - 1), 2 ** k)
+
+
+def gamma_sphere_moment(v) -> Fraction:
+    """Gamma(d/2) prod_i Gamma((v_i+1)/2) / (Gamma((|v|+d)/2) Gamma(1/2)^d); zero for odd v.
+
+    For even v the d factors sqrt(pi) of the product cancel Gamma(1/2)^d, and
+    those of Gamma(d/2) and Gamma((|v|+d)/2) cancel each other.
+    """
+    if any(e % 2 for e in v):
+        return Fraction(0)
+    d = len(v)
+    out = _gamma_half_over_sqrt_pi(d) / _gamma_half_over_sqrt_pi(sum(v) + d)
+    for e in v:
+        out *= _gamma_half_over_sqrt_pi(e + 1)
+    return out
+
+
+def gamma_ball_moment(v, mu) -> Fraction:
+    """Sphere moment times the radial Beta ratio B(s + d/2, mu + 1/2) / B(d/2, mu + 1/2), s = |v|/2.
+
+    The ratio is (d/2)_s / (d/2 + mu + 1/2)_s, expanded factor by factor.
+    """
+    mu = Fraction(mu)
+    half_d = Fraction(len(v), 2)
+    out = gamma_sphere_moment(v)
+    for j in range(sum(v) // 2):
+        out *= (half_d + j) / (half_d + mu + Fraction(1, 2) + j)
+    return out
+
+
+def termwise_inner(f, g, moment) -> Fraction:
+    """sum over every term pair of c_a c_b moment(a + b): no parity shortcut, no integer scaling."""
+    total = Fraction(0)
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            total += ca * cb * moment(tuple(x + y for x, y in zip(ea, eb)))
+    return total
+
+
 def _binomial(n: int, k: int) -> int:
     return _factorial(n) // (_factorial(k) * _factorial(n - k))
 

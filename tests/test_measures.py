@@ -2,7 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from oracles import iterated_disk_moment, wallis_circle_moment
+from oracles import (
+    gamma_ball_moment,
+    gamma_sphere_moment,
+    iterated_disk_moment,
+    termwise_inner,
+    wallis_circle_moment,
+)
 
 from orthoball import (
     ExactnessError,
@@ -69,6 +75,13 @@ class TestBallMoment:
     def test_mu_range(self):
         with pytest.raises(ValueError):
             ball_moment((2, 0), Q(-1, 2))
+
+    def test_rejects_malformed_exponents(self):
+        for bad in ((), (2, -2)):
+            with pytest.raises(ValueError):
+                ball_moment(bad, Q(1, 2))
+            with pytest.raises(ValueError):
+                sphere_moment(bad)
 
 
 class TestSphereBallRatio:
@@ -148,6 +161,12 @@ class TestInnerProducts:
         with pytest.raises(ValueError):
             inner_sphere(MultiPoly.constant(2, 1), MultiPoly.constant(3, 1))
 
+    def test_exponent_too_large_to_pack(self):
+        # Adding two packed monomials must never carry into the next field.
+        huge = MultiPoly(2, {(2 ** 31, 0): 1})
+        with pytest.raises(ValueError):
+            inner_sphere(huge, huge)
+
     def test_polar_factorization_shape(self):
         # The ball moment factors through the sphere moment; cross-check the
         # d=2 factorization against the purely iterated oracle on products.
@@ -160,3 +179,61 @@ class TestInnerProducts:
             for eg, cg in g.terms.items()
         )
         assert inner_ball(f, g, mu) == expect
+
+
+def _tall_poly(rng, dim, degree, terms):
+    """Random exponents of mixed parity and coefficients of about 100 bits over 60 bits."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * dim
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(dim)] += 1
+        out[tuple(exps)] = Q(rng.randint(-(2 ** 100), 2 ** 100), rng.randint(1, 2 ** 60))
+    return MultiPoly(dim, out)
+
+
+class TestTermwiseOracle:
+    """Every inner product against sum c_a c_b L(x^(a+b)) with Gamma-form moments."""
+
+    MUS = (Q(-1, 4), Q(1, 2), Q(3, 4), Q(5, 2))
+    LAM = Q(3, 7)
+
+    def products(self, mu):
+        return (
+            (inner_sphere, gamma_sphere_moment),
+            (lambda f, g: inner_ball(f, g, mu), lambda e: gamma_ball_moment(e, mu)),
+            (
+                lambda f, g: inner_mass(f, g, mu, self.LAM),
+                lambda e: gamma_ball_moment(e, mu) + self.LAM * gamma_sphere_moment(e),
+            ),
+        )
+
+    def test_random_tall_polynomials(self):
+        rng = random.Random(20)
+        for dim in (2, 3, 4, 5):
+            for _ in range(3):
+                f = _tall_poly(rng, dim, 6, 8)
+                g = _tall_poly(rng, dim, 5, 7)
+                for mu in self.MUS:
+                    for inner, moment in self.products(mu):
+                        assert inner(f, g) == termwise_inner(f, g, moment)
+
+    def test_zero_and_constant(self):
+        for dim in (2, 5):
+            zero = MultiPoly.zero(dim)
+            const = MultiPoly.constant(dim, Q(-7, 3))
+            f = _tall_poly(random.Random(dim), dim, 4, 6)
+            for mu in self.MUS:
+                for inner, moment in self.products(mu):
+                    assert inner(zero, f) == inner(f, zero) == 0
+                    assert inner(zero, zero) == 0
+                    assert inner(const, const) == termwise_inner(const, const, moment)
+                    assert inner(const, f) == termwise_inner(const, f, moment)
+
+    def test_dimension_mismatch_raises(self):
+        f, g = MultiPoly.constant(2, 1), MultiPoly.variable(3, 0)
+        for inner, _ in self.products(Q(1, 2)):
+            with pytest.raises(ValueError):
+                inner(f, g)
+            with pytest.raises(ValueError):
+                inner(g, f)

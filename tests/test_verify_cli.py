@@ -11,6 +11,7 @@ from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
     STATUS_FAIL,
+    STATUS_MATCH,
     STATUS_SKIP,
     STATUS_ZERO,
     SUITE_NAMES,
@@ -130,6 +131,23 @@ class TestRunSuites:
         backward = [r for r in records if r.identity == "connection-backward"]
         assert backward and all(r.elapsed_ms == 0.0 for r in backward)
 
+    def test_negative_control_times_its_own_residual(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: clock[0])
+        real = operators.fourth_order_op
+
+        def slow(p, mass):
+            clock[0] += 1.0
+            return real(p, mass)
+
+        monkeypatch.setattr(operators, "fourth_order_op", slow)
+        records = run_suites(SuiteConfig(suites=("fourth-order",), **SMALL))
+        (control,) = [r for r in records if r.identity == "fourth-order-negative-control"]
+        assert control.status == STATUS_MATCH
+        assert control.elapsed_ms == 1000.0
+        assert control.params["control"] == "1 + x1"
+        assert control.params["residual"] == "-4/1 * x1^0*x2^0"
+
     def test_deterministic_given_config(self):
         cfg1 = SuiteConfig(suites=("all",), seed=3, **SMALL)
         cfg2 = SuiteConfig(suites=("all",), seed=3, **SMALL)
@@ -149,8 +167,9 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGoldenReports:
     """Reports must stay byte-identical apart from ``elapsed_ms``, summary included.
 
-    Each golden file is the CLI report for its argv with ``elapsed_ms`` removed
-    from every record, one ``json.dumps(record, sort_keys=True)`` per line.
+    Each golden report is the CLI report for its argv with ``elapsed_ms``
+    removed from every record, one ``json.dumps(record, sort_keys=True)`` per
+    line.  The golden export is the CLI's export text as written.
     """
 
     @pytest.mark.parametrize("name, extra", [
@@ -164,6 +183,13 @@ class TestGoldenReports:
         got = [json.dumps(rec, sort_keys=True)
                for rec in strip_timing(out.read_text().strip().split("\n"))]
         assert got == (GOLDEN / name).read_text().strip().split("\n")
+
+    def test_export_matches_golden(self, tmp_path):
+        # Pins every sq_norm and harmonic_sq_norm of a degree-5 mass basis byte for byte.
+        out = tmp_path / "export.json"
+        assert main(["--dim", "3", "--mu", "1/2", "--export-basis", "5,lambda",
+                     "--lambda", "3/7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "export_d3_deg5_lambda.json").read_bytes()
 
 
 class TestCli:
@@ -202,6 +228,19 @@ class TestCli:
         err = captured.err.strip().split("\n")
         assert len(err) == 7
         assert all(line.startswith("configuration error") for line in err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "x"],
+        ["--export-basis", "-1,classical"],  # a value that looks like an option
+        # The abbreviation of --lambda may read -1/4 as an option or as a
+        # non-positive coupling; both are usage errors.
+        ["--lam", "-1/4"],
+    ])
+    def test_usage_error_returns_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_negative_rationals_as_separate_tokens(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
