@@ -21,7 +21,7 @@ from .bases import (
     mass_parameter,
     sphere_coupling,
 )
-from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
+from .exact_gamma import ExactnessError, rising_factorial
 from .harmonics import (
     HarmonicBasis,
     euler_residual,

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact_gamma import ExactnessError
 from .harmonics import harmonic_basis
-from .jacobi import jacobi_polynomial, mass_orthogonal_poly
+from .jacobi import _point_mass, jacobi_polynomial, mass_orthogonal_poly
 from .measures import _check_mu, inner_ball, inner_mass
 from .polynomials import MultiPoly, as_fraction, substitute_radial
 
@@ -124,15 +123,8 @@ def mass_basis(n: int, dim: int, mu, lam) -> tuple[BallBasisElement, ...]:
         raise ValueError(f"degree must be non-negative, got {n}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    mu, lam = as_fraction(mu), as_fraction(lam)
-    alpha = mu - Fraction(1, 2)
-    if alpha.denominator != 1 or alpha < 0:
-        raise ExactnessError(
-            f"the exact mass-modified basis needs mu - 1/2 to be a non-negative "
-            f"integer, got mu={mu}"
-        )
-    if lam <= 0:
-        raise ValueError(f"the sphere coupling must be positive, got {lam}")
+    mu = as_fraction(mu)
+    _, lam = _point_mass(mu - Fraction(1, 2), lam)
     return _mass_basis(n, dim, mu, lam)
 
 

@@ -1,17 +1,14 @@
-"""Gamma-function ratios that collapse to exact rationals.
+"""Pochhammer products, the one form of every constant in this library.
 
-Every constant in this library is a ratio of Gamma values at integer or
-half-integer arguments.  Such ratios are rational whenever the sqrt(pi)
-factors cancel: Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n)!/(4^n n!) * sqrt(pi).
-Nothing here ever evaluates Gamma itself -- only ratios with cancelled
-transcendental parts, so the rationality of each result is certified
-rather than assumed.
+Each constant is a ratio of Gamma values whose arguments differ by integers, so
+it is a product of rising factorials (a)_n = Gamma(a + n) / Gamma(a), rational
+for every rational a.  Where no such product exists the caller raises
+ExactnessError; nothing here evaluates Gamma itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .polynomials import as_fraction
 
@@ -29,46 +26,3 @@ def rising_factorial(a, count: int) -> Fraction:
     for j in range(count):
         result *= a + j
     return result
-
-
-def gamma_half(q) -> tuple[Fraction, int]:
-    """Split Gamma(q) = r * pi^(e/2) for positive integer or half-integer q.
-
-    Returns (r, e) with e in {0, 1}.
-    """
-    q = as_fraction(q)
-    if q <= 0:
-        raise ExactnessError(f"Gamma argument must be positive, got {q}")
-    if q.denominator == 1:
-        return Fraction(factorial(q.numerator - 1)), 0
-    if q.denominator == 2:
-        n = (q.numerator - 1) // 2  # q = n + 1/2
-        return Fraction(factorial(2 * n), 4 ** n * factorial(n)), 1
-    raise ExactnessError(
-        f"Gamma({q}) is not an integer or half-integer argument; "
-        "the exact machinery cannot reduce it"
-    )
-
-
-def gamma_ratio(numerators, denominators) -> Fraction:
-    """Product of Gamma over ``numerators`` divided by the one over ``denominators``.
-
-    All arguments must be positive integers or half-integers, and the
-    sqrt(pi) powers must cancel exactly; otherwise ExactnessError is raised.
-    """
-    value = Fraction(1)
-    pi_power = 0
-    for q in numerators:
-        r, e = gamma_half(q)
-        value *= r
-        pi_power += e
-    for q in denominators:
-        r, e = gamma_half(q)
-        value /= r
-        pi_power -= e
-    if pi_power:
-        raise ExactnessError(
-            "Gamma ratio leaves an uncancelled pi^(1/2) power; "
-            "the value is irrational for these parameters"
-        )
-    return value

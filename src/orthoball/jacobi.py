@@ -19,7 +19,9 @@ Every inner product here is a moment functional applied to the product,
 <f, g> = L(f g): a scalar multiple of the normalized Jacobi functional L_J^(a,b)
 (total mass 1) plus a point mass at t = 1.  jacobi_inner is L_J^(a,b),
 inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
-inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M.
+inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
+at a = 0, d = 2, lam = 1/M.  The point-mass construction is exact when
+a = mu - 1/2 is a non-negative integer; _integer_alpha alone decides that.
 """
 
 from __future__ import annotations
@@ -110,13 +112,22 @@ def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
     return _functional(f, g, alpha, beta)
 
 
-def _require_integer_alpha(alpha: Fraction) -> int:
-    if alpha.denominator != 1 or alpha < 0:
+def _integer_alpha(alpha: Fraction) -> bool:
+    """Whether alpha = mu - 1/2 is a non-negative integer, the range where the point-mass construction is exact."""
+    return alpha.denominator == 1 and alpha >= 0
+
+
+def _point_mass(alpha: Fraction, lam) -> tuple[int, Fraction]:
+    """The point-mass construction's (a, lam): ExactnessError naming mu unless _integer_alpha, ValueError unless lam > 0."""
+    if not _integer_alpha(alpha):
         raise ExactnessError(
-            f"the exact point-mass construction needs a non-negative integer "
-            f"first Jacobi parameter, got {alpha}"
+            f"the exact point-mass construction needs mu - 1/2 to be a non-negative "
+            f"integer, got mu={alpha + Fraction(1, 2)}"
         )
-    return alpha.numerator
+    lam = as_fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"the coupling lam must be positive, got {lam}")
+    return alpha.numerator, lam
 
 
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
@@ -126,19 +137,18 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     has total mass (d/2)_(a+1) / (b+1)_(a+1).  Its orthogonal polynomials are
     mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
-    alpha, beta, lam = as_fraction(alpha), as_fraction(beta), as_fraction(lam)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
-    if lam <= 0:
-        raise ValueError(f"the point-mass coupling must be positive, got {lam}")
-    a = _require_integer_alpha(alpha)
+    a, lam = _point_mass(alpha, lam)
     total_mass = rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
     return total_mass * _functional(f, g, alpha, beta) + lam * f.evaluate(1) * g.evaluate(1)
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     """The shift a_k in the point-mass construction q_k = [a_k - (1+t) d/dt] P_k."""
-    alpha, beta, lam = as_fraction(alpha), as_fraction(beta), as_fraction(lam)
-    a = _require_integer_alpha(alpha)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    _check_jacobi_params(alpha, beta)
+    a, lam = _point_mass(alpha, lam)
     gamma_part = (
         rising_factorial(Fraction(dim, 2), a + 1)
         * factorial(k)
@@ -155,10 +165,6 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    alpha, beta, lam = as_fraction(alpha), as_fraction(beta), as_fraction(lam)
-    _check_jacobi_params(alpha, beta)
-    if lam <= 0:
-        raise ValueError(f"the point-mass coupling must be positive, got {lam}")
     a_k = mass_coefficient(k, alpha, beta, lam, dim)
     p = jacobi_polynomial(k, alpha, beta)
     return a_k * p - UniPoly([1, 1]) * p.derivative()
@@ -178,15 +184,13 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
     """2^-(b+1) * integral of f*g*(1+t)^b over [-1,1] plus (1/M) f(1)g(1).
 
-    The weighted part has total mass 1/(b+1), so it is L_J^(0,b)(f g) / (b+1).
+    The weighted part has total mass 1/(b+1), so this is inner_jacobi_mass at
+    a = 0, d = 2, lam = 1/M.
     """
-    beta, mass = as_fraction(beta), as_fraction(mass)
-    if beta <= -1:
-        raise ValueError(f"beta must exceed -1, got {beta}")
+    mass = as_fraction(mass)
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    weighted = _functional(f, g, Fraction(0), beta) / (beta + 1)
-    return weighted + f.evaluate(1) * g.evaluate(1) / mass
+    return inner_jacobi_mass(f, g, 0, beta, 1 / mass, 2)
 
 
 def connection_op(f: UniPoly, beta, mass) -> UniPoly:

@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
-from .polynomials import Exponents, MultiPoly, as_fraction
+from .exact_gamma import ExactnessError, rising_factorial
+from .polynomials import Exponents, MultiPoly, as_exponents, as_fraction
 
 _FIELD = 32  # bits per exponent of a packed monomial
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -94,18 +94,9 @@ def _moment(exps: Exponents, functional: Functional) -> Fraction:
     return _double_factorials(packed, dim) * _radial(functional, packed >> (dim * _FIELD + 1))
 
 
-def _exponents(exps) -> Exponents:
-    exps = tuple(int(e) for e in exps)
-    if not exps:
-        raise ValueError("a monomial needs at least one exponent")
-    if any(e < 0 for e in exps):
-        raise ValueError(f"negative exponent in {exps}")
-    return exps
-
-
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
-    exps = _exponents(exps)
+    exps = as_exponents(exps)
     return _moment(exps, _sphere(len(exps)))
 
 
@@ -118,7 +109,7 @@ def _check_mu(mu) -> Fraction:
 
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
-    exps = _exponents(exps)
+    exps = as_exponents(exps)
     return _moment(exps, _ball(len(exps), _check_mu(mu)))
 
 
@@ -178,21 +169,20 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:
-    """Sphere area divided by the weighted ball mass: 2*Gamma(mu+(d+1)/2) / (Gamma(d/2)*Gamma(mu+1/2)).
+    """Sphere area divided by the weighted ball mass: 2 / B(a, b) with a = d/2, b = mu + 1/2.
 
-    Rational whenever mu is an integer or half-integer, and for every rational
-    mu in even dimension; raises ExactnessError otherwise.
+    2 / B(a, b) = 2 Gamma(a + b) / (Gamma(a) Gamma(b)) is the Pochhammer ratio
+    2 (a)_b / (b - 1)! when b is a positive integer, and the same with a and b
+    swapped: rational when mu is a half-integer or d is even.  Raises
+    ExactnessError when neither a nor b is an integer.
     """
     mu = _check_mu(mu)
-    if mu.denominator in (1, 2):
-        return 2 * gamma_ratio(
-            [mu + Fraction(dim + 1, 2)],
-            [Fraction(dim, 2), mu + Fraction(1, 2)],
-        )
-    if dim % 2 == 0:
-        # Gamma(mu + 1/2 + d/2)/Gamma(mu + 1/2) telescopes for any rational mu.
-        half = dim // 2
-        return 2 * rising_factorial(mu + Fraction(1, 2), half) / factorial(half - 1)
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    half_dim, shifted = Fraction(dim, 2), mu + Fraction(1, 2)
+    for a, b in ((half_dim, shifted), (shifted, half_dim)):
+        if b.denominator == 1:
+            return 2 * rising_factorial(a, b.numerator) / factorial(b.numerator - 1)
     raise ExactnessError(
         f"sphere/ball mass ratio is irrational for mu={mu} in odd dimension {dim}"
     )

@@ -39,6 +39,7 @@ from .polynomials import (
 )
 
 __all__ = [
+    "FOURTH_ORDER_MU",
     "laplacian",
     "euler_op",
     "classical_ball_op",
@@ -49,6 +50,10 @@ __all__ = [
     "fourth_order_residual",
     "radial_connection_residuals",
 ]
+
+# The one weight parameter at which the connection operators and the fourth-order
+# equation hold (Lebesgue measure on the ball); every check of that rule reads it here.
+FOURTH_ORDER_MU = Fraction(1, 2)
 
 
 def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
@@ -104,7 +109,7 @@ def fourth_order_residual(n: int, k: int, nu: int, dim: int, mass) -> MultiPoly:
     """
     mass = as_fraction(mass)
     lam = sphere_coupling(dim, mass)
-    q = find_element(mass_basis(n, dim, Fraction(1, 2), lam), k, nu)
+    q = find_element(mass_basis(n, dim, FOURTH_ORDER_MU, lam), k, nu)
     eig = fourth_order_eigenvalue(n, k, dim, mass)
     return fourth_order_op(q.poly, mass) - eig * q.poly
 
@@ -116,8 +121,8 @@ def connection_residuals(n: int, k: int, nu: int, dim: int, mass) -> tuple[Multi
     """
     mass = as_fraction(mass)
     lam = sphere_coupling(dim, mass)
-    p = find_element(classical_basis(n, dim, Fraction(1, 2)), k, nu)
-    q = find_element(mass_basis(n, dim, Fraction(1, 2), lam), k, nu)
+    p = find_element(classical_basis(n, dim, FOURTH_ORDER_MU), k, nu)
+    q = find_element(mass_basis(n, dim, FOURTH_ORDER_MU, lam), k, nu)
     eig = fourth_order_eigenvalue(n, k, dim, mass)
     first = ball_connection_op(p.poly, mass) - q.poly
     second = ball_conjugate_op(q.poly, mass) - eig * p.poly

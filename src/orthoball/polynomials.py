@@ -9,6 +9,7 @@ is no floating point anywhere in this package's computations.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +24,14 @@ def as_fraction(value) -> Fraction:
             "pass an int, a Fraction, or a 'p/q' string"
         )
     return Fraction(value)
+
+
+def as_exponents(exps) -> Exponents:
+    """A monomial's exponents as a non-empty tuple of non-negative ints; a float or Fraction raises TypeError."""
+    exps = tuple(map(operator.index, exps))
+    if not exps or min(exps) < 0:
+        raise ValueError(f"a monomial needs one or more non-negative exponents, got {exps}")
+    return exps
 
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
@@ -46,11 +55,9 @@ class MultiPoly:
         self.dim = int(dim)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            e = tuple(int(v) for v in exps)
+            e = as_exponents(exps)
             if len(e) != dim:
                 raise ValueError(f"monomial {e} does not have {dim} exponents")
-            if any(v < 0 for v in e):
-                raise ValueError(f"negative exponent in monomial {e}")
             c = as_fraction(coeff)
             if c:
                 clean[e] = c

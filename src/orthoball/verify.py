@@ -329,7 +329,7 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
             lambda: ((k, (qs()[k].degree, inner(qs()[k], qs()[k]) > 0), (k, True)) for k in ks),
         )
         out.check("pointmass-gram-schmidt", p, gram_schmidt)
-        if cfg.mu == _HALF:
+        if cfg.mu == operators.FOURTH_ORDER_MU:
             out.check(
                 "pointmass-type-agreement",
                 p,
@@ -540,13 +540,13 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
 
 def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
     rng = _rng(cfg, "connection")
-    d, M, lam = cfg.dim, cfg.mass, cfg.lam
+    d, M, lam, mu = cfg.dim, cfg.mass, cfg.lam, operators.FOURTH_ORDER_MU
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
 
         def partners():
             """(P, Q) with equal (k, nu): both bases list degree n in the same order."""
-            return zip(bases.classical_basis(n, d, _HALF), bases.mass_basis(n, d, _HALF, lam))
+            return zip(bases.classical_basis(n, d, mu), bases.mass_basis(n, d, mu, lam))
 
         def forward():
             for P, Q in partners():
@@ -609,7 +609,7 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
     for n in range(cfg.max_degree + 1):
 
         def eigen():
-            for el in bases.mass_basis(n, d, _HALF, lam):
+            for el in bases.mass_basis(n, d, operators.FOURTH_ORDER_MU, lam):
                 eig = operators.fourth_order_eigenvalue(n, el.index.k, d, M) + offset
                 residual = operators.fourth_order_op(el.poly, M) - eig * el.poly
                 yield (el.index.k, el.index.nu), residual
@@ -644,10 +644,10 @@ class _Requirement(NamedTuple):
 
 
 _INTEGER_ALPHA = _Requirement(
-    lambda cfg: (cfg.mu - _HALF).denominator == 1 and cfg.mu >= _HALF,
+    lambda cfg: jacobi._integer_alpha(cfg.mu - _HALF),
     "exact construction needs mu - 1/2 to be a non-negative integer",
 )
-_AT_HALF = _Requirement(lambda cfg: cfg.mu == _HALF, "the fourth-order theory lives at mu = 1/2")
+_AT_HALF = _Requirement(lambda cfg: cfg.mu == operators.FOURTH_ORDER_MU, "the fourth-order theory lives at mu = 1/2")
 
 # name -> (runner, requirement or None, then the identity, statement and params that the
 # skipped record carries when the configuration falls outside the requirement).

@@ -160,6 +160,25 @@ def radial_weight_integral(m: int, a: int, b) -> Fraction:
     return total
 
 
+def beta_sphere_ball_ratio(dim: int, mu):
+    """2 / B(d/2, mu + 1/2) by the Beta recurrence, or None where it is irrational.
+
+    B(a, 1) = 1/a and B(a, b + 1) = B(a, b) b / (a + b).  B is symmetric, so
+    whichever argument is a positive integer is stepped up from 1; when neither
+    is an integer the ratio is a quotient of Gamma values at non-integer
+    arguments with no Pochhammer form.
+    """
+    a, b = Fraction(dim, 2), Fraction(mu) + Fraction(1, 2)
+    if b.denominator != 1:
+        a, b = b, a
+    if b.denominator != 1:
+        return None
+    beta = 1 / a
+    for j in range(1, b.numerator):
+        beta = beta * j / (a + j)
+    return 2 / beta
+
+
 def gram_schmidt(vectors, inner):
     """Plain unnormalized Gram-Schmidt against the given bilinear form."""
     ortho = []

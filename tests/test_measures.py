@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 from oracles import (
+    beta_sphere_ball_ratio,
     gamma_ball_moment,
     gamma_sphere_moment,
     iterated_disk_moment,
@@ -83,6 +84,13 @@ class TestBallMoment:
             with pytest.raises(ValueError):
                 sphere_moment(bad)
 
+    def test_rejects_non_integer_exponents(self):
+        for bad in ((2.7, 0), (Q(3, 2), 0), (2.0, 0), (Q(2), 0)):
+            with pytest.raises(TypeError):
+                ball_moment(bad, Q(1, 2))
+            with pytest.raises(TypeError):
+                sphere_moment(bad)
+
 
 class TestSphereBallRatio:
     def test_lebesgue_case_is_dimension(self):
@@ -100,6 +108,20 @@ class TestSphereBallRatio:
     def test_irrational_case_raises(self):
         with pytest.raises(ExactnessError):
             sphere_ball_ratio(3, Q(1, 3))
+
+    def test_matches_beta_recurrence_oracle(self):
+        mus = (Q(-1, 4), Q(1, 3), Q(1, 2), Q(3, 4), Q(1), Q(3, 2), Q(2), Q(5, 2))
+        for d in range(2, 8):
+            for mu in mus:
+                alpha = mu - Q(1, 2)
+                irrational = d % 2 == 1 and not (alpha.denominator == 1 and alpha >= 0)
+                want = beta_sphere_ball_ratio(d, mu)
+                assert (want is None) == irrational
+                if irrational:
+                    with pytest.raises(ExactnessError):
+                        sphere_ball_ratio(d, mu)
+                else:
+                    assert sphere_ball_ratio(d, mu) == want
 
 
 class TestInnerProducts:

@@ -88,6 +88,11 @@ class TestMultiPolyBasics:
         with pytest.raises(TypeError):
             P(2, {(1, 0): 0.5})
 
+    def test_non_integer_exponent_rejected(self):
+        for bad in (1.5, Q(3, 2), 2.0, Q(2)):
+            with pytest.raises(TypeError):
+                P(2, {(bad, 0): 1})
+
     def test_degree_and_homogeneity(self):
         assert MultiPoly.zero(2).total_degree() == -1
         p = P(2, {(2, 1): 1})

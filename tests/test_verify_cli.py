@@ -283,6 +283,13 @@ class TestCli:
         assert data["count"] == 3
         assert {el["eigenvalue"] for el in data["elements"]} == {"10/1", "18/1"}
 
+    def test_export_records_eigenvalues_only_at_half(self, tmp_path):
+        out = tmp_path / "basis.json"
+        assert main(["--dim", "2", "--mu", "5/2", "--export-basis", "2,lambda", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["count"] == 3
+        assert not any("eigenvalue" in el for el in data["elements"])
+
     def test_export_classical_degree_zero(self, capsys):
         assert main(["--dim", "2", "--export-basis", "0,classical"]) == 0
         data = json.loads(capsys.readouterr().out)
