@@ -58,11 +58,9 @@ from .operators import (
     ball_connection_op,
     ball_conjugate_op,
     classical_ball_op,
-    connection_residuals,
     euler_op,
     fourth_order_eigenvalue,
     fourth_order_op,
-    fourth_order_residual,
     laplacian,
     radial_connection_residuals,
 )

@@ -24,7 +24,7 @@ from functools import cache
 from .harmonics import harmonic_basis
 from .jacobi import _point_mass, jacobi_polynomial, mass_orthogonal_poly
 from .measures import _check_mu, inner_ball, inner_mass
-from .polynomials import MultiPoly, as_fraction, substitute_radial
+from .polynomials import MultiPoly, as_fraction, fraction_text, substitute_radial
 
 
 def beta_shift(n: int, k: int, dim: int) -> Fraction:
@@ -148,10 +148,6 @@ def gram_matrix(elements, inner) -> list[list[Fraction]]:
     return gram
 
 
-def _fmt(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def basis_export(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> dict:
     """JSON-ready dump of a basis: indices, radial parameters, norms, polynomials.
 
@@ -171,18 +167,18 @@ def basis_export(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> dict:
             "n": el.index.n,
             "k": el.index.k,
             "nu": el.index.nu,
-            "beta_k": _fmt(el.index.beta_k),
-            "sq_norm": _fmt(el.sq_norm),
-            "harmonic_sq_norm": _fmt(el.harmonic_sq_norm),
+            "beta_k": fraction_text(el.index.beta_k),
+            "sq_norm": fraction_text(el.sq_norm),
+            "harmonic_sq_norm": fraction_text(el.harmonic_sq_norm),
             "poly": el.poly.canonical(),
         }
         if eigenvalue is not None:
-            record["eigenvalue"] = _fmt(eigenvalue(el.index.n, el.index.k))
+            record["eigenvalue"] = fraction_text(eigenvalue(el.index.n, el.index.k))
         records.append(record)
     return {
         "dim": dim,
-        "mu": _fmt(mu),
-        "lambda": _fmt(lam),
+        "mu": fraction_text(mu),
+        "lambda": fraction_text(lam),
         "degree": n,
         "kind": kind,
         "count": len(records),

@@ -27,7 +27,7 @@ from functools import cache
 from math import comb, gcd, lcm
 
 from .measures import inner_sphere
-from .polynomials import Exponents, MultiPoly, euler_op, grlex_key, laplacian
+from .polynomials import Exponents, MultiPoly, euler_op, grlex_key, laplacian, radius_squared
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -125,7 +125,8 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     for e in monos:
         blocks.setdefault(tuple(v & 1 for v in e), []).append(e)
 
-    elements: list[MultiPoly] = []
+    ortho: list[MultiPoly] = []
+    norms: list[Fraction] = []
     for parity in sorted(blocks):
         cols = blocks[parity]
         col_index = {e: i for i, e in enumerate(cols)}
@@ -142,26 +143,18 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
                     row_index[target] = len(rows)
                     rows.append([Fraction(0)] * len(cols))
                 rows[row_index[target]][j] += k * (k - 1)
+        # Gram-Schmidt within the block; pairs from different blocks are orthogonal
+        # already because their products have only odd-exponent monomials.
+        start = len(ortho)
         for vec in _nullspace(rows, len(cols)):
-            poly = MultiPoly(dim, {e: vec[col_index[e]] for e in cols})
-            elements.append(_primitive(poly))
-
-    # Gram-Schmidt within each parity block; cross-block pairs are orthogonal
-    # already because their products have only odd-exponent monomials.
-    ortho: list[MultiPoly] = []
-    norms: list[Fraction] = []
-    by_parity: dict[Exponents, list[int]] = {}
-    for poly in elements:
-        parity = tuple(v & 1 for v in next(iter(poly.terms)))
-        work = poly
-        for idx in by_parity.get(parity, ()):
-            coeff = inner_sphere(work, ortho[idx]) / norms[idx]
-            if coeff:
-                work = work - coeff * ortho[idx]
-        work = _primitive(work)
-        by_parity.setdefault(parity, []).append(len(ortho))
-        ortho.append(work)
-        norms.append(inner_sphere(work, work))
+            work = _primitive(MultiPoly(dim, {e: vec[col_index[e]] for e in cols}))
+            for u, norm in zip(ortho[start:], norms[start:]):
+                coeff = inner_sphere(work, u) / norm
+                if coeff:
+                    work = work - coeff * u
+            work = _primitive(work)
+            ortho.append(work)
+            norms.append(inner_sphere(work, work))
 
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 
@@ -179,8 +172,6 @@ def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
 
 def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
     """Angular part of the Laplacian, with radial derivatives realized by the Euler operator."""
-    from .polynomials import radius_squared
-
     e = euler_op(p)
     return radius_squared(p.dim) * laplacian(p) - euler_op(e) - (p.dim - 2) * e
 
@@ -193,8 +184,6 @@ def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:
 
 def polar_decomposition_residual(p: MultiPoly, degree: int) -> MultiPoly:
     """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero for every homogeneous p of degree m."""
-    from .polynomials import radius_squared
-
     _check_homogeneous(p, degree)
     return (
         radius_squared(p.dim) * laplacian(p)

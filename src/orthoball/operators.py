@@ -21,13 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bases import (
-    beta_shift,
-    classical_basis,
-    find_element,
-    mass_basis,
-    sphere_coupling,
-)
+from .bases import beta_shift
 from .jacobi import jacobi_polynomial, jacobi_type_poly
 from .polynomials import (
     MultiPoly,
@@ -47,7 +41,6 @@ __all__ = [
     "ball_conjugate_op",
     "fourth_order_op",
     "fourth_order_eigenvalue",
-    "fourth_order_residual",
     "radial_connection_residuals",
 ]
 
@@ -99,34 +92,6 @@ def fourth_order_eigenvalue(n: int, k: int, dim: int, mass) -> Fraction:
     first = mass + k * (n - k + Fraction(dim - 2, 2))
     second = mass + (k + 1) * (n - k + Fraction(dim, 2))
     return first * second
-
-
-def fourth_order_residual(n: int, k: int, nu: int, dim: int, mass) -> MultiPoly:
-    """Fourth-order eigen-equation residual on the (n, k, nu) mass-modified element.
-
-    Exactly the zero polynomial.  This lives at mu = 1/2 (Lebesgue measure on
-    the ball), the case where the radial factors are the Jacobi-type family.
-    """
-    mass = as_fraction(mass)
-    lam = sphere_coupling(dim, mass)
-    q = find_element(mass_basis(n, dim, FOURTH_ORDER_MU, lam), k, nu)
-    eig = fourth_order_eigenvalue(n, k, dim, mass)
-    return fourth_order_op(q.poly, mass) - eig * q.poly
-
-
-def connection_residuals(n: int, k: int, nu: int, dim: int, mass) -> tuple[MultiPoly, MultiPoly]:
-    """Residuals of the two second-order connection identities on matching elements.
-
-    Returns (connection residual, conjugate residual); both exactly zero.
-    """
-    mass = as_fraction(mass)
-    lam = sphere_coupling(dim, mass)
-    p = find_element(classical_basis(n, dim, FOURTH_ORDER_MU), k, nu)
-    q = find_element(mass_basis(n, dim, FOURTH_ORDER_MU, lam), k, nu)
-    eig = fourth_order_eigenvalue(n, k, dim, mass)
-    first = ball_connection_op(p.poly, mass) - q.poly
-    second = ball_conjugate_op(q.poly, mass) - eig * p.poly
-    return first, second
 
 
 def _radial_profile(u: UniPoly, shift: int) -> UniPoly:

@@ -34,6 +34,11 @@ def as_exponents(exps) -> Exponents:
     return exps
 
 
+def fraction_text(q: Fraction) -> str:
+    """The text form of a rational in canonical polynomials, reports and exports: 'num/den'."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     """Graded-lexicographic sort key: total degree first, then the exponent tuple."""
     return (sum(exps), exps)
@@ -202,7 +207,7 @@ class MultiPoly:
         parts = []
         for e, c in self.sorted_terms():
             mono = "*".join(f"x{j + 1}^{k}" for j, k in enumerate(e))
-            parts.append(f"{c.numerator}/{c.denominator} * {mono}")
+            parts.append(f"{fraction_text(c)} * {mono}")
         return " + ".join(parts)
 
     def __str__(self):
@@ -348,9 +353,7 @@ class UniPoly:
     def canonical(self) -> str:
         if not self.coeffs:
             return "0"
-        return " + ".join(
-            f"{c.numerator}/{c.denominator} * t^{k}" for k, c in enumerate(self.coeffs)
-        )
+        return " + ".join(f"{fraction_text(c)} * t^{k}" for k, c in enumerate(self.coeffs))
 
     def __str__(self):
         if not self.coeffs:

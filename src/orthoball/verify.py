@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import bases, harmonics, jacobi, measures, operators
 from .exact_gamma import rising_factorial
-from .polynomials import MultiPoly, UniPoly, as_fraction, substitute_radial
+from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
 
 SUITE_NAMES = (
     "jacobi",
@@ -141,8 +141,6 @@ class SuiteConfig:
             self.lam = bases.sphere_coupling(self.dim, self.mass)
         else:
             self.lam = as_fraction(self.lam)
-            if self.lam <= 0:
-                raise ValueError(f"the sphere coupling must be positive, got {self.lam}")
             self.mass = bases.mass_parameter(self.dim, self.lam)
         names = []
         for name in self.suites:
@@ -167,7 +165,7 @@ class CheckRecord:
 
 def _fmt(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return fraction_text(value)
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
@@ -178,9 +176,7 @@ def _fmt(value):
 def _serialize(value) -> str:
     if isinstance(value, (MultiPoly, UniPoly)):
         return value.canonical()
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    return fraction_text(value) if isinstance(value, Fraction) else str(value)
 
 
 def _witness(kind: str, values) -> str | None:
@@ -495,15 +491,24 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     )
 
 
+def _per_element(residual, *degree_bases):
+    """A producer of ``residual(*elements)`` tagged (k, nu), element by element, over the bases
+    that the ``degree_bases`` thunks build; all have one degree, so they share the (k, nu) order."""
+    return lambda: (
+        ((els[0].index.k, els[0].index.nu), residual(*els))
+        for els in zip(*(build() for build in degree_bases))
+    )
+
+
+def _lambda_nk(el: bases.BallBasisElement, mass: Fraction) -> Fraction:
+    return operators.fourth_order_eigenvalue(el.index.n, el.index.k, el.poly.dim, mass)
+
+
 def _suite_d_mu_eigen(cfg: SuiteConfig, out: _Collector) -> None:
     for n in range(cfg.max_degree + 1):
         eig = -(n + cfg.dim) * (n + 2 * cfg.mu - 1)
-
-        def eigen():
-            for el in bases.classical_basis(n, cfg.dim, cfg.mu):
-                residual = operators.classical_ball_op(el.poly, cfg.mu) - eig * el.poly
-                yield (el.index.k, el.index.nu), residual
-
+        eigen = _per_element(lambda P: operators.classical_ball_op(P.poly, cfg.mu) - eig * P.poly,
+                             partial(bases.classical_basis, n, cfg.dim, cfg.mu))
         params = {"dim": cfg.dim, "mu": cfg.mu, "n": n, "eigenvalue": eig}
         out.check("classical-second-order-eigen", params, eigen)
 
@@ -543,19 +548,11 @@ def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
     d, M, lam, mu = cfg.dim, cfg.mass, cfg.lam, operators.FOURTH_ORDER_MU
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
-
-        def partners():
-            """(P, Q) with equal (k, nu): both bases list degree n in the same order."""
-            return zip(bases.classical_basis(n, d, mu), bases.mass_basis(n, d, mu, lam))
-
-        def forward():
-            for P, Q in partners():
-                yield (P.index.k, P.index.nu), operators.ball_connection_op(P.poly, M) - Q.poly
-
-        def backward():
-            for P, Q in partners():
-                eig = operators.fourth_order_eigenvalue(n, P.index.k, d, M)
-                yield (P.index.k, P.index.nu), operators.ball_conjugate_op(Q.poly, M) - eig * P.poly
+        both = partial(bases.classical_basis, n, d, mu), partial(bases.mass_basis, n, d, mu, lam)
+        forward = _per_element(lambda P, Q: operators.ball_connection_op(P.poly, M) - Q.poly, *both)
+        backward = _per_element(
+            lambda P, Q: operators.ball_conjugate_op(Q.poly, M) - _lambda_nk(P, M) * P.poly, *both
+        )
 
         def radial():
             for k in range(n // 2 + 1):
@@ -607,13 +604,10 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
     offset = Fraction(1) if cfg.corrupt_eigenvalue else Fraction(0)
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
-
-        def eigen():
-            for el in bases.mass_basis(n, d, operators.FOURTH_ORDER_MU, lam):
-                eig = operators.fourth_order_eigenvalue(n, el.index.k, d, M) + offset
-                residual = operators.fourth_order_op(el.poly, M) - eig * el.poly
-                yield (el.index.k, el.index.nu), residual
-
+        eigen = _per_element(
+            lambda Q: operators.fourth_order_op(Q.poly, M) - (_lambda_nk(Q, M) + offset) * Q.poly,
+            partial(bases.mass_basis, n, d, operators.FOURTH_ORDER_MU, lam),
+        )
         out.check("fourth-order-eigen", dict(p, n=n), eigen)
 
     def forms():

@@ -1,0 +1,66 @@
+"""Fault injection: a deliberately broken library must make the verifier fail.
+
+Each row of ``MUTANTS`` changes one line of a copy of ``src/`` and runs the
+CLI on that copy in a subprocess.  The run must exit 1 and report ``FAIL`` on
+exactly the named identities, so every one of them can still catch the fault,
+and no other identity fails for a reason the row does not name.  This is
+mutation testing in the sense of DeMillo, Lipton & Sayward (1978).
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/orthoball
+    line: str  # the one line to replace
+    replacement: str
+    argv: list[str]
+    fails: set[str]  # exactly the identities that must FAIL
+
+
+MUTANTS = [
+    # The 1/4 of the damped Laplacian (1/4)(1-||x||^2) Delta, shared by both connection
+    # operators; the radial and univariate forms keep their own copies and still pass.
+    Mutant(
+        "damped-laplacian-quarter",
+        "operators.py",
+        "    return Fraction(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))\n",
+        "    return Fraction(1, 3) * ((1 - radius_squared(p.dim)) * laplacian(p))\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
+        {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
+    ),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_is_killed(mutant, tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "orthoball" / mutant.module
+    text = path.read_text()
+    assert text.count(mutant.line) == 1, "the mutated line must occur exactly once"
+    path.write_text(text.replace(mutant.line, mutant.replacement))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthoball.cli", *mutant.argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    failed = {r["identity"] for r in records if r["type"] == "check" and r["status"] == "FAIL"}
+    assert failed == mutant.fails
+    assert records[-1]["status"] == "fail"

@@ -12,13 +12,11 @@ from orthoball import (
     classical_ball_op,
     classical_basis,
     connection_op,
-    connection_residuals,
     conjugate_connection_op,
     euler_op,
     find_element,
     fourth_order_eigenvalue,
     fourth_order_op,
-    fourth_order_residual,
     harmonic_basis,
     laplacian,
     mass_basis,
@@ -96,10 +94,15 @@ class TestBallConnection:
                 assert ball_conjugate_op(el.poly, mass) == expect
 
     def test_connection_residuals_zero(self):
+        d, mass = 2, Q(2)
+        lam = sphere_coupling(d, mass)
         for n in range(5):
             for k in range(n // 2 + 1):
-                r1, r2 = connection_residuals(n, k, 0, 2, Q(2))
-                assert r1.is_zero() and r2.is_zero()
+                P = find_element(classical_basis(n, d, Q(1, 2)), k, 0).poly
+                Qk = find_element(mass_basis(n, d, Q(1, 2), lam), k, 0).poly
+                eig = fourth_order_eigenvalue(n, k, d, mass)
+                assert (ball_connection_op(P, mass) - Qk).is_zero()
+                assert (ball_conjugate_op(Qk, mass) - eig * P).is_zero()
 
     def test_degree_preserved(self):
         lam = sphere_coupling(3, Q(2))
@@ -143,8 +146,8 @@ class TestFourthOrder:
                 lam = sphere_coupling(d, M)
                 for n in range(nmax + 1):
                     for el in mass_basis(n, d, Q(1, 2), lam):
-                        res = fourth_order_residual(n, el.index.k, el.index.nu, d, M)
-                        assert res.is_zero()
+                        eig = fourth_order_eigenvalue(n, el.index.k, d, M)
+                        assert (fourth_order_op(el.poly, M) - eig * el.poly).is_zero()
 
     def test_negative_control(self):
         # 1 + x1 mixes two eigenspaces with different eigenvalues, so the
