@@ -20,15 +20,18 @@ Every inner product here is a moment functional applied to the product,
 (total mass 1) plus a point mass at t = 1.  jacobi_inner is L_J^(a,b),
 inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
 inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
-at a = 0, d = 2, lam = 1/M.  The point-mass construction is exact when
-a = mu - 1/2 is a non-negative integer; _integer_alpha alone decides that.
+at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer Hankel form over one cached
+table of moment numerators on a common denominator.  The point-mass
+construction is exact when a = mu - 1/2 is a non-negative integer;
+_integer_alpha alone decides that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 from .exact_gamma import ExactnessError, rising_factorial
 from .polynomials import UniPoly, as_fraction
@@ -85,24 +88,40 @@ def jacobi_ode_residual(n: int, alpha, beta) -> UniPoly:
     return one_minus_t2 * ddy + first_order * dy + n * (n + alpha + beta + 1) * y
 
 
-@cache
-def _jacobi_weight_moment(m: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    # Normalized moment of t^m against (1-t)^a (1+t)^b on [-1, 1], total mass 1.
-    # Expand t^m = sum_i C(m,i) (-1)^i (1-t)^i; each shifted weight integral is
-    # a Pochhammer ratio, rational for every rational a, b > -1.
-    total = Fraction(0)
-    for i in range(m + 1):
-        ratio = rising_factorial(alpha + 1, i) / rising_factorial(alpha + beta + 2, i)
-        total += comb(m, i) * (-1) ** i * 2 ** i * ratio
-    return total
+_MOMENTS: dict[tuple[Fraction, Fraction], tuple[int, list[int]]] = {}  # (a, b) -> (D, N)
 
 
-def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction) -> Fraction:
-    # L_J^(a,b)(f g): expand the product once, then one cached moment per power.
-    return sum(
-        (c * _jacobi_weight_moment(m, alpha, beta) for m, c in enumerate((f * g).coeffs) if c),
-        Fraction(0),
-    )
+def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list[int]]:
+    # N[m] / D is the normalized moment of t^m against (1-t)^a (1+t)^b, m below a power of two
+    # >= size: sum_i C(m,i) (-2)^i r_i, r_i = (a+1)_i / (a+b+2)_i = r_(i-1) (a+i) / (a+b+1+i).
+    table = _MOMENTS.get((alpha, beta))
+    if table is None or len(table[1]) < size:
+        ratios = [Fraction(1)]
+        for i in range(1, 1 << (size - 1).bit_length()):
+            ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))
+        den, scaled = _integer_coeffs(ratios)
+        moments = [sum(comb(m, i) * (-2) ** i * r for i, r in enumerate(scaled[: m + 1]))
+                   for m in range(len(scaled))]
+        table = _MOMENTS[alpha, beta] = den, moments
+    return table
+
+
+def _integer_coeffs(coeffs) -> tuple[int, list[int]]:
+    """The common denominator D of the rationals coeffs, and D times each of them."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction,
+                scale=1, lam=0) -> Fraction:
+    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1).  With f = F/Df, g = G/Dg and
+    # moments N/D, L_J(f g) is the integer Hankel form sum_i F_i sum_j G_j N_(i+j) over
+    # Df Dg D, and f(1) g(1) is sum(F) sum(G) over Df Dg.
+    f_den, fs = _integer_coeffs(f.coeffs)
+    g_den, gs = _integer_coeffs(g.coeffs)
+    den, moments = _moment_table(alpha, beta, len(fs) + len(gs) - 1)
+    hankel = sum(c * sum(map(mul, gs, moments[i:])) for i, c in enumerate(fs) if c)
+    return Fraction(scale * hankel + lam * den * sum(fs) * sum(gs), f_den * g_den * den)
 
 
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
@@ -140,8 +159,12 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
     a, lam = _point_mass(alpha, lam)
-    total_mass = rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
-    return total_mass * _functional(f, g, alpha, beta) + lam * f.evaluate(1) * g.evaluate(1)
+    return _functional(f, g, alpha, beta, _total_mass(dim, a, beta), lam)
+
+
+@cache
+def _total_mass(dim: int, a: int, beta: Fraction) -> Fraction:
+    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:

@@ -282,13 +282,14 @@ def _beta_values(cfg: SuiteConfig) -> list[Fraction]:
 
 
 def _gram_schmidt(vectors, inner):
+    # Modified Gram-Schmidt; each finished vector carries its own <w, w>.
     ortho = []
     for v in vectors:
         w = v
-        for u in ortho:
-            w = w - (inner(w, u) / inner(u, u)) * u
-        ortho.append(w)
-    return ortho
+        for u, norm in ortho:
+            w = w - (inner(w, u) / norm) * u
+        ortho.append((w, inner(w, w)))
+    return [w for w, _ in ortho]
 
 
 def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:

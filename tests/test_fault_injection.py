@@ -40,6 +40,26 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
+    # An off-by-one in the Pochhammer step r_i = r_(i-1) (a+i) / (a+b+1+i) of the Jacobi
+    # moment table: every radial product is wrong, but still positive on q_k.
+    Mutant(
+        "jacobi-moment-pochhammer-step",
+        "jacobi.py",
+        "            ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))\n",
+        "            ratios.append(ratios[-1] * (alpha + i + 1) / (alpha + beta + 1 + i))\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-orthogonality", "pointmass-gram-schmidt"},
+    ),
+    # A wrong cached total mass (d/2)_(a+1) / (b+1)_(a+1) of the point-mass weight, which
+    # unbalances the Jacobi part against lam * delta_1.
+    Mutant(
+        "pointmass-total-mass",
+        "jacobi.py",
+        "    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)\n",
+        "    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 2)\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-orthogonality", "pointmass-gram-schmidt"},
+    ),
 ]
 
 

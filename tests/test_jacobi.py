@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
 from math import factorial
 
 import pytest
@@ -22,6 +23,7 @@ from orthoball import (
     parts_residual,
     type_eigenvalue,
 )
+from orthoball import jacobi
 from orthoball.exact_gamma import rising_factorial
 
 PARAM_GRID = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]
@@ -182,6 +184,54 @@ class TestRadialWeightOracle:
                             assert got == prefactor * w + Q(1, 3)
                         if a == 0:
                             assert inner_jacobi_type(ti, tj, b, Q(7, 3)) == w + Q(3, 7)
+
+    @staticmethod
+    def _random_poly(rng, degree):
+        return UniPoly([Q(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(degree + 1)])
+
+    @staticmethod
+    def _termwise(f, g, moment):
+        return sum(
+            (ci * cj * moment(i + j) for i, ci in enumerate(f.coeffs) for j, cj in enumerate(g.coeffs)),
+            Q(0),
+        )
+
+    @pytest.mark.parametrize("high_first", [True, False], ids=["high-first", "low-first"])
+    def test_random_polys_to_full_depth(self, monkeypatch, high_first):
+        # Random rational polynomials up to degree 14, so products reach t^28, against a
+        # termwise sum of the oracle moments.  Every moment table starts empty and is
+        # first queried at the highest or at the lowest degree, so a table that is too
+        # short, or numerators on the wrong common denominator, shows in one order.
+        monkeypatch.setattr(jacobi, "_MOMENTS", {})
+        rng = random.Random(20151)
+        degrees = [14, 13, 1, 0, 6] if high_first else [0, 1, 6, 13, 14]
+        pairs = [(self._random_poly(rng, n), self._random_poly(rng, rng.randint(0, n))) for n in degrees]
+        weight = cache(radial_weight_integral)
+        betas = (Q(-1, 2), Q(0), Q(1, 2), Q(2), Q(7, 2))
+        lam = Q(2, 7)
+        for alpha in (Q(0), Q(1, 2), Q(1), Q(3)):
+            for b in betas:
+                if alpha.denominator == 1:
+                    a = alpha.numerator
+
+                    def moment(m):
+                        return weight(m, a, b) / weight(0, a, b)
+                elif b.denominator == 1:
+                    # t -> -t swaps the two exponents of the weight.
+                    def moment(m):
+                        return (-1) ** m * weight(m, b.numerator, alpha) / weight(0, b.numerator, alpha)
+                else:
+                    continue
+                for f, g in pairs:
+                    assert jacobi_inner(f, g, alpha, b) == self._termwise(f, g, moment)
+        for a in MASS_ALPHAS:
+            for b in betas:
+                for f, g in pairs:
+                    weighted = self._termwise(f, g, lambda m: weight(m, a, b))
+                    for d in (2, 3):
+                        want = rising_factorial(Q(d, 2), a + 1) / factorial(a) * weighted
+                        want += lam * f.evaluate(1) * g.evaluate(1)
+                        assert inner_jacobi_mass(f, g, a, b, lam, d) == want
 
 
 class TestJacobiTypeFamily:

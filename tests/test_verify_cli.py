@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoball import measures, operators, verify
+from orthoball import jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -110,6 +110,30 @@ class TestRunSuites:
         # N = 6 elements through degree 2 in d = 2: one Gram matrix is N(N+1)/2 products.
         assert len(pairs) == 21
         assert len(set(pairs)) == len(pairs)
+
+    def test_pointmass_gram_schmidt_computes_one_norm_per_vector(self, monkeypatch):
+        real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
+        calls = []
+        per_check = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_inner(*args, **kwargs)
+
+        def check(self, identity, params, producer):
+            before = len(calls)
+            real_check(self, identity, params, producer)
+            per_check.append((identity, len(calls) - before))
+
+        monkeypatch.setattr(jacobi, "inner_jacobi_mass", counting)
+        monkeypatch.setattr(verify._Collector, "check", check)
+        cfg = SuiteConfig(suites=("krall1d",), **dict(SMALL, max_degree=4))
+        records = run_suites(cfg)
+        assert records and all(r.status != STATUS_FAIL for r in records)
+        # K = 5 monomials per beta: one <w, u> per pair and one <w, w> per vector.
+        counts = [n for identity, n in per_check if identity == "pointmass-gram-schmidt"]
+        assert len(counts) == len(verify._beta_values(cfg)) > 1
+        assert counts == [5 * 6 // 2] * len(counts)
 
     def test_connection_forward_times_its_own_residuals(self, monkeypatch):
         clock = [0.0]
