@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .measures import inner_sphere
-from .polynomials import Exponents, MultiPoly, euler_op, grlex_key, laplacian, radius_squared
+from .polynomials import Exponents, MultiPoly, euler_op, laplacian, pack, radius_squared
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -56,7 +56,7 @@ def _monomials(dim: int, degree: int) -> list[Exponents]:
     for head in range(degree + 1):
         for tail in _monomials(dim - 1, degree - head):
             out.append((head,) + tail)
-    out.sort(key=grlex_key)
+    out.sort(key=pack)
     return out
 
 
@@ -101,16 +101,10 @@ def _primitive(p: MultiPoly) -> MultiPoly:
     """Scale to integer coefficients with content 1 and positive leading grlex term."""
     if p.is_zero():
         return p
-    den = 1
-    num = 0
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-        num = gcd(num, abs(c.numerator))
-    scale = Fraction(den, num)
-    lead = max(p.terms, key=grlex_key)
-    if p.terms[lead] < 0:
-        scale = -scale
-    return p * scale
+    content = gcd(*p.nums.values())
+    if p.nums[max(p.nums)] < 0:
+        content = -content
+    return p * Fraction(p.den, content)
 
 
 @cache

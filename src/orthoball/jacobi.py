@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .exact_gamma import ExactnessError, rising_factorial
-from .polynomials import UniPoly, as_fraction
+from .polynomials import UniPoly, as_fraction, integer_numerators
 
 
 def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> None:
@@ -99,29 +99,22 @@ def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list
         ratios = [Fraction(1)]
         for i in range(1, 1 << (size - 1).bit_length()):
             ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))
-        den, scaled = _integer_coeffs(ratios)
+        den, scaled = integer_numerators(ratios)
         moments = [sum(comb(m, i) * (-2) ** i * r for i, r in enumerate(scaled[: m + 1]))
                    for m in range(len(scaled))]
         table = _MOMENTS[alpha, beta] = den, moments
     return table
 
 
-def _integer_coeffs(coeffs) -> tuple[int, list[int]]:
-    """The common denominator D of the rationals coeffs, and D times each of them."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction,
                 scale=1, lam=0) -> Fraction:
-    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1).  With f = F/Df, g = G/Dg and
-    # moments N/D, L_J(f g) is the integer Hankel form sum_i F_i sum_j G_j N_(i+j) over
-    # Df Dg D, and f(1) g(1) is sum(F) sum(G) over Df Dg.
-    f_den, fs = _integer_coeffs(f.coeffs)
-    g_den, gs = _integer_coeffs(g.coeffs)
+    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1), read from the stored forms
+    # f = F/Df and g = G/Dg.  With moments N/D, L_J(f g) is the integer Hankel form
+    # sum_i F_i sum_j G_j N_(i+j) over Df Dg D, and f(1) g(1) is sum(F) sum(G) over Df Dg.
+    fs, gs = f.nums, g.nums
     den, moments = _moment_table(alpha, beta, len(fs) + len(gs) - 1)
     hankel = sum(c * sum(map(mul, gs, moments[i:])) for i, c in enumerate(fs) if c)
-    return Fraction(scale * hankel + lam * den * sum(fs) * sum(gs), f_den * g_den * den)
+    return Fraction(scale * hankel + lam * den * sum(fs) * sum(gs), f.den * g.den * den)
 
 
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:

@@ -18,41 +18,25 @@ weighted-ball-mass ratio is rational for the parameter ranges accepted below.
 Each inner product is a moment functional applied to the product,
 <f, g> = L(f g), with L the sphere moments, the ball moments, or ball plus lam
 times sphere, so that R(s) = R_ball(s) + lam R_sphere(s).  The kernel works in
-integers: it scales f and g to integer coefficients over their denominators
-Df and Dg, packs each exponent tuple into one int (one bit field per variable,
-the total degree in the top field), pairs the parity-compatible terms with one
-int add per pair, sums c_a c_b N(a + b) per half-degree, and only then applies
-one rational R(s) per half-degree and one division by Df Dg.
+integers on the stored form of f and g (integer numerators over denominators
+Df and Dg, keyed by packed monomials, see ``polynomials``): it pairs the
+parity-compatible terms with one int add per pair, sums c_a c_b N(a + b) per
+half-degree, and only then applies one rational R(s) per half-degree and one
+division by Df Dg.  A monomial moment is the same kernel on x^e against 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .exact_gamma import ExactnessError, rising_factorial
-from .polynomials import Exponents, MultiPoly, as_exponents, as_fraction
-
-_FIELD = 32  # bits per exponent of a packed monomial
-_FIELD_MASK = (1 << _FIELD) - 1
-# Below half a field, so the sum of two packed monomials carries into no neighbour.
-_EXPONENT_LIMIT = 1 << (_FIELD - 1)
+from .polynomials import _FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction
 
 # A moment functional as (weight, start) parts, each an int or a Fraction:
 # R(s) = sum of weight / prod_{j<s} (start + 2j) over the parts.
 Functional = tuple[tuple[int | Fraction, int | Fraction], ...]
-
-
-@cache
-def _pack(exps: Exponents) -> int:
-    """x^exps as one int: exponent i in field i, the total degree in the top field."""
-    packed = sum(exps)
-    for e in reversed(exps):
-        if e >= _EXPONENT_LIMIT:
-            raise ValueError(f"exponent {e} is too large for a packed monomial")
-        packed = packed << _FIELD | e
-    return packed
 
 
 @cache
@@ -86,18 +70,15 @@ def _ball(dim: int, mu: Fraction) -> Functional:
     return ((1, dim + 2 * mu + 1),)
 
 
-def _moment(exps: Exponents, functional: Functional) -> Fraction:
-    if any(e & 1 for e in exps):
-        return Fraction(0)
-    packed = _pack(exps)
-    dim = len(exps)
-    return _double_factorials(packed, dim) * _radial(functional, packed >> (dim * _FIELD + 1))
+def _monomial(exps) -> MultiPoly:
+    exps = as_exponents(exps)
+    return MultiPoly(len(exps), {exps: 1})
 
 
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
-    exps = as_exponents(exps)
-    return _moment(exps, _sphere(len(exps)))
+    x = _monomial(exps)
+    return _bilinear(x, MultiPoly.constant(x.dim, 1), _sphere(x.dim))
 
 
 def _check_mu(mu) -> Fraction:
@@ -109,14 +90,8 @@ def _check_mu(mu) -> Fraction:
 
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
-    exps = as_exponents(exps)
-    return _moment(exps, _ball(len(exps), _check_mu(mu)))
-
-
-def _integer_terms(p: MultiPoly) -> tuple[int, list[tuple[int, int]]]:
-    """The common denominator D of p's coefficients, and (packed exponent, D * coefficient) pairs."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+    x = _monomial(exps)
+    return _bilinear(x, MultiPoly.constant(x.dim, 1), _ball(x.dim, _check_mu(mu)))
 
 
 def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
@@ -124,15 +99,13 @@ def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     dim = f.dim
     low = _low_bits(dim)
-    f_den, f_terms = _integer_terms(f)
-    g_den, g_terms = _integer_terms(g)
     # Moments vanish unless exponents match parity componentwise, so bucket g
     # by parity and pair each term of f with its own bucket only.
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for kb, cb in g_terms:
+    for kb, cb in g.nums.items():
         buckets.setdefault(kb & low, []).append((kb, cb))
     product: dict[int, int] = {}
-    for ka, ca in f_terms:
+    for ka, ca in f.nums.items():
         for kb, cb in buckets.get(ka & low, ()):
             k = ka + kb
             product[k] = product.get(k, 0) + ca * cb
@@ -143,7 +116,7 @@ def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
             s = k >> shift
             sums[s] = sums.get(s, 0) + c * _double_factorials(k, dim)
     total = sum((_radial(functional, s) * t for s, t in sums.items()), Fraction(0))
-    return total / (f_den * g_den)
+    return total / (f.den * g.den)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:

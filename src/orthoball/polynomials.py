@@ -1,19 +1,32 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals, stored as integers.
 
-Two representations cover everything the library needs: a sparse
-multivariate polynomial keyed by exponent tuples, and a dense univariate
-polynomial for radial factors.  All coefficients are ``fractions.Fraction``,
-so every identity downstream can be checked for *literal* equality -- there
-is no floating point anywhere in this package's computations.
+A sparse multivariate and a dense univariate class cover everything the library
+needs.  Both store FLINT's ``fmpq_poly`` form: a positive integer ``den`` and
+integer numerators ``nums`` sharing no common factor with it, so equal
+polynomials hold equal data; arithmetic works on integers and divides out one
+gcd per result.  A monomial x^e is keyed by one packed int (Monagan & Pearce,
+CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
+so int order is graded-lexicographic order and a product adds keys.  Fractions
+appear only in the views ``terms`` and ``coeffs``, built on each read, and in
+``evaluate``, ``canonical()`` and ``str``.  There is no floating point, so every
+identity downstream can be checked for *literal* equality.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cache
+from itertools import zip_longest
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+
+_FIELD = 32  # bits per field of a packed monomial
+_FIELD_MASK = (1 << _FIELD) - 1
+# Below half a field, so the sum of two packed monomials carries into no neighbour.
+_DEGREE_LIMIT = 1 << (_FIELD - 1)
 
 
 def as_fraction(value) -> Fraction:
@@ -39,41 +52,77 @@ def fraction_text(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    """Graded-lexicographic sort key: total degree first, then the exponent tuple."""
-    return (sum(exps), exps)
+def integer_numerators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator D of the rationals values, and D times each of them."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
+@cache
+def pack(exps: Exponents) -> int:
+    """x^exps as one int: the total degree in the top field, then exps[0] down to exps[-1]."""
+    packed = sum(exps)
+    if packed >= _DEGREE_LIMIT:
+        raise ValueError(f"total degree {packed} is too large for a packed monomial")
+    for e in exps:
+        packed = packed << _FIELD | e
+    return packed
+
+
+def _unpack(packed: int, dim: int) -> Exponents:
+    return tuple((packed >> (_FIELD * i)) & _FIELD_MASK for i in reversed(range(dim)))
+
+
+def _readable(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """The human-readable sum of (monomial text, coefficient) terms; empty text is a constant."""
+    chunks = []
+    for body, c in terms:
+        if not body:
+            chunks.append(str(c))
+        elif c == 1:
+            chunks.append(body)
+        elif c == -1:
+            chunks.append(f"-{body}")
+        else:
+            chunks.append(f"{c}*{body}")
+    return " + ".join(chunks).replace("+ -", "- ") or "0"
 
 
 class MultiPoly:
-    """Sparse polynomial in ``dim`` variables with Fraction coefficients.
+    """Sparse polynomial in ``dim`` variables with rational coefficients.
 
-    Terms are stored as a map from exponent tuples to nonzero coefficients.
-    Instances are immutable by convention: no method mutates ``self``, so
-    values can be cached and shared freely.
+    ``nums`` maps the packed key of each monomial to a nonzero integer
+    numerator over the one denominator ``den``.  Instances are immutable by
+    convention: no method mutates ``self``, so values can be cached and
+    shared freely.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "den", "nums")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, object] | None = None):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
-        clean: dict[Exponents, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = as_exponents(exps)
             if len(e) != dim:
                 raise ValueError(f"monomial {e} does not have {dim} exponents")
-            c = as_fraction(coeff)
-            if c:
-                clean[e] = c
-        self._terms = clean
+            coeffs[pack(e)] = as_fraction(coeff)
+        # Over the lcm of reduced denominators the numerators already share no factor with it.
+        self.den, nums = integer_numerators(coeffs.values())
+        self.nums = {k: n for k, n in zip(coeffs, nums) if n}
 
     @classmethod
-    def _make(cls, dim: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
-        # Internal fast path: callers guarantee well-formed exponent tuples.
+    def _make(cls, dim: int, den: int, nums: dict[int, int]) -> "MultiPoly":
+        # Internal fast path: drops zero numerators and divides out the common factor.
+        nums = {k: n for k, n in nums.items() if n}
+        g = gcd(den, *nums.values())
         p = object.__new__(cls)
         p.dim = dim
-        p._terms = {e: c for e, c in terms.items() if c}
+        p.den = den // g
+        p.nums = {k: n // g for k, n in nums.items()} if g != 1 else nums
         return p
 
     @classmethod
@@ -95,34 +144,34 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        return self._terms
+        """A new map from exponent tuples to nonzero Fraction coefficients."""
+        return {_unpack(k, self.dim): Fraction(n, self.den) for k, n in self.nums.items()}
 
     def _check_dim(self, other: "MultiPoly") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.dim, other)
+        self._check_dim(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {k: n * a for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + n * b
+        return MultiPoly._make(self.dim, den, out)
+
     def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_dim(other)
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                out[e] = out.get(e, Fraction(0)) + c
-            return MultiPoly._make(self.dim, out)
-        return self + MultiPoly.constant(self.dim, other)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make(self.dim, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._make(self.dim, self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_dim(other)
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                out[e] = out.get(e, Fraction(0)) - c
-            return MultiPoly._make(self.dim, out)
-        return self - MultiPoly.constant(self.dim, other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return MultiPoly.constant(self.dim, other) - self
@@ -130,16 +179,20 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_dim(other)
-            out: dict[Exponents, Fraction] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    out[e] = out.get(e, Fraction(0)) + ca * cb
-            return MultiPoly._make(self.dim, out)
+            if not self.nums or not other.nums:
+                return MultiPoly.zero(self.dim)
+            # The top field holds the total degree and bounds every exponent field.
+            if max(self.nums) + max(other.nums) >= _DEGREE_LIMIT << (_FIELD * self.dim):
+                raise ValueError("total degree of the product is too large for a packed monomial")
+            out: dict[int, int] = {}
+            for ka, ca in self.nums.items():
+                for kb, cb in other.nums.items():
+                    k = ka + kb
+                    out[k] = out.get(k, 0) + ca * cb
+            return MultiPoly._make(self.dim, self.den * other.den, out)
         c = as_fraction(other)
-        if not c:
-            return MultiPoly.zero(self.dim)
-        return MultiPoly._make(self.dim, {e: v * c for e, v in self._terms.items()})
+        return MultiPoly._make(self.dim, self.den * c.denominator,
+                               {k: n * c.numerator for k, n in self.nums.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -147,49 +200,39 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return self.dim == other.dim and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.nums
 
     def partial(self, axis: int) -> "MultiPoly":
         """Exact partial derivative with respect to x_axis (0-based)."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self._terms.items():
-            k = e[axis]
-            if k:
-                shifted = e[:axis] + (k - 1,) + e[axis + 1:]
-                out[shifted] = out.get(shifted, Fraction(0)) + c * k
-        return MultiPoly._make(self.dim, out)
+        shift = _FIELD * (self.dim - 1 - axis)
+        # One less x_axis and one less total degree; distinct keys stay distinct.
+        step = (1 << (_FIELD * self.dim)) + (1 << shift)
+        out = {k - step: n * e for k, n in self.nums.items() if (e := k >> shift & _FIELD_MASK)}
+        return MultiPoly._make(self.dim, self.den, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         xs = [as_fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            value = c
-            for x, k in zip(xs, e):
-                if k:
-                    value *= x ** k
-            total += value
-        return total
+        return sum((c * prod(x ** k for x, k in zip(xs, e)) for e, c in self.terms.items()),
+                   Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(self.nums, default=-1) >> (_FIELD * self.dim)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(e) for e in self._terms}
+        degrees = {k >> (_FIELD * self.dim) for k in self.nums}
         if not degrees:
             return True
         if len(degrees) > 1:
@@ -198,11 +241,11 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded-lexicographic order (the canonical iteration order)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return [(_unpack(k, self.dim), Fraction(self.nums[k], self.den)) for k in sorted(self.nums)]
 
     def canonical(self) -> str:
         """Canonical text form: graded-lex terms `num/den * x1^e1*...*xd^ed`."""
-        if not self._terms:
+        if not self.nums:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -211,36 +254,40 @@ class MultiPoly:
         return " + ".join(parts)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            factors = [f"x{j + 1}" + (f"^{k}" if k > 1 else "") for j, k in enumerate(e) if k]
-            body = "*".join(factors)
-            if not body:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(body)
-            elif c == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{c}*{body}")
-        return " + ".join(chunks).replace("+ -", "- ")
+        return _readable(("*".join(f"x{j + 1}" + (f"^{k}" if k > 1 else "")
+                                   for j, k in enumerate(e) if k), c)
+                         for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self.dim}, {self.canonical()!r})"
 
 
 class UniPoly:
-    """Dense univariate polynomial in t with Fraction coefficients."""
+    """Dense univariate polynomial in t with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    ``nums`` is the tuple of integer numerators of t^0, t^1, ... over the one
+    denominator ``den``, with no trailing zero.
+    """
+
+    __slots__ = ("den", "nums")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # Over the lcm of reduced denominators the numerators already share no factor with it.
+        self.den, nums = integer_numerators(map(as_fraction, coeffs))
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums = tuple(nums)
+
+    @classmethod
+    def _make(cls, den: int, nums: list[int]) -> "UniPoly":
+        # Internal fast path: drops trailing zeros and divides out the common factor.
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        p = object.__new__(cls)
+        p.den = den // g
+        p.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+        return p
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -255,124 +302,114 @@ class UniPoly:
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """A new tuple of the Fraction coefficients of t^0, t^1, ..."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(self.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "UniPoly":
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return UniPoly._make(den, [x * a + y * b
+                                   for x, y in zip_longest(self.nums, other.nums, fillvalue=0)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._make(self.den, [-n for n in self.nums])
 
     def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return UniPoly.constant(other) - self
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
+            if not self.nums or not other.nums:
                 return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in enumerate(other.nums):
+                        out[i + j] += a * b
+            return UniPoly._make(self.den * other.den, out)
         c = as_fraction(other)
-        return UniPoly([v * c for v in self.coeffs])
+        return UniPoly._make(self.den * c.denominator, [n * c.numerator for n in self.nums])
 
     def __rmul__(self, other):
         return self * other
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly._make(self.den, [k * n for k, n in enumerate(self.nums)][1:])
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
         total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        for n in reversed(self.nums):
+            total = total * x + n
+        return total / self.den
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Horner substitution: self(inner(t))."""
         result = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * inner + UniPoly.constant(c)
-        return result
+        for n in reversed(self.nums):
+            result = result * inner + n
+        return result * Fraction(1, self.den)
 
     def substitute(self, inner: MultiPoly) -> MultiPoly:
         """Horner substitution of a multivariate polynomial for t."""
         result = MultiPoly.zero(inner.dim)
-        for c in reversed(self.coeffs):
-            result = result * inner + MultiPoly.constant(inner.dim, c)
-        return result
+        for n in reversed(self.nums):
+            result = result * inner + n
+        return result * Fraction(1, self.den)
 
     def times_tpow(self, power: int) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return UniPoly((Fraction(0),) * power + self.coeffs)
+        return UniPoly._make(self.den, [0] * power + list(self.nums))
 
     def exact_div_tpow(self, power: int) -> "UniPoly":
         """Divide by t**power; raises if any low-order coefficient is nonzero."""
-        if any(self.coeff(i) for i in range(min(power, len(self.coeffs)))):
+        if any(self.nums[:power]):
             raise ValueError(f"polynomial is not divisible by t^{power}")
-        return UniPoly(self.coeffs[power:])
+        return UniPoly._make(self.den, list(self.nums[power:]))
 
     def canonical(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         return " + ".join(f"{fraction_text(c)} * t^{k}" for k, c in enumerate(self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                chunks.append(str(c))
-            else:
-                body = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    chunks.append(body)
-                elif c == -1:
-                    chunks.append(f"-{body}")
-                else:
-                    chunks.append(f"{c}*{body}")
-        return " + ".join(chunks).replace("+ -", "- ")
+        return _readable((f"t^{k}" if k > 1 else "t" * k, c) for k, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"UniPoly({self.canonical()!r})"
@@ -403,9 +440,5 @@ def laplacian(p: MultiPoly) -> MultiPoly:
 
 def euler_op(p: MultiPoly) -> MultiPoly:
     """The operator sum_i x_i d/dx_i; multiplies each homogeneous grade by its degree."""
-    out: dict[Exponents, Fraction] = {}
-    for e, c in p.terms.items():
-        deg = sum(e)
-        if deg:
-            out[e] = c * deg
-    return MultiPoly._make(p.dim, out)
+    shift = _FIELD * p.dim
+    return MultiPoly._make(p.dim, p.den, {k: n * (k >> shift) for k, n in p.nums.items()})

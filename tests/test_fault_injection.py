@@ -3,7 +3,9 @@
 Each row of ``MUTANTS`` changes one line of a copy of ``src/`` and runs the
 CLI on that copy in a subprocess.  The run must exit 1 and report ``FAIL`` on
 exactly the named identities, so every one of them can still catch the fault,
-and no other identity fails for a reason the row does not name.  This is
+and no other identity fails for a reason the row does not name.  A row with no
+named identity records a mutant that no identity catches: its run must still
+pass, so a verifier that starts catching it makes the row name what does.  This is
 mutation testing in the sense of DeMillo, Lipton & Sayward (1978).
 """
 
@@ -26,7 +28,7 @@ class Mutant(NamedTuple):
     line: str  # the one line to replace
     replacement: str
     argv: list[str]
-    fails: set[str]  # exactly the identities that must FAIL
+    fails: set[str]  # exactly the identities that must FAIL; empty for a surviving mutant
 
 
 MUTANTS = [
@@ -60,6 +62,28 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
+    # A partial derivative that lowers one exponent field of the packed monomial but not the
+    # total-degree field: the exponents read back right, but the degree and grlex order do not.
+    Mutant(
+        "partial-keeps-total-degree",
+        "polynomials.py",
+        "        step = (1 << (_FIELD * self.dim)) + (1 << shift)\n",
+        "        step = 1 << shift\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-second-order-eigen", "connection-forward", "connection-backward",
+         "connection-lift", "fourth-order-eigen"},
+    ),
+    # A UniPoly left with a common factor in den and nums: equal polynomials stop comparing
+    # equal, but every value, is_zero test and canonical text is unchanged, and the verifier
+    # reads UniPolys only through those, so the run passes.
+    Mutant(
+        "unipoly-skips-gcd",
+        "polynomials.py",
+        "        g = gcd(den, *nums)\n",
+        "        g = 1\n",
+        ["--dim", "2", "--max-degree", "2"],
+        set(),
+    ),
 ]
 
 
@@ -79,8 +103,8 @@ def test_mutant_is_killed(mutant, tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
         timeout=60,
     )
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == (1 if mutant.fails else 0), proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     failed = {r["identity"] for r in records if r["type"] == "check" and r["status"] == "FAIL"}
     assert failed == mutant.fails
-    assert records[-1]["status"] == "fail"
+    assert records[-1]["status"] == ("fail" if mutant.fails else "pass")

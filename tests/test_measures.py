@@ -185,9 +185,13 @@ class TestInnerProducts:
 
     def test_exponent_too_large_to_pack(self):
         # Adding two packed monomials must never carry into the next field.
-        huge = MultiPoly(2, {(2 ** 31, 0): 1})
         with pytest.raises(ValueError):
-            inner_sphere(huge, huge)
+            MultiPoly(2, {(2 ** 31, 0): 1})
+        # Each factor packs, but the product's total degree reaches 2^31.
+        half = MultiPoly(2, {(2 ** 30, 0): 1})
+        with pytest.raises(ValueError):
+            half * half
+        assert (half * MultiPoly(2, {(2 ** 30 - 1, 0): 1})).total_degree() == 2 ** 31 - 1
 
     def test_polar_factorization_shape(self):
         # The ball moment factors through the sphere moment; cross-check the

@@ -1,10 +1,12 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoball import MultiPoly, UniPoly, radius_squared, substitute_radial
+from orthoball.polynomials import pack
 
 
 def P(dim, terms):
@@ -127,6 +129,37 @@ def test_mixed_partials_commute(p, i, j):
 def test_substitute_radial_pointwise(q, point):
     target = 2 * (point[0] ** 2 + point[1] ** 2) - 1
     assert substitute_radial(q, 2).evaluate(point) == q.evaluate(target)
+
+
+negatives = st.fractions(min_value=-4, max_value=Q(-1, 3), max_denominator=3)
+
+
+def assert_multi_stored_form(p):
+    assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+    assert all(p.nums.values())
+    assert sorted(p.nums) == [pack(e) for e in sorted(p.terms, key=lambda e: (sum(e), e))]
+    assert MultiPoly(p.dim, p.terms) == p
+
+
+def assert_uni_stored_form(q):
+    assert q.den > 0 and gcd(q.den, *q.nums) == 1
+    assert not q.nums or q.nums[-1]
+    assert UniPoly(q.coeffs) == q
+
+
+@settings(max_examples=100)
+@given(multipolys(), multipolys(), negatives, st.integers(0, 2))
+def test_multipoly_stored_form(p, q, c, axis):
+    # Integer numerators over one positive denominator in lowest terms, keyed in grlex order.
+    for r in (p, p + q, p - q, p * q, p * c, p.partial(axis), p - p, MultiPoly.zero(3)):
+        assert_multi_stored_form(r)
+
+
+@settings(max_examples=100)
+@given(unipolys(), unipolys(), negatives)
+def test_unipoly_stored_form(f, g, c):
+    for r in (f, f + g, f - g, f * g, f * c, f.derivative(), f - f, UniPoly.zero()):
+        assert_uni_stored_form(r)
 
 
 class TestSubstituteRadial:
