@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .harmonics import harmonic_basis
-from .jacobi import _point_mass, jacobi_polynomial, mass_orthogonal_poly
+from .jacobi import FOURTH_ORDER_MU, _point_mass, jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue
 from .measures import _check_mu, inner_ball, inner_mass
 from .polynomials import MultiPoly, as_fraction, fraction_text, substitute_radial
 
@@ -148,11 +148,12 @@ def gram_matrix(elements, inner) -> list[list[Fraction]]:
     return gram
 
 
-def basis_export(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> dict:
+def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:
     """JSON-ready dump of a basis: indices, radial parameters, norms, polynomials.
 
-    ``eigenvalue`` may be a callable (n, k) -> Fraction recorded per element
-    (used for the fourth-order eigenvalues of the mass-modified basis).
+    A "lambda" basis at mu = 1/2, the one mu with the fourth-order equation,
+    also records each element's eigenvalue (M + k(k+b)) (M + (k+1)(k+b+1)),
+    b = beta_k, M = d / (2 lam), which equals Lambda(n, k) of that equation.
     """
     mu, lam = as_fraction(mu), as_fraction(lam)
     if kind == "classical":
@@ -172,8 +173,9 @@ def basis_export(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> dict:
             "harmonic_sq_norm": fraction_text(el.harmonic_sq_norm),
             "poly": el.poly.canonical(),
         }
-        if eigenvalue is not None:
-            record["eigenvalue"] = fraction_text(eigenvalue(el.index.n, el.index.k))
+        if kind == "lambda" and mu == FOURTH_ORDER_MU:
+            record["eigenvalue"] = fraction_text(
+                type_eigenvalue(el.index.k, el.index.beta_k, mass_parameter(dim, lam)))
         records.append(record)
     return {
         "dim": dim,
@@ -186,10 +188,6 @@ def basis_export(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> dict:
     }
 
 
-def basis_export_text(n: int, dim: int, mu, lam, kind: str, eigenvalue=None) -> str:
+def basis_export_text(n: int, dim: int, mu, lam, kind: str) -> str:
     """Deterministic serialized form of basis_export (sorted keys, two-space indent)."""
-    return json.dumps(
-        basis_export(n, dim, mu, lam, kind, eigenvalue=eigenvalue),
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+    return json.dumps(basis_export(n, dim, mu, lam, kind), indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .bases import basis_export_text
 from .exact_gamma import ExactnessError
-from .operators import FOURTH_ORDER_MU, fourth_order_eigenvalue
 from .verify import SUITE_NAMES, STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
 
 _RATIONAL_OPTIONS = ("--mu", "--lambda", "--M")
@@ -85,11 +84,8 @@ def _run_export(args, cfg: SuiteConfig) -> int:
     except ValueError:
         print(f"--export-basis expects 'N,kind', got {args.export_basis!r}", file=sys.stderr)
         return 2
-    eigenvalue = None
-    if kind == "lambda" and cfg.mu == FOURTH_ORDER_MU:
-        eigenvalue = lambda nn, kk: fourth_order_eigenvalue(nn, kk, cfg.dim, cfg.mass)
     try:
-        text = basis_export_text(n, cfg.dim, cfg.mu, cfg.lam, kind, eigenvalue=eigenvalue)
+        text = basis_export_text(n, cfg.dim, cfg.mu, cfg.lam, kind)
     except (ValueError, ExactnessError) as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,9 @@ inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
 at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer Hankel form over one cached
 table of moment numerators on a common denominator.  The point-mass
 construction is exact when a = mu - 1/2 is a non-negative integer;
-_integer_alpha alone decides that.
+_integer_alpha alone decides that.  The connection operators and the
+fourth-order equation hold at mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every
+check of that rule, and the basis export's eigenvalue field, reads it here.
 """
 
 from __future__ import annotations
@@ -122,6 +124,11 @@ def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
     return _functional(f, g, alpha, beta)
+
+
+# The one weight parameter at which the connection operators and the fourth-order
+# equation hold (Lebesgue measure on the ball).
+FOURTH_ORDER_MU = Fraction(1, 2)
 
 
 def _integer_alpha(alpha: Fraction) -> bool:

@@ -6,8 +6,8 @@ monomial moment vanishes unless every exponent is even.  For x^(2a) with
 half-degree s = |a| it is an integer times a rational that depends on s alone:
 
     L(x^(2a)) = N(a) * R(s),    N(a) = prod_i (2 a_i - 1)!!
-    sphere:  R(s) = 1 / prod_{j<s} (d + 2j)
     ball:    R(s) = 1 / prod_{j<s} (d + 2 mu + 1 + 2j)
+    sphere:  R(s) = 1 / prod_{j<s} (d + 2j), the ball's R(s) at mu = -1/2
 
 This is the Gamma form Gamma(d/2) prod_i Gamma(a_i + 1/2) / (Gamma(s + d/2)
 Gamma(1/2)^d) of the sphere moment, times (d/2)_s / (d/2 + mu + 1/2)_s on the
@@ -16,8 +16,10 @@ irrational survives, for every rational mu > -1/2.  The sphere-area to
 weighted-ball-mass ratio is rational for the parameter ranges accepted below.
 
 Each inner product is a moment functional applied to the product,
-<f, g> = L(f g), with L the sphere moments, the ball moments, or ball plus lam
-times sphere, so that R(s) = R_ball(s) + lam R_sphere(s).  The kernel works in
+<f, g> = L(f g), and every L here is the pair (mu, lam): ball moments at mu
+plus lam times sphere moments, R(s) = R_ball(s) + lam R_sphere(s).  The ball
+product is lam = 0 and the sphere product is mu = -1/2, lam = 0, the limit
+of the weight that the public mu check rejects.  The kernel works in
 integers on the stored form of f and g (integer numerators over denominators
 Df and Dg, keyed by packed monomials, see ``polynomials``): it pairs the
 parity-compatible terms with one int add per pair, sums c_a c_b N(a + b) per
@@ -34,9 +36,8 @@ from math import factorial, prod
 from .exact_gamma import ExactnessError, rising_factorial
 from .polynomials import _FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction
 
-# A moment functional as (weight, start) parts, each an int or a Fraction:
-# R(s) = sum of weight / prod_{j<s} (start + 2j) over the parts.
-Functional = tuple[tuple[int | Fraction, int | Fraction], ...]
+# Normalized surface measure is the ball weight at mu = -1/2, a limit that _check_mu rejects.
+_SPHERE_MU = Fraction(-1, 2)
 
 
 @cache
@@ -56,18 +57,11 @@ def _double_factorials(packed: int, dim: int) -> int:
 
 
 @cache
-def _radial(functional: Functional, s: int) -> Fraction:
-    """R(s), the factor that every moment of half-degree s shares."""
-    return sum(w / prod((start + 2 * j for j in range(s)), start=Fraction(1))
-               for w, start in functional)
-
-
-def _sphere(dim: int) -> Functional:
-    return ((1, dim),)
-
-
-def _ball(dim: int, mu: Fraction) -> Functional:
-    return ((1, dim + 2 * mu + 1),)
+def _radial(dim: int, mu: Fraction, lam: int | Fraction, s: int) -> Fraction:
+    """R(s), the factor that every moment of half-degree s shares: ball at mu plus lam times sphere."""
+    def part(start):
+        return prod((start + 2 * j for j in range(s)), start=Fraction(1))
+    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)
 
 
 def _monomial(exps) -> MultiPoly:
@@ -78,12 +72,12 @@ def _monomial(exps) -> MultiPoly:
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
     x = _monomial(exps)
-    return _bilinear(x, MultiPoly.constant(x.dim, 1), _sphere(x.dim))
+    return _bilinear(x, MultiPoly.constant(x.dim, 1), _SPHERE_MU)
 
 
 def _check_mu(mu) -> Fraction:
     mu = as_fraction(mu)
-    if mu <= Fraction(-1, 2):
+    if mu <= _SPHERE_MU:
         raise ValueError(f"mu must exceed -1/2 for an integrable weight, got {mu}")
     return mu
 
@@ -91,10 +85,10 @@ def _check_mu(mu) -> Fraction:
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
     x = _monomial(exps)
-    return _bilinear(x, MultiPoly.constant(x.dim, 1), _ball(x.dim, _check_mu(mu)))
+    return _bilinear(x, MultiPoly.constant(x.dim, 1), _check_mu(mu))
 
 
-def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
+def _bilinear(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) -> Fraction:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     dim = f.dim
@@ -115,18 +109,18 @@ def _bilinear(f: MultiPoly, g: MultiPoly, functional: Functional) -> Fraction:
         if c:
             s = k >> shift
             sums[s] = sums.get(s, 0) + c * _double_factorials(k, dim)
-    total = sum((_radial(functional, s) * t for s, t in sums.items()), Fraction(0))
+    total = sum((_radial(dim, mu, lam, s) * t for s, t in sums.items()), Fraction(0))
     return total / (f.den * g.den)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
     """Normalized sphere inner product: the average of f*g over the unit sphere."""
-    return _bilinear(f, g, _sphere(f.dim))
+    return _bilinear(f, g, _SPHERE_MU)
 
 
 def inner_ball(f: MultiPoly, g: MultiPoly, mu) -> Fraction:
     """Normalized weighted-ball inner product of f and g."""
-    return _bilinear(f, g, _ball(f.dim, _check_mu(mu)))
+    return _bilinear(f, g, _check_mu(mu))
 
 
 def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
@@ -137,8 +131,7 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
     lam = as_fraction(lam)
     if lam < 0:
         raise ValueError(f"the sphere coupling must be non-negative, got {lam}")
-    mu = _check_mu(mu)
-    return _bilinear(f, g, _ball(f.dim, mu) + ((lam, f.dim),))
+    return _bilinear(f, g, _check_mu(mu), lam)
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:

@@ -32,35 +32,18 @@ from .polynomials import (
     radius_squared,
 )
 
-__all__ = [
-    "FOURTH_ORDER_MU",
-    "laplacian",
-    "euler_op",
-    "classical_ball_op",
-    "ball_connection_op",
-    "ball_conjugate_op",
-    "fourth_order_op",
-    "fourth_order_eigenvalue",
-    "radial_connection_residuals",
-]
-
-# The one weight parameter at which the connection operators and the fourth-order
-# equation hold (Lebesgue measure on the ball); every check of that rule reads it here.
-FOURTH_ORDER_MU = Fraction(1, 2)
-
 
 def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
-    """Delta - sum_j d/dx_j [ x_j (2mu - 1 + sum_i x_i d/dx_i) ], applied term by term.
+    """Delta - sum_j d/dx_j [ x_j (2mu - 1 + E) ] with E = <x, grad>, the euler_op.
 
-    Degree-n orthogonal polynomials for the ball weight are eigenfunctions
-    with eigenvalue -(n+d)(n+2mu-1).
+    This divergence form (Dunkl & Xu, Orthogonal Polynomials of Several
+    Variables, 5.2) is applied as Delta - (d + E)(2mu - 1 + E), by
+    sum_j d/dx_j (x_j h) = (d + E) h.  Degree-n orthogonal polynomials for the
+    ball weight are eigenfunctions with eigenvalue -(n+d)(n+2mu-1).
     """
     mu = as_fraction(mu)
     inner = (2 * mu - 1) * p + euler_op(p)
-    total = laplacian(p)
-    for axis in range(p.dim):
-        total = total - (MultiPoly.variable(p.dim, axis) * inner).partial(axis)
-    return total
+    return laplacian(p) - p.dim * inner - euler_op(inner)
 
 
 def _damped_laplacian(p: MultiPoly) -> MultiPoly:

@@ -380,16 +380,9 @@ class UniPoly:
             total = total * x + n
         return total / self.den
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Horner substitution: self(inner(t))."""
-        result = UniPoly.zero()
-        for n in reversed(self.nums):
-            result = result * inner + n
-        return result * Fraction(1, self.den)
-
-    def substitute(self, inner: MultiPoly) -> MultiPoly:
-        """Horner substitution of a multivariate polynomial for t."""
-        result = MultiPoly.zero(inner.dim)
+    def compose(self, inner: UniPoly | MultiPoly) -> UniPoly | MultiPoly:
+        """Horner substitution self(inner) of a UniPoly or a MultiPoly for t, of inner's type."""
+        result = inner * 0
         for n in reversed(self.nums):
             result = result * inner + n
         return result * Fraction(1, self.den)
@@ -427,7 +420,7 @@ def radius_squared(dim: int) -> MultiPoly:
 
 def substitute_radial(q: UniPoly, dim: int) -> MultiPoly:
     """Expand q(2*||x||^2 - 1) as a polynomial in x1..xd."""
-    return q.substitute(2 * radius_squared(dim) - 1)
+    return q.compose(2 * radius_squared(dim) - 1)
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:

@@ -326,7 +326,7 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
             lambda: ((k, (qs()[k].degree, inner(qs()[k], qs()[k]) > 0), (k, True)) for k in ks),
         )
         out.check("pointmass-gram-schmidt", p, gram_schmidt)
-        if cfg.mu == operators.FOURTH_ORDER_MU:
+        if cfg.mu == jacobi.FOURTH_ORDER_MU:
             out.check(
                 "pointmass-type-agreement",
                 p,
@@ -546,7 +546,7 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
 
 def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
     rng = _rng(cfg, "connection")
-    d, M, lam, mu = cfg.dim, cfg.mass, cfg.lam, operators.FOURTH_ORDER_MU
+    d, M, lam, mu = cfg.dim, cfg.mass, cfg.lam, jacobi.FOURTH_ORDER_MU
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
         both = partial(bases.classical_basis, n, d, mu), partial(bases.mass_basis, n, d, mu, lam)
@@ -607,7 +607,7 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
     for n in range(cfg.max_degree + 1):
         eigen = _per_element(
             lambda Q: operators.fourth_order_op(Q.poly, M) - (_lambda_nk(Q, M) + offset) * Q.poly,
-            partial(bases.mass_basis, n, d, operators.FOURTH_ORDER_MU, lam),
+            partial(bases.mass_basis, n, d, jacobi.FOURTH_ORDER_MU, lam),
         )
         out.check("fourth-order-eigen", dict(p, n=n), eigen)
 
@@ -642,7 +642,7 @@ _INTEGER_ALPHA = _Requirement(
     lambda cfg: jacobi._integer_alpha(cfg.mu - _HALF),
     "exact construction needs mu - 1/2 to be a non-negative integer",
 )
-_AT_HALF = _Requirement(lambda cfg: cfg.mu == operators.FOURTH_ORDER_MU, "the fourth-order theory lives at mu = 1/2")
+_AT_HALF = _Requirement(lambda cfg: cfg.mu == jacobi.FOURTH_ORDER_MU, "the fourth-order theory lives at mu = 1/2")
 
 # name -> (runner, requirement or None, then the identity, statement and params that the
 # skipped record carries when the configuration falls outside the requirement).

@@ -12,6 +12,7 @@ from orthoball import (
     beta_shift,
     classical_basis,
     find_element,
+    fourth_order_eigenvalue,
     gram_matrix,
     inner_ball,
     inner_jacobi_mass,
@@ -179,14 +180,25 @@ class TestMassBasis:
 
 class TestExport:
     def test_export_roundtrip_and_determinism(self):
-        text1 = basis_export_text(2, 2, Q(1, 2), Q(1, 2), "lambda",
-                                  eigenvalue=lambda n, k: Q(n + k))
-        text2 = basis_export_text(2, 2, Q(1, 2), Q(1, 2), "lambda",
-                                  eigenvalue=lambda n, k: Q(n + k))
-        assert text1 == text2
-        data = json.loads(text1)
-        assert data["count"] == 3
-        assert data["elements"][0]["eigenvalue"] == "2/1"
+        # At mu = 1/2 a lambda export records Lambda(n, k) of the fourth-order equation.
+        for d, n, lam in ((2, 2, Q(1, 2)), (2, 5, Q(3, 7)), (3, 4, Q(1, 4)), (4, 3, Q(5, 2))):
+            text = basis_export_text(n, d, Q(1, 2), lam, "lambda")
+            assert text == basis_export_text(n, d, Q(1, 2), lam, "lambda")
+            data = json.loads(text)
+            assert data == basis_export(n, d, Q(1, 2), lam, "lambda")
+            assert data["count"] == len(mass_basis(n, d, Q(1, 2), lam))
+            M = mass_parameter(d, lam)
+            for record in data["elements"]:
+                expect = fourth_order_eigenvalue(record["n"], record["k"], d, M)
+                assert record["eigenvalue"] == f"{expect.numerator}/{expect.denominator}"
+
+    def test_export_eigenvalue_only_for_lambda_at_half(self):
+        exports = [basis_export(n, d, mu, Q(1, 3), "classical")
+                   for d, n, mu in ((2, 3, Q(1, 2)), (3, 2, Q(3, 2)), (2, 2, Q(1, 4)))]
+        exports += [basis_export(n, d, Q(3, 2), Q(1, 3), "lambda") for d, n in ((2, 3), (3, 2))]
+        for data in exports:
+            assert data["count"] > 0
+            assert all("eigenvalue" not in record for record in data["elements"])
 
     def test_export_classical_degree_zero(self):
         data = basis_export(0, 2, Q(1, 2), Q(1, 4), "classical")

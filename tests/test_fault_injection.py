@@ -84,6 +84,47 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         set(),
     ),
+    # The divergence sum_j d/dx_j (x_j h) = (d + E) h with one d too few: only the classical
+    # eigen-identity applies the operator.
+    Mutant(
+        "classical-op-divergence-dim",
+        "operators.py",
+        "    return laplacian(p) - p.dim * inner - euler_op(inner)\n",
+        "    return laplacian(p) - (p.dim - 1) * inner - euler_op(inner)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-second-order-eigen"},
+    ),
+    # Horner substitution that forgets the denominator, so each composed polynomial is scaled
+    # by it.  Orthogonality survives scaling and both Gram diagonals compare a norm with
+    # itself; at this size only the lift, which substitutes random rational polynomials,
+    # sees the scale.
+    Mutant(
+        "compose-drops-denominator",
+        "polynomials.py",
+        "        return result * Fraction(1, self.den)\n",
+        "        return result\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-lift"},
+    ),
+    # The sphere part of R(s) shifted by one step: only the mass product reads lam times it.
+    Mutant(
+        "radial-sphere-part",
+        "measures.py",
+        "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)\n",
+        "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim + 2)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"mass-gram-offdiagonal", "mass-product-factorization"},
+    ),
+    # The ball part of R(s) at mu + 1/2: every ball product, and the sphere at mu = -1/2.
+    Mutant(
+        "radial-ball-part",
+        "measures.py",
+        "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)\n",
+        "    return 1 / part(dim + 2 * mu + 2) + lam / part(dim)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
+         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+    ),
 ]
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthoball import (
     MultiPoly,
@@ -62,6 +64,29 @@ class TestClassicalSecondOrder:
                     eig = -(n + d) * (n + 2 * mu - 1)
                     for el in classical_basis(n, d, mu):
                         assert (classical_ball_op(el.poly, mu) - eig * el.poly).is_zero()
+
+
+@st.composite
+def _mixed_degree_polys(draw):
+    dim = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    terms = draw(st.dictionaries(exps, st.fractions(-4, 4, max_denominator=5), min_size=2, max_size=6))
+    p = MultiPoly(dim, terms)
+    assume(not p.is_homogeneous())
+    return p
+
+
+@settings(max_examples=60)
+@given(_mixed_degree_polys(),
+       st.fractions(Q(-1, 2), 4, max_denominator=7).filter(lambda mu: mu > Q(-1, 2)))
+def test_classical_op_matches_divergence_form(p, mu):
+    # Delta p - sum_j d/dx_j [x_j h], h = (2mu - 1) p + sum_i x_i dp/dx_i, axis by axis.
+    xs = [MultiPoly.variable(p.dim, j) for j in range(p.dim)]
+    h = (2 * mu - 1) * p + sum((x * p.partial(i) for i, x in enumerate(xs)), MultiPoly.zero(p.dim))
+    divergence = laplacian(p)
+    for j, x in enumerate(xs):
+        divergence = divergence - (x * h).partial(j)
+    assert classical_ball_op(p, mu) == divergence
 
 
 class TestBallConnection:
