@@ -1,18 +1,28 @@
 """Exact bases of harmonic homogeneous polynomials, orthogonal over the sphere.
 
-The degree-m harmonics in d variables are the nullspace of the Laplacian
-restricted to homogeneous degree-m polynomials.  That nullspace is computed
-by exact Gaussian elimination over the rationals, then orthogonalized with
-Gram-Schmidt under the normalized sphere inner product.  The basis is kept
-orthogonal rather than orthonormal (normalizing would introduce square
-roots); the squared sphere norms are recorded instead.
+A harmonic polynomial is fixed by its terms whose x_d-exponent is 0 or 1 (its
+Cauchy data on x_d = 0; Axler, Bourdon & Ramey, *Harmonic Function Theory*,
+ch. 5).  So each degree-m monomial x^e with e_d = a in {0, 1} starts exactly
+one harmonic, x^e plus terms of higher x_d-exponent, in closed form:
 
-Two structural facts keep the computation small and exact:
+    h_e = sum_i (-1)^i x_d^(a+2i) / (a+2i)! * Delta'^i x'^e'
 
+with Delta' the Laplacian in x_1..x_(d-1) and x'^e' the monomial x^e without
+its x_d factor.  These harmonics are then orthogonalized with Gram-Schmidt
+under the normalized sphere inner product.  The basis is kept orthogonal
+rather than orthonormal (normalizing would introduce square roots); the
+squared sphere norms are recorded instead.
+
+Three structural facts keep the computation small and exact:
+
+* h_e is the reduced-echelon nullspace vector of the Laplacian matrix at the
+  free column x^e: with columns in grlex order, every other monomial of h_e
+  has head exponents e' - 2j and sorts before x^e, and the dim H_m monomials
+  with e_d <= 1 are all the free columns.  So no elimination is needed.
 * The Laplacian preserves the componentwise parity of a monomial's exponent
-  vector, so the elimination and the Gram-Schmidt pass split into independent
-  parity blocks.  Sphere moments of mixed-parity products vanish, which makes
-  polynomials from different blocks automatically orthogonal.
+  vector, so h_e lies in the parity block of e and Gram-Schmidt splits into
+  independent parity blocks.  Sphere moments of mixed-parity products vanish,
+  which makes polynomials from different blocks automatically orthogonal.
 * On a homogeneous polynomial of degree m the radial derivative is realized
   by the Euler operator, giving the angular Laplacian a purely polynomial
   form: Delta_0 f = ||x||^2 Delta f - (E^2 + (d-2) E) f with E = sum x_i d/dx_i.
@@ -24,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from itertools import product
+from math import comb, factorial, gcd, prod
 
 from .measures import inner_sphere
 from .polynomials import Exponents, MultiPoly, euler_op, laplacian, pack, radius_squared
@@ -60,41 +71,20 @@ def _monomials(dim: int, degree: int) -> list[Exponents]:
     return out
 
 
-def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace via reduced row echelon form.
+def _cauchy_harmonic(e: Exponents) -> MultiPoly:
+    """The harmonic x^e plus terms of higher x_d-exponent, for e_d = a in {0, 1}.
 
-    Pivoting is deterministic (first nonzero entry scanning columns left to
-    right), so the returned basis depends only on the input matrix.
+    Delta'^i x'^e' expands by the multinomial theorem over j with |j| = i: the
+    monomial x'^(e' - 2j) has coefficient i! prod_l e'_l! / ((e'_l - 2 j_l)! j_l!).
     """
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][fc]
-        basis.append(vec)
-    return basis
+    *head, a = e
+    terms = {}
+    for j in product(*(range(k // 2 + 1) for k in head)):
+        i = sum(j)
+        weight = prod(factorial(k) // (factorial(k - 2 * t) * factorial(t)) for k, t in zip(head, j))
+        exps = tuple(k - 2 * t for k, t in zip(head, j)) + (a + 2 * i,)
+        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i))
+    return MultiPoly(len(e), terms)
 
 
 def _primitive(p: MultiPoly) -> MultiPoly:
@@ -114,34 +104,20 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
-    monos = _monomials(dim, degree)
+    # One harmonic per monomial x^e with e_d <= 1, in parity blocks, each in grlex order.
     blocks: dict[Exponents, list[Exponents]] = {}
-    for e in monos:
-        blocks.setdefault(tuple(v & 1 for v in e), []).append(e)
+    for e in _monomials(dim, degree):
+        if e[-1] < 2:
+            blocks.setdefault(tuple(v & 1 for v in e), []).append(e)
 
     ortho: list[MultiPoly] = []
     norms: list[Fraction] = []
     for parity in sorted(blocks):
-        cols = blocks[parity]
-        col_index = {e: i for i, e in enumerate(cols)}
-        # Rows of the Laplacian matrix: degree-(m-2) monomials of the same parity.
-        row_index: dict[Exponents, int] = {}
-        rows: list[list[Fraction]] = []
-        for j, e in enumerate(cols):
-            for axis in range(dim):
-                k = e[axis]
-                if k < 2:
-                    continue
-                target = e[:axis] + (k - 2,) + e[axis + 1:]
-                if target not in row_index:
-                    row_index[target] = len(rows)
-                    rows.append([Fraction(0)] * len(cols))
-                rows[row_index[target]][j] += k * (k - 1)
         # Gram-Schmidt within the block; pairs from different blocks are orthogonal
         # already because their products have only odd-exponent monomials.
         start = len(ortho)
-        for vec in _nullspace(rows, len(cols)):
-            work = _primitive(MultiPoly(dim, {e: vec[col_index[e]] for e in cols}))
+        for e in blocks[parity]:
+            work = _cauchy_harmonic(e)
             for u, norm in zip(ortho[start:], norms[start:]):
                 coeff = inner_sphere(work, u) / norm
                 if coeff:

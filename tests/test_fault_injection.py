@@ -125,6 +125,51 @@ MUTANTS = [
         {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
          "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
     ),
+    # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big: from degree 2
+    # on h_e is not harmonic: both harmonic identities fail, and with them most checks on
+    # the ball bases built from it.
+    Mutant(
+        "cauchy-harmonic-denominator",
+        "harmonics.py",
+        "        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i))\n",
+        "        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i + 1))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
+         "connection-backward", "connection-forward", "fourth-order-eigen", "harmonic-laplace",
+         "laplace-beltrami-eigen", "mass-gram-offdiagonal", "mass-product-factorization"},
+    ),
+    # N(a) = prod_i (2 a_i - 1)!! with (2 a_i + 1)!! per axis: every ball and sphere moment.
+    Mutant(
+        "double-factorial-step",
+        "measures.py",
+        "        n *= prod(range((packed & _FIELD_MASK) - 1, 0, -2))\n",
+        "        n *= prod(range((packed & _FIELD_MASK) + 1, 0, -2))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
+         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+    ),
+    # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
+    Mutant(
+        "beta-shift",
+        "bases.py",
+        "    return Fraction(2 * (n - 2 * k) + dim - 2, 2)\n",
+        "    return Fraction(2 * (n - 2 * k) + dim, 2)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
+         "connection-backward", "connection-forward", "connection-radial", "eigenvalue-forms",
+         "fourth-order-eigen", "mass-gram-offdiagonal", "mass-product-factorization"},
+    ),
+    # The point-mass shift a_k with k (k + alpha + beta + 2) for k (k + alpha + beta + 1).
+    Mutant(
+        "mass-coefficient",
+        "jacobi.py",
+        "    return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)\n",
+        "    return gamma_part / lam + Fraction(k) * (k + alpha + beta + 2) / (alpha + 1)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
+         "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
+         "pointmass-type-agreement"},
+    ),
 ]
 
 

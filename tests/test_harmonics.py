@@ -1,6 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,24 @@ from orthoball import (
     polar_decomposition_residual,
     radius_squared,
 )
-from orthoball.harmonics import _monomials
+from orthoball.harmonics import _cauchy_harmonic, _monomials
+from orthoball.polynomials import fraction_text
+
+# One line "dim degree sha256" per basis; regenerate only when the bases are meant to
+# change: PYTHONPATH=src python tests/test_harmonics.py > tests/golden/harmonic_bases.txt
+GOLDEN_BASES = Path(__file__).parent / "golden" / "harmonic_bases.txt"
+
+
+def basis_digest(dim: int, degree: int) -> str:
+    """sha256 of each element's canonical text and its squared sphere norm, one per line."""
+    basis = harmonic_basis(dim, degree)
+    text = "".join(f"{Y.canonical()}\n{fraction_text(norm)}\n"
+                   for Y, norm in zip(basis.elements, basis.sphere_norms))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_lines() -> list[str]:
+    return [f"{d} {m} {basis_digest(d, m)}" for d in range(2, 7) for m in range(7)]
 
 
 class TestDimensions:
@@ -87,6 +106,27 @@ class TestBasisProperties:
         assert first.sphere_norms == second.sphere_norms
 
 
+class TestGoldenBases:
+    def test_bases_match_golden(self):
+        # Pins every element and norm for d = 2..6, m = 0..6 byte for byte.
+        assert golden_lines() == GOLDEN_BASES.read_text().strip().split("\n")
+
+
+class TestCauchyHarmonic:
+    def test_closed_form(self):
+        # h_e is harmonic, homogeneous, and has coefficient 1 at x^e and 0 at every other
+        # monomial with e_d <= 1: a wrong sign, factorial or multinomial weight breaks one.
+        for d in range(2, 6):
+            for m in range(8):
+                free = [e for e in _monomials(d, m) if e[-1] < 2]
+                for e in free:
+                    h = _cauchy_harmonic(e)
+                    assert laplacian(h).is_zero()
+                    assert h.is_homogeneous(m)
+                    terms = h.terms
+                    assert [terms.get(f, 0) for f in free] == [int(f == e) for f in free]
+
+
 class TestEulerIdentity:
     def test_monomial(self):
         assert euler_residual(MultiPoly(2, {(1, 1): 1}), 2).is_zero()
@@ -135,3 +175,7 @@ class TestLaplaceBeltrami:
         point = [Q(3, 5), Q(4, 5)]
         image = laplace_beltrami_op(Y)
         assert image.evaluate(point) == -2 * (2 + 2 - 2) * Y.evaluate(point)
+
+
+if __name__ == "__main__":
+    print("\n".join(golden_lines()))
