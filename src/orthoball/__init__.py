@@ -51,6 +51,7 @@ from .measures import (
     inner_ball,
     inner_mass,
     inner_sphere,
+    moment_images,
     sphere_ball_ratio,
     sphere_moment,
 )

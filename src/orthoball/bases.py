@@ -23,7 +23,7 @@ from functools import cache
 
 from .harmonics import harmonic_basis
 from .jacobi import FOURTH_ORDER_MU, _point_mass, jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue
-from .measures import _check_mu, inner_ball, inner_mass
+from .measures import _check_mu, inner_ball, inner_mass, moment_images
 from .polynomials import MultiPoly, as_fraction, fraction_text, substitute_radial
 
 
@@ -136,13 +136,22 @@ def find_element(elements, k: int, nu: int) -> BallBasisElement:
     raise KeyError(f"no element with k={k}, nu={nu}")
 
 
-def gram_matrix(elements, inner) -> list[list[Fraction]]:
-    """Exact Gram matrix of ``elements`` under the bilinear form ``inner``."""
-    n = len(elements)
+def gram_matrix(elements, mu, lam=0) -> list[list[Fraction]]:
+    """Exact Gram matrix of ``elements`` under the ball product at mu plus lam times the sphere
+    product (inner_mass; lam = 0 is inner_ball).
+
+    Each element is imaged once, over the union of all the elements' monomials, and each
+    entry is an integer dot product of one element's numerators with another's image.
+    """
+    polys = [el.poly for el in elements]
+    keys = set().union(*(p.nums for p in polys))
+    den, images = moment_images(polys, keys, mu, lam)
+    n = len(polys)
     gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
+    for i, (p, image) in enumerate(zip(polys, images)):
         for j in range(i, n):
-            value = inner(elements[i].poly, elements[j].poly)
+            q = polys[j]
+            value = Fraction(sum([c * image[b] for b, c in q.nums.items()]), p.den * q.den * den)
             gram[i][j] = value
             gram[j][i] = value
     return gram

@@ -19,12 +19,28 @@ Each inner product is a moment functional applied to the product,
 <f, g> = L(f g), and every L here is the pair (mu, lam): ball moments at mu
 plus lam times sphere moments, R(s) = R_ball(s) + lam R_sphere(s).  The ball
 product is lam = 0 and the sphere product is mu = -1/2, lam = 0, the limit
-of the weight that the public mu check rejects.  The kernel works in
-integers on the stored form of f and g (integer numerators over denominators
-Df and Dg, keyed by packed monomials, see ``polynomials``): it pairs the
-parity-compatible terms with one int add per pair, sums c_a c_b N(a + b) per
-half-degree, and only then applies one rational R(s) per half-degree and one
-division by Df Dg.  A monomial moment is the same kernel on x^e against 1.
+of the weight that the public mu check rejects.
+
+Each functional (d, mu, lam) has one integer moment table, the ball analogue
+of the Jacobi moment table in ``jacobi``: with R(0..S-1) over one common
+denominator D as integers r_s, it maps the packed key of each even monomial
+x^(2a) to M = N(a) r_|a|, so L(x^(2a)) = M / D.  Entries are filled on first
+read; a product of half-degree S or more rebuilds the table, with a new D, at
+the next power of two.  Everything reads this table, on the stored form of f
+and g (integer numerators over denominators Df and Dg, keyed by packed
+monomials, see ``polynomials``):
+
+* ``_bilinear`` pairs the parity-compatible terms and sums c_a c_b M[a + b]
+  into one integer, then makes one Fraction over Df Dg D.  It stays one fused
+  loop rather than "image of f, then dot with g": the sphere products that
+  build harmonic bases are many calls on short polynomials, where building an
+  image dict per call costs more than the pairs it saves.
+* ``moment_images`` computes, for a batch of polynomials p = P / Dp, the
+  integer image W[b] = sum_a P_a M[a + b] at given keys b, so that
+  L(p x^b) = W[b] / (Dp D).  A Gram matrix or a sweep of monomial products
+  then costs one image per polynomial instead of one pair loop per product.
+
+A monomial moment is the kernel on x^e against 1.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from functools import cache
 from math import factorial, prod
 
 from .exact_gamma import ExactnessError, rising_factorial
-from .polynomials import _FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction
+from .polynomials import _FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction, integer_numerators
 
 # Normalized surface measure is the ball weight at mu = -1/2, a limit that _check_mu rejects.
 _SPHERE_MU = Fraction(-1, 2)
@@ -56,12 +72,55 @@ def _double_factorials(packed: int, dim: int) -> int:
     return n
 
 
-@cache
 def _radial(dim: int, mu: Fraction, lam: int | Fraction, s: int) -> Fraction:
     """R(s), the factor that every moment of half-degree s shares: ball at mu plus lam times sphere."""
     def part(start):
         return prod((start + 2 * j for j in range(s)), start=Fraction(1))
     return 1 / part(dim + 2 * mu + 1) + lam / part(dim)
+
+
+class _Moments(dict):
+    """The moment table of one functional: packed x^(2a) -> N(a) r_|a|, over the denominator ``den``."""
+
+    __slots__ = ("dim", "den", "scaled")
+
+    def __init__(self, dim: int, mu: Fraction, lam: int | Fraction, size: int):
+        super().__init__()
+        self.dim = dim
+        self.den, self.scaled = integer_numerators(_radial(dim, mu, lam, s) for s in range(size))
+
+    def __missing__(self, packed: int) -> int:
+        half = _half_degree(packed, self.dim)
+        m = self[packed] = _double_factorials(packed, self.dim) * self.scaled[half]
+        return m
+
+
+_TABLES: dict[tuple[int, Fraction, int | Fraction], _Moments] = {}  # (d, mu, lam) -> table
+
+
+def _half_degree(packed: int, dim: int) -> int:
+    """Half the total degree of the packed monomial, rounded down: |a| for x^(2a)."""
+    return packed >> (dim * _FIELD + 1)
+
+
+def _moment_table(dim: int, mu: Fraction, lam: int | Fraction, top: int) -> _Moments:
+    """The table of (dim, mu, lam), rebuilt at the next power of two in the half-degree
+    when it stops short of the packed monomial ``top``."""
+    half = _half_degree(top, dim)
+    table = _TABLES.get((dim, mu, lam))
+    if table is None or len(table.scaled) <= half:
+        table = _TABLES[dim, mu, lam] = _Moments(dim, mu, lam, 1 << half.bit_length())
+    return table
+
+
+def _parity_buckets(f: MultiPoly) -> dict[int, list[tuple[int, int]]]:
+    # Moments vanish unless exponents match parity componentwise: x^a pairs with x^b iff
+    # their keys agree on the lowest bit of every field.
+    low = _low_bits(f.dim)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for k, c in f.nums.items():
+        buckets.setdefault(k & low, []).append((k, c))
+    return buckets
 
 
 def _monomial(exps) -> MultiPoly:
@@ -82,6 +141,13 @@ def _check_mu(mu) -> Fraction:
     return mu
 
 
+def _check_lam(lam) -> Fraction:
+    lam = as_fraction(lam)
+    if lam < 0:
+        raise ValueError(f"the sphere coupling must be non-negative, got {lam}")
+    return lam
+
+
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
     x = _monomial(exps)
@@ -91,26 +157,40 @@ def ball_moment(exps, mu) -> Fraction:
 def _bilinear(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) -> Fraction:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    dim = f.dim
-    low = _low_bits(dim)
-    # Moments vanish unless exponents match parity componentwise, so bucket g
-    # by parity and pair each term of f with its own bucket only.
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for kb, cb in g.nums.items():
-        buckets.setdefault(kb & low, []).append((kb, cb))
-    product: dict[int, int] = {}
+    table = _moment_table(f.dim, mu, lam, max(f.nums, default=0) + max(g.nums, default=0))
+    buckets = _parity_buckets(g)
+    low = _low_bits(f.dim)
+    total = 0
     for ka, ca in f.nums.items():
-        for kb, cb in buckets.get(ka & low, ()):
-            k = ka + kb
-            product[k] = product.get(k, 0) + ca * cb
-    shift = dim * _FIELD + 1
-    sums: dict[int, int] = {}
-    for k, c in product.items():
-        if c:
-            s = k >> shift
-            sums[s] = sums.get(s, 0) + c * _double_factorials(k, dim)
-    total = sum((_radial(dim, mu, lam, s) * t for s, t in sums.items()), Fraction(0))
-    return total / (f.den * g.den)
+        bucket = buckets.get(ka & low)
+        if bucket:
+            total += ca * sum([cb * table[ka + kb] for kb, cb in bucket])
+    return Fraction(total, f.den * g.den * table.den)
+
+
+def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
+    """The integer moment images of ``polys`` under the ball product plus lam times the sphere
+    product: one denominator D and, for each p = P / Dp, the map b -> W[b] = sum_a P_a M[a + b]
+    over the packed monomial ``keys`` (as in ``MultiPoly.nums``), so that
+    inner_mass(p, x^b, mu, lam) = W[b] / (Dp D).  One table serves the whole batch.
+    """
+    mu, lam = _check_mu(mu), _check_lam(lam)
+    polys, keys = list(polys), list(keys)
+    if not polys:
+        return 1, []
+    dim = polys[0].dim
+    if any(p.dim != dim for p in polys):
+        raise ValueError("the polynomials must share one dimension")
+    top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
+    table = _moment_table(dim, mu, lam, top)
+    low = _low_bits(dim)
+    images = []
+    for p in polys:
+        buckets = _parity_buckets(p)
+        images.append({
+            b: sum([c * table[a + b] for a, c in buckets.get(b & low, ())]) for b in keys
+        })
+    return table.den, images
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
@@ -128,10 +208,7 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
 
     lam = 0 degrades to the plain ball product.
     """
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise ValueError(f"the sphere coupling must be non-negative, got {lam}")
-    return _bilinear(f, g, _check_mu(mu), lam)
+    return _bilinear(f, g, _check_mu(mu), _check_lam(lam))
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:

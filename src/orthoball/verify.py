@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import bases, harmonics, jacobi, measures, operators
 from .exact_gamma import rising_factorial
-from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
+from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, pack, substitute_radial
 
 SUITE_NAMES = (
     "jacobi",
@@ -470,7 +470,7 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     d, mu = cfg.dim, cfg.mu
     p = _params(cfg, "dim", "mu", "max_degree")
     els = partial(_elements, cfg, bases.classical_basis, mu)
-    gram = cache(lambda: bases.gram_matrix(els(), partial(measures.inner_ball, mu=mu)))
+    gram = cache(lambda: bases.gram_matrix(els(), mu))
     out.check("classical-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
     out.check("classical-gram-diagonal", p, lambda: _diagonal(els(), gram()))
     out.check(
@@ -481,15 +481,21 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
             for n in range(cfg.max_degree + 1)
         ),
     )
-    out.check(
-        "classical-lower-degree",
-        p,
-        lambda: (
-            (_key(el) + (e,), measures.inner_ball(el.poly, MultiPoly(d, {e: 1}), mu))
-            for el in els()
-            for e in _exps_upto(d, el.index.n - 1)
-        ),
-    )
+
+    def lower_degree():
+        # <P, x^e> = W_P[e] / (den_P D), read from one moment image of each degree-n element
+        # over the monomials of degree below n.
+        for n in range(1, cfg.max_degree + 1):
+            exps = list(_exps_upto(d, n - 1))
+            keys = list(map(pack, exps))
+            elements = bases.classical_basis(n, d, mu)
+            den, images = measures.moment_images([el.poly for el in elements], keys, mu)
+            for el, image in zip(elements, images):
+                scale = el.poly.den * den
+                for e, key in zip(exps, keys):
+                    yield _key(el) + (e,), Fraction(image[key], scale)
+
+    out.check("classical-lower-degree", p, lower_degree)
 
 
 def _per_element(residual, *degree_bases):
@@ -518,11 +524,14 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     alpha = cfg.mu - _HALF
     p = _params(cfg, "dim", "mu", "lambda", "max_degree")
     els = partial(_elements, cfg, bases.mass_basis, cfg.mu, cfg.lam)
-    inner = partial(measures.inner_mass, mu=cfg.mu, lam=cfg.lam)
-    gram = cache(lambda: bases.gram_matrix(els(), inner))
+    gram = cache(lambda: bases.gram_matrix(els(), cfg.mu, cfg.lam))
+
+    @cache
+    def radial_factor(k, beta):
+        return jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim)
 
     def radial(el):
-        return jacobi.mass_orthogonal_poly(el.index.k, alpha, el.index.beta_k, cfg.lam, cfg.dim)
+        return radial_factor(el.index.k, el.index.beta_k)
 
     def harmonic(el):
         return (el.index.n - 2 * el.index.k, el.index.nu)

@@ -91,7 +91,7 @@ class TestClassicalBasis:
     def test_gram_diagonal(self):
         for d, mu in [(2, Q(1, 2)), (2, Q(3, 2)), (3, Q(1))]:
             els = [el for n in range(5) for el in classical_basis(n, d, mu)]
-            gram = gram_matrix(els, lambda f, g: inner_ball(f, g, mu))
+            gram = gram_matrix(els, mu)
             for i in range(len(els)):
                 assert gram[i][i] > 0
                 assert gram[i][i] == els[i].sq_norm

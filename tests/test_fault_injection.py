@@ -148,6 +148,30 @@ MUTANTS = [
         {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
          "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
     ),
+    # The moment table reads r at the total degree 2|a| instead of the half-degree |a|, and
+    # sizes itself by the same shift: every ball and sphere moment past degree 0.
+    Mutant(
+        "moment-table-half-degree",
+        "measures.py",
+        "    return packed >> (dim * _FIELD + 1)\n",
+        "    return packed >> (dim * _FIELD)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
+         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+    ),
+    # A regrown moment table that keeps the entries of the table it replaces, each still on
+    # the old common denominator: products read before and after a regrow disagree, so the
+    # mass Gram diagonal stops matching the norm recorded when the basis was built.
+    Mutant(
+        "moment-table-stale-entries",
+        "measures.py",
+        "        super().__init__()\n",
+        "        super().__init__(_TABLES.get((dim, mu, lam), ()))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
+         "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization",
+         "sphere-moment-consistency", "unit-mass"},
+    ),
     # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
     Mutant(
         "beta-shift",

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from oracles import (
@@ -15,12 +17,15 @@ from orthoball import (
     ExactnessError,
     MultiPoly,
     ball_moment,
+    gram_matrix,
     inner_ball,
     inner_mass,
     inner_sphere,
+    moment_images,
     sphere_ball_ratio,
     sphere_moment,
 )
+from orthoball import measures
 from orthoball.harmonics import _monomials
 
 
@@ -255,6 +260,47 @@ class TestTermwiseOracle:
                     assert inner(zero, zero) == 0
                     assert inner(const, const) == termwise_inner(const, const, moment)
                     assert inner(const, f) == termwise_inner(const, f, moment)
+
+    @pytest.mark.parametrize("high_first", [True, False], ids=["high-first", "low-first"])
+    def test_gram_and_images_from_one_table(self, monkeypatch, high_first):
+        # Every moment table starts empty and is first read at the highest or at the lowest
+        # degree, so a table that is never regrown, or entries left on the old common
+        # denominator after a regrow, shows in one order.
+        monkeypatch.setattr(measures, "_TABLES", {})
+        rng = random.Random(2015)
+        degree_groups = [(9, 8, 7), (3, 2), (1, 0)]
+        for dim in (2, 3, 4, 5):
+            groups = [[_tall_poly(rng, dim, n, 6) for n in degrees] for degrees in degree_groups]
+            groups[1].append(MultiPoly.zero(dim))
+            if not high_first:
+                groups.reverse()
+            monomials = [MultiPoly(dim, {e: 1}) for e in exps_upto(dim, 2)]
+            for mu in self.MUS:
+                for lam in (Q(0), self.LAM):
+                    moment = cache(lambda e: gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e))
+                    for polys in groups:
+                        gram = gram_matrix([SimpleNamespace(poly=f) for f in polys], mu, lam)
+                        keys = set().union(*(f.nums for f in polys), *(x.nums for x in monomials))
+                        den, images = moment_images(polys, keys, mu, lam)
+                        for i, (f, image) in enumerate(zip(polys, images)):
+                            for j, g in enumerate(polys):
+                                expect = termwise_inner(f, g, moment)
+                                dot = sum(c * image[b] for b, c in g.nums.items())
+                                assert gram[i][j] == Q(dot, f.den * g.den * den) == expect
+                                assert inner_mass(f, g, mu, lam) == expect
+                            for x in monomials:
+                                (b,) = x.nums
+                                assert Q(image[b], f.den * den) == termwise_inner(f, x, moment)
+
+    def test_images_validate_their_functional(self):
+        f = MultiPoly.variable(2, 0)
+        assert moment_images([], [], Q(1, 2)) == (1, [])
+        with pytest.raises(ValueError):
+            moment_images([f], f.nums, Q(-1, 2))
+        with pytest.raises(ValueError):
+            moment_images([f], f.nums, Q(1, 2), Q(-1, 3))
+        with pytest.raises(ValueError):
+            moment_images([f, MultiPoly.variable(3, 0)], f.nums, Q(1, 2))
 
     def test_dimension_mismatch_raises(self):
         f, g = MultiPoly.constant(2, 1), MultiPoly.variable(3, 0)

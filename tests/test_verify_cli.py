@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoball import jacobi, measures, operators, verify
+from orthoball import bases, jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -97,19 +97,37 @@ class TestRunSuites:
         assert records and all(r.status == STATUS_SKIP for r in records)
 
     def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
-        real = measures.inner_mass
-        pairs = []
+        real_images, real_inner, real_gram = bases.moment_images, measures.inner_mass, bases.gram_matrix
+        imaged, inner_in_gram, in_gram = [], [], []
 
-        def counting(f, g, *args, **kwargs):
-            pairs.append(tuple(sorted((f.canonical(), g.canonical()))))
-            return real(f, g, *args, **kwargs)
+        def images(polys, keys, *args, **kwargs):
+            polys = list(polys)
+            imaged.extend(p.canonical() for p in polys)
+            return real_images(polys, keys, *args, **kwargs)
 
-        monkeypatch.setattr(measures, "inner_mass", counting)
+        def inner(*args, **kwargs):
+            if in_gram:
+                inner_in_gram.append(args)
+            return real_inner(*args, **kwargs)
+
+        def gram(*args, **kwargs):
+            in_gram.append(True)
+            try:
+                return real_gram(*args, **kwargs)
+            finally:
+                in_gram.pop()
+
+        monkeypatch.setattr(bases, "moment_images", images)
+        monkeypatch.setattr(bases, "inner_mass", inner)
+        monkeypatch.setattr(measures, "inner_mass", inner)
+        monkeypatch.setattr(bases, "gram_matrix", gram)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
         assert all(r.status != STATUS_FAIL for r in records)
-        # N = 6 elements through degree 2 in d = 2: one Gram matrix is N(N+1)/2 products.
-        assert len(pairs) == 21
-        assert len(set(pairs)) == len(pairs)
+        # N = 6 elements through degree 2 in d = 2: one Gram matrix images each element once
+        # and makes no pairwise product.
+        assert len(imaged) == 6
+        assert len(set(imaged)) == len(imaged)
+        assert inner_in_gram == []
 
     def test_pointmass_gram_schmidt_computes_one_norm_per_vector(self, monkeypatch):
         real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
