@@ -51,8 +51,11 @@ from .measures import (
     inner_ball,
     inner_mass,
     inner_sphere,
+    mass_gram,
     moment_images,
     sphere_ball_ratio,
+    sphere_gram,
+    sphere_images,
     sphere_moment,
 )
 from .operators import (

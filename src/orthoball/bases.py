@@ -23,7 +23,7 @@ from functools import cache
 
 from .harmonics import harmonic_basis
 from .jacobi import FOURTH_ORDER_MU, _point_mass, jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue
-from .measures import _check_mu, inner_ball, inner_mass, moment_images
+from .measures import _check_mu, inner_ball, inner_mass, mass_gram
 from .polynomials import MultiPoly, as_fraction, fraction_text, substitute_radial
 
 
@@ -138,23 +138,8 @@ def find_element(elements, k: int, nu: int) -> BallBasisElement:
 
 def gram_matrix(elements, mu, lam=0) -> list[list[Fraction]]:
     """Exact Gram matrix of ``elements`` under the ball product at mu plus lam times the sphere
-    product (inner_mass; lam = 0 is inner_ball).
-
-    Each element is imaged once, over the union of all the elements' monomials, and each
-    entry is an integer dot product of one element's numerators with another's image.
-    """
-    polys = [el.poly for el in elements]
-    keys = set().union(*(p.nums for p in polys))
-    den, images = moment_images(polys, keys, mu, lam)
-    n = len(polys)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i, (p, image) in enumerate(zip(polys, images)):
-        for j in range(i, n):
-            q = polys[j]
-            value = Fraction(sum([c * image[b] for b, c in q.nums.items()]), p.den * q.den * den)
-            gram[i][j] = value
-            gram[j][i] = value
-    return gram
+    product (inner_mass; lam = 0 is inner_ball), from one moment image per element."""
+    return mass_gram([el.poly for el in elements], mu, lam)
 
 
 def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:

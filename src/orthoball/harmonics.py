@@ -13,6 +13,16 @@ under the normalized sphere inner product.  The basis is kept orthogonal
 rather than orthonormal (normalizing would introduce square roots); the
 squared sphere norms are recorded instead.
 
+The Gram-Schmidt is the classical form, u_k = h_k - sum_j <h_k, u_j> / <u_j, u_j> u_j,
+with every coefficient read from the original h_k.  The modified form reads
+them from the partly reduced vector instead, w - sum_(i<j) c_i u_i, and
+<w, u_j> = <h_k, u_j> because the earlier u_i are already orthogonal to u_j.
+The two differ only in rounding (Bjorck, "Solving linear least squares
+problems by Gram-Schmidt orthogonalization", BIT 7, 1967), and this
+arithmetic is exact, so they give the same basis.  The classical form lets
+each u_j be imaged once (``measures.sphere_images``) and each coefficient
+be one integer dot product of h_k's numerators with that image.
+
 Three structural facts keep the computation small and exact:
 
 * h_e is the reduced-echelon nullspace vector of the Laplacian matrix at the
@@ -37,7 +47,7 @@ from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, prod
 
-from .measures import inner_sphere
+from .measures import sphere_images
 from .polynomials import Exponents, MultiPoly, euler_op, laplacian, pack, radius_squared
 
 
@@ -113,18 +123,25 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     ortho: list[MultiPoly] = []
     norms: list[Fraction] = []
     for parity in sorted(blocks):
-        # Gram-Schmidt within the block; pairs from different blocks are orthogonal
-        # already because their products have only odd-exponent monomials.
-        start = len(ortho)
-        for e in blocks[parity]:
-            work = _cauchy_harmonic(e)
-            for u, norm in zip(ortho[start:], norms[start:]):
-                coeff = inner_sphere(work, u) / norm
+        # Classical Gram-Schmidt within the block; pairs from different blocks are orthogonal
+        # already because their products have only odd-exponent monomials.  Each u is imaged
+        # once over the block's monomials, W_u, so <h, u> = (H . W_u) / (Dh Du D).
+        block = [_cauchy_harmonic(e) for e in blocks[parity]]
+        keys = set().union(*(h.nums for h in block))
+        done: list[tuple[MultiPoly, dict[int, int], Fraction]] = []  # (u, W_u, scale)
+        for h in block:
+            work = h
+            for u, image, scale in done:
+                coeff = Fraction(sum([c * image[b] for b, c in h.nums.items()]), h.den) * scale
                 if coeff:
                     work = work - coeff * u
-            work = _primitive(work)
-            ortho.append(work)
-            norms.append(inner_sphere(work, work))
+            u = _primitive(work)
+            den, (image,) = sphere_images([u], keys)
+            norm = Fraction(sum([c * image[b] for b, c in u.nums.items()]), u.den * u.den * den)
+            # <h, u> / <u, u> = (H . W_u) / Dh times this scale.
+            done.append((u, image, Fraction(1, u.den * den) / norm))
+            ortho.append(u)
+            norms.append(norm)
 
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 

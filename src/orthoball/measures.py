@@ -30,15 +30,19 @@ the next power of two.  Everything reads this table, on the stored form of f
 and g (integer numerators over denominators Df and Dg, keyed by packed
 monomials, see ``polynomials``):
 
-* ``_bilinear`` pairs the parity-compatible terms and sums c_a c_b M[a + b]
-  into one integer, then makes one Fraction over Df Dg D.  It stays one fused
-  loop rather than "image of f, then dot with g": the sphere products that
-  build harmonic bases are many calls on short polynomials, where building an
-  image dict per call costs more than the pairs it saves.
-* ``moment_images`` computes, for a batch of polynomials p = P / Dp, the
-  integer image W[b] = sum_a P_a M[a + b] at given keys b, so that
-  L(p x^b) = W[b] / (Dp D).  A Gram matrix or a sweep of monomial products
-  then costs one image per polynomial instead of one pair loop per product.
+* ``_image`` is the image kernel: for p = P / Dp it computes the integer
+  W[b] = sum_a P_a M[a + b] at each given key b of a parity that some term of
+  p has, so that L(p x^b) = W[b] / (Dp D); at the other keys W[b] = 0.
+  ``moment_images`` and ``sphere_images`` are batches of it.
+* ``_gram`` is the Gram kernel, G = C W^T as a sparse product.  It indexes
+  the numerators of the polynomials by key, b -> [(j, c_jb)], images each
+  polynomial once, and adds each nonzero W_i[b] c_jb into row i; an entry
+  is one Fraction over Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
+* ``_bilinear`` pairs the parity-compatible terms of one product and sums
+  c_a c_b M[a + b] into one integer, then makes one Fraction over Df Dg D.
+  It serves single products: the basis norms, the ``moments`` suite, and the
+  pairwise cross-checks of the tests, a path to the table independent of
+  the two kernels above.
 
 A monomial moment is the kernel on x^e against 1.
 """
@@ -168,29 +172,93 @@ def _bilinear(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0)
     return Fraction(total, f.den * g.den * table.den)
 
 
+def _batch_dim(polys) -> int:
+    dim = polys[0].dim
+    if any(p.dim != dim for p in polys):
+        raise ValueError("the polynomials must share one dimension")
+    return dim
+
+
+def _image(p: MultiPoly, keys: dict[int, list[int]], table: _Moments) -> dict[int, int]:
+    """W[b] = sum_a P_a M[a + b] for p = P / Dp, at each key b in ``keys`` (parity -> keys)
+    of a parity that some term of p has."""
+    image = {}
+    for parity, terms in _parity_buckets(p).items():
+        for b in keys.get(parity, ()):
+            image[b] = sum([c * table[a + b] for a, c in terms])
+    return image
+
+
+def _images(polys, keys, mu: Fraction, lam: int | Fraction) -> tuple[int, list[dict[int, int]]]:
+    polys, keys = list(polys), list(keys)
+    if not polys:
+        return 1, []
+    dim = _batch_dim(polys)
+    top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
+    table = _moment_table(dim, mu, lam, top)
+    low = _low_bits(dim)
+    by_parity: dict[int, list[int]] = {}
+    for b in keys:
+        by_parity.setdefault(b & low, []).append(b)
+    zeros = dict.fromkeys(keys, 0)
+    return table.den, [{**zeros, **_image(p, by_parity, table)} for p in polys]
+
+
 def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     """The integer moment images of ``polys`` under the ball product plus lam times the sphere
     product: one denominator D and, for each p = P / Dp, the map b -> W[b] = sum_a P_a M[a + b]
     over the packed monomial ``keys`` (as in ``MultiPoly.nums``), so that
     inner_mass(p, x^b, mu, lam) = W[b] / (Dp D).  One table serves the whole batch.
     """
-    mu, lam = _check_mu(mu), _check_lam(lam)
-    polys, keys = list(polys), list(keys)
+    return _images(polys, keys, _check_mu(mu), _check_lam(lam))
+
+
+def sphere_images(polys, keys) -> tuple[int, list[dict[int, int]]]:
+    """moment_images under the normalized sphere product: inner_sphere(p, x^b) = W[b] / (Dp D)."""
+    return _images(polys, keys, _SPHERE_MU, 0)
+
+
+def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
+    polys = list(polys)
     if not polys:
-        return 1, []
-    dim = polys[0].dim
-    if any(p.dim != dim for p in polys):
-        raise ValueError("the polynomials must share one dimension")
-    top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
-    table = _moment_table(dim, mu, lam, top)
+        return []
+    dim = _batch_dim(polys)
+    table = _moment_table(dim, mu, lam, 2 * max(max(p.nums, default=0) for p in polys))
     low = _low_bits(dim)
-    images = []
-    for p in polys:
-        buckets = _parity_buckets(p)
-        images.append({
-            b: sum([c * table[a + b] for a, c in buckets.get(b & low, ())]) for b in keys
-        })
-    return table.den, images
+    n, zero = len(polys), Fraction(0)
+    gram = [[zero] * n for _ in range(n)]
+    # G is symmetric, so row i needs only the columns j >= i: the rows run from the last up,
+    # each against the columns indexed so far.
+    columns: dict[int, list[tuple[int, int]]] = {}  # b -> [(j, c_jb)]
+    keys: dict[int, list[int]] = {}  # parity -> the keys of columns
+    for i in reversed(range(n)):
+        p = polys[i]
+        for b, c in p.nums.items():
+            column = columns.get(b)
+            if column is None:
+                column = columns[b] = []
+                keys.setdefault(b & low, []).append(b)
+            column.append((i, c))
+        row = [0] * n
+        for b, w in _image(p, keys, table).items():
+            if w:
+                for j, c in columns[b]:
+                    row[j] += w * c
+        scale = p.den * table.den
+        for j in range(i, n):
+            if row[j]:
+                gram[i][j] = gram[j][i] = Fraction(row[j], scale * polys[j].den)
+    return gram
+
+
+def mass_gram(polys, mu, lam=0) -> list[list[Fraction]]:
+    """The Gram matrix [inner_mass(f, g, mu, lam)] of ``polys``, from one image per polynomial."""
+    return _gram(polys, _check_mu(mu), _check_lam(lam))
+
+
+def sphere_gram(polys) -> list[list[Fraction]]:
+    """The Gram matrix [inner_sphere(f, g)] of ``polys``, from one image per polynomial."""
+    return _gram(polys, _SPHERE_MU, 0)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:

@@ -344,20 +344,17 @@ def _suite_harmonics(cfg: SuiteConfig, out: _Collector) -> None:
         def each(residual, *args):
             return lambda: ((i, residual(Y, *args)) for i, Y in enumerate(basis().elements))
 
+        def sphere_orthogonality():
+            gram = measures.sphere_gram(basis().elements)
+            return (((i, j), gram[i][j]) for i, j in combinations(range(len(gram)), 2))
+
         out.check(
             "harmonic-dimension",
             p,
             lambda: [(m, len(basis().elements), harmonics.harmonic_space_dim(d, m))],
         )
         out.check("harmonic-laplace", p, each(operators.laplacian))
-        out.check(
-            "harmonic-sphere-orthogonality",
-            p,
-            lambda: (
-                ((i, j), measures.inner_sphere(Y, Z))
-                for (i, Y), (j, Z) in combinations(enumerate(basis().elements), 2)
-            ),
-        )
+        out.check("harmonic-sphere-orthogonality", p, sphere_orthogonality)
         out.check(
             "harmonic-norm-positive",
             p,

@@ -172,6 +172,28 @@ MUTANTS = [
          "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization",
          "sphere-moment-consistency", "unit-mass"},
     ),
+    # Gram-Schmidt coefficients <h, u> without the division by <u, u>: from degree 2 on in
+    # d = 3 the harmonics stop being sphere-orthogonal, and the ball bases built from them
+    # stop being orthogonal.
+    Mutant(
+        "gram-schmidt-drops-norm",
+        "harmonics.py",
+        "            done.append((u, image, Fraction(1, u.den * den) / norm))\n",
+        "            done.append((u, image, Fraction(1, u.den * den)))\n",
+        ["--dim", "3", "--max-degree", "3"],
+        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal",
+         "mass-product-factorization"},
+    ),
+    # A Gram entry over Dj D instead of Di Dj D: the zeros stay zero, but every entry in the
+    # row of an element with a denominator is scaled by it, the diagonal too.
+    Mutant(
+        "gram-entry-drops-row-denominator",
+        "measures.py",
+        "        scale = p.den * table.den\n",
+        "        scale = table.den\n",
+        ["--dim", "3", "--max-degree", "3"],
+        {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
+    ),
     # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
     Mutant(
         "beta-shift",

@@ -60,6 +60,7 @@ class TestBasisProperties:
                     assert Y.is_homogeneous(m)
 
     def test_pairwise_sphere_orthogonality(self):
+        """Gram-Schmidt reads moment images; inner_sphere is the fused single-product kernel."""
         for d in (2, 3):
             for m in range(7):
                 els = harmonic_basis(d, m).elements
@@ -68,6 +69,7 @@ class TestBasisProperties:
                         assert inner_sphere(els[i], els[j]) == 0
 
     def test_recorded_norms(self):
+        """Each norm is read from its element's image; inner_sphere recomputes it pair by pair."""
         basis = harmonic_basis(3, 4)
         for Y, norm in zip(basis.elements, basis.sphere_norms):
             assert norm > 0

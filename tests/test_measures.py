@@ -21,8 +21,11 @@ from orthoball import (
     inner_ball,
     inner_mass,
     inner_sphere,
+    mass_gram,
     moment_images,
     sphere_ball_ratio,
+    sphere_gram,
+    sphere_images,
     sphere_moment,
 )
 from orthoball import measures
@@ -292,6 +295,31 @@ class TestTermwiseOracle:
                                 (b,) = x.nums
                                 assert Q(image[b], f.den * den) == termwise_inner(f, x, moment)
 
+    def test_gram_kernel_entries(self):
+        # Mixed parities and different denominators, two polynomials with disjoint supports
+        # (one polynomial's terms split between them) and the zero polynomial; every prefix
+        # of that list, the empty one too.
+        rng = random.Random(12)
+        for dim in (2, 3, 4, 5):
+            f, g, whole = (_tall_poly(rng, dim, 5, 7) for _ in range(3))
+            terms = sorted(whole.terms.items())
+            left, right = MultiPoly(dim, dict(terms[::2])), MultiPoly(dim, dict(terms[1::2]))
+            polys = [f, left, MultiPoly.zero(dim), right, g]
+            elements = [SimpleNamespace(poly=p) for p in polys]
+            grams = [(lambda n: sphere_gram(polys[:n]), gamma_sphere_moment)]
+            for mu in (Q(-1, 4), Q(1, 2), Q(5, 2)):
+                for lam in (Q(0), self.LAM):
+                    grams.append((
+                        lambda n, mu=mu, lam=lam: gram_matrix(elements[:n], mu, lam),
+                        lambda e, mu=mu, lam=lam: (
+                            gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e)),
+                    ))
+            for gram, moment in grams:
+                moment = cache(moment)
+                expect = [[termwise_inner(a, b, moment) for b in polys] for a in polys]
+                for n in range(len(polys) + 1):
+                    assert gram(n) == [row[:n] for row in expect[:n]]
+
     def test_images_validate_their_functional(self):
         f = MultiPoly.variable(2, 0)
         assert moment_images([], [], Q(1, 2)) == (1, [])
@@ -301,6 +329,15 @@ class TestTermwiseOracle:
             moment_images([f], f.nums, Q(1, 2), Q(-1, 3))
         with pytest.raises(ValueError):
             moment_images([f, MultiPoly.variable(3, 0)], f.nums, Q(1, 2))
+        assert sphere_images([], []) == (1, [])
+        assert mass_gram([], Q(1, 2)) == sphere_gram([]) == []
+        with pytest.raises(ValueError):
+            mass_gram([f], Q(-1, 2))
+        with pytest.raises(ValueError):
+            mass_gram([f], Q(1, 2), Q(-1, 3))
+        for gram in (lambda ps: mass_gram(ps, Q(1, 2)), sphere_gram):
+            with pytest.raises(ValueError):
+                gram([f, MultiPoly.variable(3, 0)])
 
     def test_dimension_mismatch_raises(self):
         f, g = MultiPoly.constant(2, 1), MultiPoly.variable(3, 0)

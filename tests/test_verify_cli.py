@@ -2,11 +2,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as Q
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from orthoball import bases, jacobi, measures, operators, verify
+from orthoball import bases, harmonics, jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -97,13 +98,13 @@ class TestRunSuites:
         assert records and all(r.status == STATUS_SKIP for r in records)
 
     def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
-        real_images, real_inner, real_gram = bases.moment_images, measures.inner_mass, bases.gram_matrix
+        real_image, real_inner, real_gram = measures._image, measures.inner_mass, bases.gram_matrix
         imaged, inner_in_gram, in_gram = [], [], []
 
-        def images(polys, keys, *args, **kwargs):
-            polys = list(polys)
-            imaged.extend(p.canonical() for p in polys)
-            return real_images(polys, keys, *args, **kwargs)
+        def image(p, *args):
+            if in_gram:
+                imaged.append(p.canonical())
+            return real_image(p, *args)
 
         def inner(*args, **kwargs):
             if in_gram:
@@ -117,7 +118,7 @@ class TestRunSuites:
             finally:
                 in_gram.pop()
 
-        monkeypatch.setattr(bases, "moment_images", images)
+        monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(bases, "inner_mass", inner)
         monkeypatch.setattr(measures, "inner_mass", inner)
         monkeypatch.setattr(bases, "gram_matrix", gram)
@@ -128,6 +129,48 @@ class TestRunSuites:
         assert len(imaged) == 6
         assert len(set(imaged)) == len(imaged)
         assert inner_in_gram == []
+
+    def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
+        real_image, real_bilinear = measures._image, measures._bilinear
+        real_check = verify._Collector.check
+        imaged, products, per_check = [], [], []
+
+        def image(p, *args):
+            imaged.append(p.canonical())
+            return real_image(p, *args)
+
+        def bilinear(*args):
+            products.append(args)
+            return real_bilinear(*args)
+
+        def check(self, identity, params, producer):
+            before = len(imaged)
+            real_check(self, identity, params, producer)
+            per_check.append((identity, params["degree"], imaged[before:]))
+
+        monkeypatch.setattr(measures, "_image", image)
+        monkeypatch.setattr(measures, "_bilinear", bilinear)
+        monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
+        monkeypatch.setattr(verify._Collector, "check", check)
+        # A cleared cache: every basis is built inside the run.
+        build = cache(harmonics.harmonic_basis.__wrapped__)
+        monkeypatch.setattr(harmonics, "harmonic_basis", build)
+
+        basis = harmonics.harmonic_basis(4, 4)
+        assert sorted(imaged) == sorted(Y.canonical() for Y in basis.elements)
+        imaged.clear()
+        cfg = SuiteConfig(suites=("harmonics",), **dict(SMALL, dim=3, max_degree=4))
+        records = run_suites(cfg)
+        assert records and all(r.status != STATUS_FAIL for r in records)
+        assert products == []
+        # Degree m: Gram-Schmidt, inside the first check, images each element once, and so
+        # does the one sphere Gram that the orthogonality check reads.
+        for m in range(cfg.max_degree + 1):
+            elements = sorted(Y.canonical() for Y in harmonics.harmonic_basis(3, m).elements)
+            images = {identity: sorted(ims) for identity, degree, ims in per_check if degree == m}
+            assert images.pop("harmonic-dimension") == elements
+            assert images.pop("harmonic-sphere-orthogonality") == elements
+            assert all(ims == [] for ims in images.values())
 
     def test_pointmass_gram_schmidt_computes_one_norm_per_vector(self, monkeypatch):
         real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
