@@ -11,7 +11,15 @@ and a harmonic factor of degree n - 2k, indexed by (n, k, nu) with
 
 Harmonic factors come from harmonic_basis in its deterministic order, so nu is
 a stable positional index (0-based).  Elements are kept orthogonal rather than
-orthonormal; squared norms are recorded.
+orthonormal; squared norms are recorded, each from the product form (Dunkl &
+Xu, Orthogonal Polynomials of Several Variables, section 5.2): with radial
+factor q_k, harmonic Y of degree m = n - 2k and alpha = mu - 1/2,
+
+    classical: ||P||^2 = c_m <P_k, P_k>_(alpha, beta_k) <Y, Y>_sphere,
+               c_m = (d/2)_m / ((d+1)/2 + mu)_m
+    mass:      ||Q||^2 = inner_jacobi_mass(q_k, q_k) <Y, Y>_sphere
+
+so a basis build makes no product on the ball.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .exact_gamma import rising_factorial
 from .harmonics import harmonic_basis
-from .jacobi import FOURTH_ORDER_MU, _point_mass, jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue
-from .measures import _check_mu, inner_ball, inner_mass, mass_gram
-from .polynomials import MultiPoly, as_fraction, fraction_text, substitute_radial
+from .jacobi import (FOURTH_ORDER_MU, _point_mass, inner_jacobi_mass, jacobi_inner,
+                     jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue)
+from .measures import _check_mu, mass_gram
+from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
 
 
 def beta_shift(n: int, k: int, dim: int) -> Fraction:
@@ -63,33 +73,33 @@ class BallBasisElement:
     kind: str  # "classical" or "lambda"
     sq_norm: Fraction
     harmonic_sq_norm: Fraction
+    radial: UniPoly  # the radial factor, in t = 2*||x||^2 - 1
 
 
-def _assemble(n, dim, radial_for_k, kind, norm_of) -> tuple[BallBasisElement, ...]:
+def _assemble(n, dim, kind, radial_for_k) -> tuple[BallBasisElement, ...]:
+    # radial_for_k(k) is the radial factor and its univariate weight, ||P||^2 / <Y, Y>_sphere.
     out = []
     for k in range(n // 2 + 1):
-        harmonic_degree = n - 2 * k
-        radial = substitute_radial(radial_for_k(k), dim)
-        hb = harmonic_basis(dim, harmonic_degree)
+        q, weight = radial_for_k(k)
+        radial = substitute_radial(q, dim)
+        hb = harmonic_basis(dim, n - 2 * k)
         for nu, (Y, y_norm) in enumerate(zip(hb.elements, hb.sphere_norms)):
-            poly = radial * Y
             index = BasisIndex(n, k, nu, beta_shift(n, k, dim))
-            out.append(
-                BallBasisElement(index, poly, kind, norm_of(poly), y_norm)
-            )
+            out.append(BallBasisElement(index, radial * Y, kind, weight * y_norm, y_norm, q))
     return tuple(out)
 
 
 @cache
 def _classical_basis(n: int, dim: int, mu: Fraction) -> tuple[BallBasisElement, ...]:
     alpha = mu - Fraction(1, 2)
-    return _assemble(
-        n,
-        dim,
-        lambda k: jacobi_polynomial(k, alpha, beta_shift(n, k, dim)),
-        "classical",
-        lambda poly: inner_ball(poly, poly, mu),
-    )
+
+    def radial(k):
+        beta, m = beta_shift(n, k, dim), n - 2 * k
+        p = jacobi_polynomial(k, alpha, beta)
+        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim + 1, 2) + mu, m)
+        return p, c_m * jacobi_inner(p, p, alpha, beta)
+
+    return _assemble(n, dim, "classical", radial)
 
 
 def classical_basis(n: int, dim: int, mu) -> tuple[BallBasisElement, ...]:
@@ -104,13 +114,13 @@ def classical_basis(n: int, dim: int, mu) -> tuple[BallBasisElement, ...]:
 @cache
 def _mass_basis(n: int, dim: int, mu: Fraction, lam: Fraction) -> tuple[BallBasisElement, ...]:
     alpha = mu - Fraction(1, 2)
-    return _assemble(
-        n,
-        dim,
-        lambda k: mass_orthogonal_poly(k, alpha, beta_shift(n, k, dim), lam, dim),
-        "lambda",
-        lambda poly: inner_mass(poly, poly, mu, lam),
-    )
+
+    def radial(k):
+        beta = beta_shift(n, k, dim)
+        q = mass_orthogonal_poly(k, alpha, beta, lam, dim)
+        return q, inner_jacobi_mass(q, q, alpha, beta, lam, dim)
+
+    return _assemble(n, dim, "lambda", radial)
 
 
 def mass_basis(n: int, dim: int, mu, lam) -> tuple[BallBasisElement, ...]:

@@ -40,9 +40,9 @@ monomials, see ``polynomials``):
   is one Fraction over Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
 * ``_bilinear`` pairs the parity-compatible terms of one product and sums
   c_a c_b M[a + b] into one integer, then makes one Fraction over Df Dg D.
-  It serves single products: the basis norms, the ``moments`` suite, and the
-  pairwise cross-checks of the tests, a path to the table independent of
-  the two kernels above.
+  It serves single products: the ``moments`` suite and the pairwise
+  cross-checks of the tests, a path to the table independent of the two
+  kernels above.
 
 A monomial moment is the kernel on x^e against 1.
 """

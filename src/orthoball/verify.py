@@ -33,18 +33,6 @@ from . import bases, harmonics, jacobi, measures, operators
 from .exact_gamma import rising_factorial
 from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, pack, substitute_radial
 
-SUITE_NAMES = (
-    "jacobi",
-    "krall1d",
-    "harmonics",
-    "moments",
-    "classical-orthogonality",
-    "lambda-orthogonality",
-    "d-mu-eigen",
-    "connection",
-    "fourth-order",
-)
-
 STATUS_ZERO = "exact-zero"
 STATUS_MATCH = "exact-match"
 STATUS_FAIL = "FAIL"
@@ -523,13 +511,6 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     els = partial(_elements, cfg, bases.mass_basis, cfg.mu, cfg.lam)
     gram = cache(lambda: bases.gram_matrix(els(), cfg.mu, cfg.lam))
 
-    @cache
-    def radial_factor(k, beta):
-        return jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim)
-
-    def radial(el):
-        return radial_factor(el.index.k, el.index.beta_k)
-
     def harmonic(el):
         return (el.index.n - 2 * el.index.k, el.index.nu)
 
@@ -540,7 +521,7 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
                 rhs = Fraction(0)
                 if harmonic(a) == harmonic(b):
                     product = jacobi.inner_jacobi_mass(
-                        radial(a), radial(b), alpha, a.index.beta_k, cfg.lam, cfg.dim
+                        a.radial, b.radial, alpha, a.index.beta_k, cfg.lam, cfg.dim
                     )
                     rhs = product * a.harmonic_sq_norm
                 yield _key(a) + _key(b), entries[i][j] - rhs
@@ -675,6 +656,8 @@ _SUITES = {
         "the fourth-order eigen-equation", ("dim", "mu"),
     ),
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(cfg: SuiteConfig) -> list[CheckRecord]:

@@ -89,7 +89,9 @@ class TestClassicalBasis:
                 assert all((sum(e) - n) % 2 == 0 for e in el.poly.terms)
 
     def test_gram_diagonal(self):
-        for d, mu in [(2, Q(1, 2)), (2, Q(3, 2)), (3, Q(1))]:
+        # Non-integer alpha = mu - 1/2 too: the norm factor c_m is rational for every mu.
+        cases = [(2, Q(1, 2)), (2, Q(3, 2)), (3, Q(1)), (3, Q(1, 3)), (4, Q(-1, 4)), (2, Q(5, 2))]
+        for d, mu in cases:
             els = [el for n in range(5) for el in classical_basis(n, d, mu)]
             gram = gram_matrix(els, mu)
             for i in range(len(els)):
@@ -127,8 +129,10 @@ class TestMassBasis:
         for d in (2, 3):
             for lam in (Q(1, 4), Q(1, 2)):
                 els = [el for n in range(5) for el in mass_basis(n, d, Q(1, 2), lam)]
+                gram = gram_matrix(els, Q(1, 2), lam)
                 for i in range(len(els)):
                     assert els[i].sq_norm > 0
+                    assert gram[i][i] == els[i].sq_norm
                     for j in range(i + 1, len(els)):
                         assert (
                             inner_mass(els[i].poly, els[j].poly, Q(1, 2), lam) == 0

@@ -106,24 +106,27 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift"},
     ),
-    # The sphere part of R(s) shifted by one step: only the mass product reads lam times it.
+    # The sphere part of R(s) shifted by one step: only the mass product reads lam times it,
+    # and the mass Gram diagonal no longer equals the norm of the product form.
     Mutant(
         "radial-sphere-part",
         "measures.py",
         "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)\n",
         "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim + 2)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"mass-gram-offdiagonal", "mass-product-factorization"},
+        {"mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization"},
     ),
     # The ball part of R(s) at mu + 1/2: every ball product, and the sphere at mu = -1/2.
+    # Both Gram diagonals see it against the norms of the product form.
     Mutant(
         "radial-ball-part",
         "measures.py",
         "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)\n",
         "    return 1 / part(dim + 2 * mu + 2) + lam / part(dim)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
-         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+        {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
+         "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
+         "mass-product-factorization", "sphere-moment-consistency"},
     ),
     # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big: from degree 2
     # on h_e is not harmonic: both harmonic identities fail, and with them most checks on
@@ -145,8 +148,9 @@ MUTANTS = [
         "        n *= prod(range((packed & _FIELD_MASK) - 1, 0, -2))\n",
         "        n *= prod(range((packed & _FIELD_MASK) + 1, 0, -2))\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
-         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+        {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
+         "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
+         "mass-product-factorization", "sphere-moment-consistency"},
     ),
     # The moment table reads r at the total degree 2|a| instead of the half-degree |a|, and
     # sizes itself by the same shift: every ball and sphere moment past degree 0.
@@ -156,21 +160,22 @@ MUTANTS = [
         "    return packed >> (dim * _FIELD + 1)\n",
         "    return packed >> (dim * _FIELD)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
-         "mass-gram-offdiagonal", "mass-product-factorization", "sphere-moment-consistency"},
+        {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
+         "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
+         "mass-product-factorization", "sphere-moment-consistency"},
     ),
     # A regrown moment table that keeps the entries of the table it replaces, each still on
-    # the old common denominator: products read before and after a regrow disagree, so the
-    # mass Gram diagonal stops matching the norm recorded when the basis was built.
+    # the old common denominator: products read before and after a regrow disagree, so
+    # neither Gram diagonal matches the norm of the product form.
     Mutant(
         "moment-table-stale-entries",
         "measures.py",
         "        super().__init__()\n",
         "        super().__init__(_TABLES.get((dim, mu, lam), ()))\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
-         "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization",
-         "sphere-moment-consistency", "unit-mass"},
+        {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
+         "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
+         "mass-product-factorization", "sphere-moment-consistency", "unit-mass"},
     ),
     # Gram-Schmidt coefficients <h, u> without the division by <u, u>: from degree 2 on in
     # d = 3 the harmonics stop being sphere-orthogonal, and the ball bases built from them
@@ -201,9 +206,10 @@ MUTANTS = [
         "    return Fraction(2 * (n - 2 * k) + dim - 2, 2)\n",
         "    return Fraction(2 * (n - 2 * k) + dim, 2)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
-         "connection-backward", "connection-forward", "connection-radial", "eigenvalue-forms",
-         "fourth-order-eigen", "mass-gram-offdiagonal", "mass-product-factorization"},
+        {"classical-gram-diagonal", "classical-gram-offdiagonal", "classical-lower-degree",
+         "classical-second-order-eigen", "connection-backward", "connection-forward",
+         "connection-radial", "eigenvalue-forms", "fourth-order-eigen", "mass-gram-diagonal",
+         "mass-gram-offdiagonal", "mass-product-factorization"},
     ),
     # The point-mass shift a_k with k (k + alpha + beta + 2) for k (k + alpha + beta + 1).
     Mutant(
@@ -215,6 +221,26 @@ MUTANTS = [
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
          "pointmass-type-agreement"},
+    ),
+    # The denominator (d/2 + mu + 1/2)_m of the classical norm factor c_m at d/2 + mu: each
+    # classical norm with a harmonic of degree m >= 1 is wrong, and only the Gram diagonal
+    # compares it with a product on the ball.
+    Mutant(
+        "classical-norm-factor",
+        "bases.py",
+        "        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim + 1, 2) + mu, m)\n",
+        "        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim, 2) + mu, m)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-gram-diagonal"},
+    ),
+    # The mass norm's radial product at coupling 2 lam: the basis is right, its norms are not.
+    Mutant(
+        "mass-norm-coupling",
+        "bases.py",
+        "        return q, inner_jacobi_mass(q, q, alpha, beta, lam, dim)\n",
+        "        return q, inner_jacobi_mass(q, q, alpha, beta, 2 * lam, dim)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"mass-gram-diagonal"},
     ),
 ]
 

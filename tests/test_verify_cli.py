@@ -119,7 +119,6 @@ class TestRunSuites:
                 in_gram.pop()
 
         monkeypatch.setattr(measures, "_image", image)
-        monkeypatch.setattr(bases, "inner_mass", inner)
         monkeypatch.setattr(measures, "inner_mass", inner)
         monkeypatch.setattr(bases, "gram_matrix", gram)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
@@ -171,6 +170,24 @@ class TestRunSuites:
             assert images.pop("harmonic-dimension") == elements
             assert images.pop("harmonic-sphere-orthogonality") == elements
             assert all(ims == [] for ims in images.values())
+
+    def test_basis_builds_make_no_ball_product(self, monkeypatch):
+        real_bilinear = measures._bilinear
+        products = []
+
+        def bilinear(*args):
+            products.append(args)
+            return real_bilinear(*args)
+
+        monkeypatch.setattr(measures, "_bilinear", bilinear)
+        # Cleared caches: every basis is built inside the test.
+        for name in ("_classical_basis", "_mass_basis"):
+            monkeypatch.setattr(bases, name, cache(getattr(bases, name).__wrapped__))
+        classical = [el for n in range(5) for el in bases.classical_basis(n, 3, Q(1, 2))]
+        mass = [el for n in range(5) for el in bases.mass_basis(n, 3, Q(1, 2), Q(1, 4))]
+        # 35 elements of each kind through degree 4 in d = 3, each norm from the product form.
+        assert len(classical) == len(mass) == 35
+        assert products == []
 
     def test_pointmass_gram_schmidt_computes_one_norm_per_vector(self, monkeypatch):
         real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
