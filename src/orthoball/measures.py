@@ -26,25 +26,21 @@ of the Jacobi moment table in ``jacobi``: with R(0..S-1) over one common
 denominator D as integers r_s, it maps the packed key of each even monomial
 x^(2a) to M = N(a) r_|a|, so L(x^(2a)) = M / D.  Entries are filled on first
 read; a product of half-degree S or more rebuilds the table, with a new D, at
-the next power of two.  Everything reads this table, on the stored form of f
-and g (integer numerators over denominators Df and Dg, keyed by packed
-monomials, see ``polynomials``):
+the next power of two.  A monomial moment is its table entry over D, or zero
+when an exponent is odd.  Every product reads the table through two kernels,
+on the stored form of f and g (integer numerators over denominators Df and
+Dg, keyed by packed monomials, see ``polynomials``):
 
 * ``_image`` is the image kernel: for p = P / Dp it computes the integer
   W[b] = sum_a P_a M[a + b] at each given key b of a parity that some term of
   p has, so that L(p x^b) = W[b] / (Dp D); at the other keys W[b] = 0.
-  ``moment_images`` and ``sphere_images`` are batches of it.
+  ``moment_images`` and ``sphere_images`` are batches of it, and a single
+  product is the image of f at the keys of g dotted with g's numerators G:
+  L(f g) = (G . W_f) / (Df Dg D).
 * ``_gram`` is the Gram kernel, G = C W^T as a sparse product.  It indexes
   the numerators of the polynomials by key, b -> [(j, c_jb)], images each
   polynomial once, and adds each nonzero W_i[b] c_jb into row i; an entry
   is one Fraction over Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
-* ``_bilinear`` pairs the parity-compatible terms of one product and sums
-  c_a c_b M[a + b] into one integer, then makes one Fraction over Df Dg D.
-  It serves single products: the ``moments`` suite and the pairwise
-  cross-checks of the tests, a path to the table independent of the two
-  kernels above.
-
-A monomial moment is the kernel on x^e against 1.
 """
 
 from __future__ import annotations
@@ -54,7 +50,8 @@ from functools import cache
 from math import factorial, prod
 
 from .exact_gamma import ExactnessError, rising_factorial
-from .polynomials import _FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction, integer_numerators
+from .polynomials import (_FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction,
+                          integer_numerators, pack)
 
 # Normalized surface measure is the ball weight at mu = -1/2, a limit that _check_mu rejects.
 _SPHERE_MU = Fraction(-1, 2)
@@ -117,25 +114,18 @@ def _moment_table(dim: int, mu: Fraction, lam: int | Fraction, top: int) -> _Mom
     return table
 
 
-def _parity_buckets(f: MultiPoly) -> dict[int, list[tuple[int, int]]]:
-    # Moments vanish unless exponents match parity componentwise: x^a pairs with x^b iff
-    # their keys agree on the lowest bit of every field.
-    low = _low_bits(f.dim)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for k, c in f.nums.items():
-        buckets.setdefault(k & low, []).append((k, c))
-    return buckets
-
-
-def _monomial(exps) -> MultiPoly:
-    exps = as_exponents(exps)
-    return MultiPoly(len(exps), {exps: 1})
+def _moment(exps, mu: Fraction) -> Fraction:
+    """L(x^exps) at (mu, lam = 0): its table entry over D, or zero when an exponent is odd."""
+    packed = pack(exps)
+    if packed & _low_bits(len(exps)):
+        return Fraction(0)
+    table = _moment_table(len(exps), mu, 0, packed)
+    return Fraction(table[packed], table.den)
 
 
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
-    x = _monomial(exps)
-    return _bilinear(x, MultiPoly.constant(x.dim, 1), _SPHERE_MU)
+    return _moment(as_exponents(exps), _SPHERE_MU)
 
 
 def _check_mu(mu) -> Fraction:
@@ -154,22 +144,7 @@ def _check_lam(lam) -> Fraction:
 
 def ball_moment(exps, mu) -> Fraction:
     """Normalized weighted-ball moment of x^exps: sphere moment times a Beta-ratio."""
-    x = _monomial(exps)
-    return _bilinear(x, MultiPoly.constant(x.dim, 1), _check_mu(mu))
-
-
-def _bilinear(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) -> Fraction:
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    table = _moment_table(f.dim, mu, lam, max(f.nums, default=0) + max(g.nums, default=0))
-    buckets = _parity_buckets(g)
-    low = _low_bits(f.dim)
-    total = 0
-    for ka, ca in f.nums.items():
-        bucket = buckets.get(ka & low)
-        if bucket:
-            total += ca * sum([cb * table[ka + kb] for kb, cb in bucket])
-    return Fraction(total, f.den * g.den * table.den)
+    return _moment(as_exponents(exps), _check_mu(mu))
 
 
 def _batch_dim(polys) -> int:
@@ -182,8 +157,14 @@ def _batch_dim(polys) -> int:
 def _image(p: MultiPoly, keys: dict[int, list[int]], table: _Moments) -> dict[int, int]:
     """W[b] = sum_a P_a M[a + b] for p = P / Dp, at each key b in ``keys`` (parity -> keys)
     of a parity that some term of p has."""
+    # Moments vanish unless exponents match parity componentwise: x^a pairs with x^b iff
+    # their keys agree on the lowest bit of every field.
+    low = _low_bits(p.dim)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for a, c in p.nums.items():
+        buckets.setdefault(a & low, []).append((a, c))
     image = {}
-    for parity, terms in _parity_buckets(p).items():
+    for parity, terms in buckets.items():
         for b in keys.get(parity, ()):
             image[b] = sum([c * table[a + b] for a, c in terms])
     return image
@@ -261,14 +242,21 @@ def sphere_gram(polys) -> list[list[Fraction]]:
     return _gram(polys, _SPHERE_MU, 0)
 
 
+def _inner(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) -> Fraction:
+    """L(f g) = (G . W_f) / (Df Dg D): f imaged at the keys of g, dotted with g's numerators."""
+    _batch_dim([f, g])
+    den, (image,) = _images([f], g.nums, mu, lam)
+    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), f.den * g.den * den)
+
+
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:
     """Normalized sphere inner product: the average of f*g over the unit sphere."""
-    return _bilinear(f, g, _SPHERE_MU)
+    return _inner(f, g, _SPHERE_MU)
 
 
 def inner_ball(f: MultiPoly, g: MultiPoly, mu) -> Fraction:
     """Normalized weighted-ball inner product of f and g."""
-    return _bilinear(f, g, _check_mu(mu))
+    return _inner(f, g, _check_mu(mu))
 
 
 def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
@@ -276,7 +264,7 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
 
     lam = 0 degrades to the plain ball product.
     """
-    return _bilinear(f, g, _check_mu(mu), _check_lam(lam))
+    return _inner(f, g, _check_mu(mu), _check_lam(lam))
 
 
 def sphere_ball_ratio(dim: int, mu) -> Fraction:

@@ -127,8 +127,8 @@ def test_criterion_3_univariate_connection():
 
 
 def test_criterion_4_harmonics():
-    """The bases are built from moment images; the pairwise inner_sphere below runs the fused
-    single-product kernel, an independent path through the same moment table."""
+    """The bases are built from moment images, and so is each inner_sphere below;
+    tests/test_measures.py::TestTermwiseOracle pins those images to Gamma-form moments."""
     with _Budget("criterion 4: harmonic bases for d in {2,3,4}, degrees through 8", 30):
         rng = random.Random(1)
         for d in (2, 3, 4):

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import pytest
 
+from orthoball.verify import _IDENTITIES
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -242,7 +244,127 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"mass-gram-diagonal"},
     ),
+    # A single product over Dg D instead of Df Dg D: zeros stay zero and unit-mass and
+    # positivity read polynomials over 1, so only the symmetry of random rational pairs sees it.
+    Mutant(
+        "product-drops-left-denominator",
+        "measures.py",
+        "    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), f.den * g.den * den)\n",
+        "    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), g.den * den)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"product-symmetry"},
+    ),
+    # The (n + a - 1) of the low term of the Jacobi three-term recurrence at (n + a): from
+    # degree 2 on P_n is neither normalized nor a solution of its ODE, and every radial
+    # family built on it breaks with it.  P_2 moves by a constant, which d/dt does not see,
+    # so the derivative identity needs degree 3.
+    Mutant(
+        "jacobi-recurrence-low-term",
+        "jacobi.py",
+        "    low = 2 * (n + a - 1) * (n + b - 1) * s * _jacobi(n - 2, a, b)\n",
+        "    low = 2 * (n + a) * (n + b - 1) * s * _jacobi(n - 2, a, b)\n",
+        ["--dim", "2", "--max-degree", "3", "--suites", "jacobi,krall1d"],
+        {"jacobi-derivative", "jacobi-normalization", "jacobi-ode", "pointmass-gram-schmidt",
+         "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # The (b+1)(1-t) d/dt term of the univariate connection operator at (b+2): P_k no longer
+    # maps to q_k, its integration by parts fails with it, and so does the ball lift.
+    Mutant(
+        "connection-op-first-order",
+        "jacobi.py",
+        "    return mass * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 1) * UniPoly([1, -1]) * df\n",
+        "    return mass * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 2) * UniPoly([1, -1]) * df\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-lift", "connection-univariate", "parts-identity"},
+    ),
+    # The Pochhammer ratio 2 (a)_b / (b-1)! from a + 1: only the mass ratio reads it.
+    Mutant(
+        "sphere-ball-ratio-base",
+        "measures.py",
+        "            return 2 * rising_factorial(a, b.numerator) / factorial(b.numerator - 1)\n",
+        "            return 2 * rising_factorial(a + 1, b.numerator) / factorial(b.numerator - 1)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"sphere-ball-ratio"},
+    ),
+    # The subtracted binomial C(m+d-3, d-1) of dim H_m at d-2: only the count of the built
+    # basis is compared with the formula.
+    Mutant(
+        "harmonic-dimension-binomial",
+        "harmonics.py",
+        "    second = comb(degree + dim - 3, dim - 1) if degree + dim - 3 >= 0 else 0\n",
+        "    second = comb(degree + dim - 3, dim - 2) if degree + dim - 3 >= 0 else 0\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"harmonic-dimension"},
+    ),
+    # Each recorded sphere norm with the wrong sign: the harmonics are right, but every norm
+    # of the product form that reads <Y, Y>_sphere is negated with it.
+    Mutant(
+        "harmonic-norm-sign",
+        "harmonics.py",
+        "            norms.append(norm)\n",
+        "            norms.append(-norm)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-gram-diagonal", "harmonic-norm-positive", "mass-gram-diagonal",
+         "mass-product-factorization"},
+    ),
+    # The sphere part of R(s) subtracted: the mass product is no longer positive on the
+    # monomials of degree 4, and the ball and sphere products alone are unchanged.
+    Mutant(
+        "radial-sphere-sign",
+        "measures.py",
+        "    return 1 / part(dim + 2 * mu + 1) + lam / part(dim)\n",
+        "    return 1 / part(dim + 2 * mu + 1) - lam / part(dim)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization",
+         "product-positivity", "unit-mass"},
+    ),
+    # A basis of degree n without its top radial index k = n // 2: what is left is still
+    # orthogonal and still solves every eigen-identity, so only the count sees it.
+    Mutant(
+        "basis-drops-top-radial",
+        "bases.py",
+        "    for k in range(n // 2 + 1):\n",
+        "    for k in range(n // 2):\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-dimension"},
+    ),
+    # q_k = a_k P_k - (1+t) P_k' without the derivative: degree k + 1, and every check on
+    # the point-mass family and on the mass basis built from it fails.
+    Mutant(
+        "pointmass-drops-derivative",
+        "jacobi.py",
+        "    return a_k * p - UniPoly([1, 1]) * p.derivative()\n",
+        "    return a_k * p - UniPoly([1, 1]) * p\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
+         "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
+         "pointmass-orthogonality", "pointmass-type-agreement"},
+    ),
+    # The Euler operator scales each grade by its degree plus one (the last line of its file,
+    # which has no newline).
+    Mutant(
+        "euler-op-degree",
+        "polynomials.py",
+        "    return MultiPoly._make(p.dim, p.den, {k: n * (k >> shift) for k, n in p.nums.items()})",
+        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) + 1) for k, n in p.nums.items()})",
+        ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
+        {"euler-identity", "laplace-beltrami-eigen", "polar-decomposition"},
+    ),
 ]
+
+
+# The identities that no row kills, each with the reason no one-line fault can.
+UNKILLED = {
+    "fourth-order-negative-control":
+        "1 + x1 leaves a zero residual only if the operator gives 1 and x1 one eigenvalue and "
+        "Lambda(1, 0) equals it: two faults at once",
+}
+
+
+def test_every_identity_is_killed_or_named():
+    killed = set().union(*(m.fails for m in MUTANTS))
+    assert killed <= set(_IDENTITIES)
+    assert set(_IDENTITIES) - killed == set(UNKILLED)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

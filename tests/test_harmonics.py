@@ -1,10 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction as Q
+from functools import cache
 from math import comb
 from pathlib import Path
 
 import pytest
+from oracles import gamma_sphere_moment, termwise_inner
 
 from orthoball import (
     MultiPoly,
@@ -34,6 +36,14 @@ def basis_digest(dim: int, degree: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_gamma_sphere = cache(gamma_sphere_moment)
+
+
+def oracle_sphere(f: MultiPoly, g: MultiPoly) -> Q:
+    """The sphere product term by term over Gamma-form moments: no moment table, no image."""
+    return termwise_inner(f, g, _gamma_sphere)
+
+
 def golden_lines() -> list[str]:
     return [f"{d} {m} {basis_digest(d, m)}" for d in range(2, 7) for m in range(7)]
 
@@ -60,20 +70,20 @@ class TestBasisProperties:
                     assert Y.is_homogeneous(m)
 
     def test_pairwise_sphere_orthogonality(self):
-        """Gram-Schmidt reads moment images; inner_sphere is the fused single-product kernel."""
+        """Gram-Schmidt reads moment images; the oracle sums Gamma-form moments term by term."""
         for d in (2, 3):
             for m in range(7):
                 els = harmonic_basis(d, m).elements
                 for i in range(len(els)):
                     for j in range(i + 1, len(els)):
-                        assert inner_sphere(els[i], els[j]) == 0
+                        assert oracle_sphere(els[i], els[j]) == 0
 
     def test_recorded_norms(self):
-        """Each norm is read from its element's image; inner_sphere recomputes it pair by pair."""
+        """Each norm is read from its element's image; the oracle recomputes it term by term."""
         basis = harmonic_basis(3, 4)
         for Y, norm in zip(basis.elements, basis.sphere_norms):
             assert norm > 0
-            assert inner_sphere(Y, Y) == norm
+            assert oracle_sphere(Y, Y) == norm
 
     def test_cross_degree_orthogonality(self):
         for m1 in range(5):

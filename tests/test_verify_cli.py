@@ -130,7 +130,7 @@ class TestRunSuites:
         assert inner_in_gram == []
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
-        real_image, real_bilinear = measures._image, measures._bilinear
+        real_image, real_inner = measures._image, measures._inner
         real_check = verify._Collector.check
         imaged, products, per_check = [], [], []
 
@@ -138,9 +138,9 @@ class TestRunSuites:
             imaged.append(p.canonical())
             return real_image(p, *args)
 
-        def bilinear(*args):
+        def inner(*args):
             products.append(args)
-            return real_bilinear(*args)
+            return real_inner(*args)
 
         def check(self, identity, params, producer):
             before = len(imaged)
@@ -148,7 +148,7 @@ class TestRunSuites:
             per_check.append((identity, params["degree"], imaged[before:]))
 
         monkeypatch.setattr(measures, "_image", image)
-        monkeypatch.setattr(measures, "_bilinear", bilinear)
+        monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
         monkeypatch.setattr(verify._Collector, "check", check)
         # A cleared cache: every basis is built inside the run.
@@ -172,14 +172,14 @@ class TestRunSuites:
             assert all(ims == [] for ims in images.values())
 
     def test_basis_builds_make_no_ball_product(self, monkeypatch):
-        real_bilinear = measures._bilinear
+        real_inner = measures._inner
         products = []
 
-        def bilinear(*args):
+        def inner(*args):
             products.append(args)
-            return real_bilinear(*args)
+            return real_inner(*args)
 
-        monkeypatch.setattr(measures, "_bilinear", bilinear)
+        monkeypatch.setattr(measures, "_inner", inner)
         # Cleared caches: every basis is built inside the test.
         for name in ("_classical_basis", "_mass_basis"):
             monkeypatch.setattr(bases, name, cache(getattr(bases, name).__wrapped__))
