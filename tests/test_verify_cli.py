@@ -130,7 +130,7 @@ class TestRunSuites:
         assert inner_in_gram == []
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
-        real_image, real_inner = measures._image, measures._inner
+        real_image, real_inner, real_moment = measures._image, measures._inner, measures._moment
         real_check = verify._Collector.check
         imaged, products, per_check = [], [], []
 
@@ -142,6 +142,10 @@ class TestRunSuites:
             products.append(args)
             return real_inner(*args)
 
+        def moment(*args):
+            products.append(args)
+            return real_moment(*args)
+
         def check(self, identity, params, producer):
             before = len(imaged)
             real_check(self, identity, params, producer)
@@ -149,6 +153,7 @@ class TestRunSuites:
 
         monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(measures, "_inner", inner)
+        monkeypatch.setattr(measures, "_moment", moment)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
         monkeypatch.setattr(verify._Collector, "check", check)
         # A cleared cache: every basis is built inside the run.
@@ -172,14 +177,19 @@ class TestRunSuites:
             assert all(ims == [] for ims in images.values())
 
     def test_basis_builds_make_no_ball_product(self, monkeypatch):
-        real_inner = measures._inner
+        real_inner, real_moment = measures._inner, measures._moment
         products = []
 
         def inner(*args):
             products.append(args)
             return real_inner(*args)
 
+        def moment(*args):
+            products.append(args)
+            return real_moment(*args)
+
         monkeypatch.setattr(measures, "_inner", inner)
+        monkeypatch.setattr(measures, "_moment", moment)
         # Cleared caches: every basis is built inside the test.
         for name in ("_classical_basis", "_mass_basis"):
             monkeypatch.setattr(bases, name, cache(getattr(bases, name).__wrapped__))
