@@ -1,4 +1,4 @@
-"""Exact spherical harmonics: nullspace bases, orthogonality, and the angular Laplacian.
+"""Exact spherical harmonics: closed-form bases, orthogonality, and the angular Laplacian.
 
 Run with:  python demos/harmonics_tour.py
 """

@@ -16,7 +16,6 @@ from .bases import (
     beta_shift,
     classical_basis,
     find_element,
-    gram_matrix,
     mass_basis,
     mass_parameter,
     sphere_coupling,

@@ -33,7 +33,7 @@ from .exact_gamma import rising_factorial
 from .harmonics import harmonic_basis
 from .jacobi import (FOURTH_ORDER_MU, _point_mass, inner_jacobi_mass, jacobi_inner,
                      jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue)
-from .measures import _check_mu, mass_gram
+from .measures import _check_mu
 from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
 
 
@@ -70,13 +70,12 @@ class BasisIndex:
 class BallBasisElement:
     index: BasisIndex
     poly: MultiPoly
-    kind: str  # "classical" or "lambda"
     sq_norm: Fraction
     harmonic_sq_norm: Fraction
     radial: UniPoly  # the radial factor, in t = 2*||x||^2 - 1
 
 
-def _assemble(n, dim, kind, radial_for_k) -> tuple[BallBasisElement, ...]:
+def _assemble(n, dim, radial_for_k) -> tuple[BallBasisElement, ...]:
     # radial_for_k(k) is the radial factor and its univariate weight, ||P||^2 / <Y, Y>_sphere.
     out = []
     for k in range(n // 2 + 1):
@@ -85,7 +84,7 @@ def _assemble(n, dim, kind, radial_for_k) -> tuple[BallBasisElement, ...]:
         hb = harmonic_basis(dim, n - 2 * k)
         for nu, (Y, y_norm) in enumerate(zip(hb.elements, hb.sphere_norms)):
             index = BasisIndex(n, k, nu, beta_shift(n, k, dim))
-            out.append(BallBasisElement(index, radial * Y, kind, weight * y_norm, y_norm, q))
+            out.append(BallBasisElement(index, radial * Y, weight * y_norm, y_norm, q))
     return tuple(out)
 
 
@@ -99,7 +98,7 @@ def _classical_basis(n: int, dim: int, mu: Fraction) -> tuple[BallBasisElement, 
         c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim + 1, 2) + mu, m)
         return p, c_m * jacobi_inner(p, p, alpha, beta)
 
-    return _assemble(n, dim, "classical", radial)
+    return _assemble(n, dim, radial)
 
 
 def classical_basis(n: int, dim: int, mu) -> tuple[BallBasisElement, ...]:
@@ -120,7 +119,7 @@ def _mass_basis(n: int, dim: int, mu: Fraction, lam: Fraction) -> tuple[BallBasi
         q = mass_orthogonal_poly(k, alpha, beta, lam, dim)
         return q, inner_jacobi_mass(q, q, alpha, beta, lam, dim)
 
-    return _assemble(n, dim, "lambda", radial)
+    return _assemble(n, dim, radial)
 
 
 def mass_basis(n: int, dim: int, mu, lam) -> tuple[BallBasisElement, ...]:
@@ -144,12 +143,6 @@ def find_element(elements, k: int, nu: int) -> BallBasisElement:
         if el.index.k == k and el.index.nu == nu:
             return el
     raise KeyError(f"no element with k={k}, nu={nu}")
-
-
-def gram_matrix(elements, mu, lam=0) -> list[list[Fraction]]:
-    """Exact Gram matrix of ``elements`` under the ball product at mu plus lam times the sphere
-    product (inner_mass; lam = 0 is inner_ball), from one moment image per element."""
-    return mass_gram([el.poly for el in elements], mu, lam)
 
 
 def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:

@@ -455,7 +455,7 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     d, mu = cfg.dim, cfg.mu
     p = _params(cfg, "dim", "mu", "max_degree")
     els = partial(_elements, cfg, bases.classical_basis, mu)
-    gram = cache(lambda: bases.gram_matrix(els(), mu))
+    gram = cache(lambda: measures.mass_gram([el.poly for el in els()], mu))
     out.check("classical-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
     out.check("classical-gram-diagonal", p, lambda: _diagonal(els(), gram()))
     out.check(
@@ -509,22 +509,26 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     alpha = cfg.mu - _HALF
     p = _params(cfg, "dim", "mu", "lambda", "max_degree")
     els = partial(_elements, cfg, bases.mass_basis, cfg.mu, cfg.lam)
-    gram = cache(lambda: bases.gram_matrix(els(), cfg.mu, cfg.lam))
+    gram = cache(lambda: measures.mass_gram([el.poly for el in els()], cfg.mu, cfg.lam))
 
     def harmonic(el):
         return (el.index.n - 2 * el.index.k, el.index.nu)
 
     def factorization():
+        # Only pairs that share a harmonic: every entry across two harmonics is one that
+        # mass-gram-offdiagonal checks to be zero.
         elements, entries = els(), gram()
+        blocks = {}
+        for i, el in enumerate(elements):
+            blocks.setdefault(harmonic(el), []).append(i)
         for i, a in enumerate(elements):
-            for j, b in enumerate(elements[i:], start=i):
-                rhs = Fraction(0)
-                if harmonic(a) == harmonic(b):
-                    product = jacobi.inner_jacobi_mass(
-                        a.radial, b.radial, alpha, a.index.beta_k, cfg.lam, cfg.dim
-                    )
-                    rhs = product * a.harmonic_sq_norm
-                yield _key(a) + _key(b), entries[i][j] - rhs
+            block = blocks[harmonic(a)]
+            for j in block[block.index(i):]:
+                b = elements[j]
+                product = jacobi.inner_jacobi_mass(
+                    a.radial, b.radial, alpha, a.index.beta_k, cfg.lam, cfg.dim
+                )
+                yield _key(a) + _key(b), entries[i][j] - product * a.harmonic_sq_norm
 
     out.check("mass-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
     out.check("mass-gram-diagonal", p, lambda: _diagonal(els(), gram()))

@@ -13,11 +13,11 @@ from orthoball import (
     classical_basis,
     find_element,
     fourth_order_eigenvalue,
-    gram_matrix,
     inner_ball,
     inner_jacobi_mass,
     inner_mass,
     mass_basis,
+    mass_gram,
     mass_parameter,
     mass_orthogonal_poly,
     sphere_coupling,
@@ -93,7 +93,7 @@ class TestClassicalBasis:
         cases = [(2, Q(1, 2)), (2, Q(3, 2)), (3, Q(1)), (3, Q(1, 3)), (4, Q(-1, 4)), (2, Q(5, 2))]
         for d, mu in cases:
             els = [el for n in range(5) for el in classical_basis(n, d, mu)]
-            gram = gram_matrix(els, mu)
+            gram = mass_gram([el.poly for el in els], mu)
             for i in range(len(els)):
                 assert gram[i][i] > 0
                 assert gram[i][i] == els[i].sq_norm
@@ -129,7 +129,7 @@ class TestMassBasis:
         for d in (2, 3):
             for lam in (Q(1, 4), Q(1, 2)):
                 els = [el for n in range(5) for el in mass_basis(n, d, Q(1, 2), lam)]
-                gram = gram_matrix(els, Q(1, 2), lam)
+                gram = mass_gram([el.poly for el in els], Q(1, 2), lam)
                 for i in range(len(els)):
                     assert els[i].sq_norm > 0
                     assert gram[i][i] == els[i].sq_norm

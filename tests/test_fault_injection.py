@@ -141,7 +141,7 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
          "connection-backward", "connection-forward", "fourth-order-eigen", "harmonic-laplace",
-         "laplace-beltrami-eigen", "mass-gram-offdiagonal", "mass-product-factorization"},
+         "laplace-beltrami-eigen", "mass-gram-offdiagonal"},
     ),
     # N(a) = prod_i (2 a_i - 1)!! with (2 a_i + 1)!! per axis: every ball and sphere moment.
     Mutant(
@@ -188,8 +188,7 @@ MUTANTS = [
         "            done.append((u, image, Fraction(1, u.den * den) / norm))\n",
         "            done.append((u, image, Fraction(1, u.den * den)))\n",
         ["--dim", "3", "--max-degree", "3"],
-        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal",
-         "mass-product-factorization"},
+        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
     ),
     # A Gram entry over Dj D instead of Di Dj D: the zeros stay zero, but every entry in the
     # row of an element with a denominator is scaled by it, the diagonal too.
@@ -327,6 +326,26 @@ MUTANTS = [
         "    for k in range(n // 2):\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-dimension"},
+    ),
+    # A recorded harmonic norm twice <Y, Y>_sphere: the element's own norm and every Gram
+    # entry are unchanged, so only the product form that reads it sees the fault.
+    Mutant(
+        "harmonic-sq-norm-doubled",
+        "bases.py",
+        "            out.append(BallBasisElement(index, radial * Y, weight * y_norm, y_norm, q))\n",
+        "            out.append(BallBasisElement(index, radial * Y, weight * y_norm, 2 * y_norm, q))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"mass-product-factorization"},
+    ),
+    # A recorded radial factor twice q_k: the element's polynomial and norm are built from the
+    # right q_k, so only the product form that reads the factor sees the fault.
+    Mutant(
+        "radial-factor-doubled",
+        "bases.py",
+        "            out.append(BallBasisElement(index, radial * Y, weight * y_norm, y_norm, q))\n",
+        "            out.append(BallBasisElement(index, radial * Y, weight * y_norm, y_norm, 2 * q))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"mass-product-factorization"},
     ),
     # q_k = a_k P_k - (1+t) P_k' without the derivative: degree k + 1, and every check on
     # the point-mass family and on the mass basis built from it fails.

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction as Q
 from functools import cache
-from types import SimpleNamespace
 
 import pytest
 from oracles import (
@@ -17,7 +16,6 @@ from orthoball import (
     ExactnessError,
     MultiPoly,
     ball_moment,
-    gram_matrix,
     inner_ball,
     inner_mass,
     inner_sphere,
@@ -283,7 +281,7 @@ class TestTermwiseOracle:
                 for lam in (Q(0), self.LAM):
                     moment = cache(lambda e: gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e))
                     for polys in groups:
-                        gram = gram_matrix([SimpleNamespace(poly=f) for f in polys], mu, lam)
+                        gram = mass_gram(polys, mu, lam)
                         keys = set().union(*(f.nums for f in polys), *(x.nums for x in monomials))
                         den, images = moment_images(polys, keys, mu, lam)
                         for i, (f, image) in enumerate(zip(polys, images)):
@@ -306,12 +304,11 @@ class TestTermwiseOracle:
             terms = sorted(whole.terms.items())
             left, right = MultiPoly(dim, dict(terms[::2])), MultiPoly(dim, dict(terms[1::2]))
             polys = [f, left, MultiPoly.zero(dim), right, g]
-            elements = [SimpleNamespace(poly=p) for p in polys]
             grams = [(lambda n: sphere_gram(polys[:n]), gamma_sphere_moment)]
             for mu in (Q(-1, 4), Q(1, 2), Q(5, 2)):
                 for lam in (Q(0), self.LAM):
                     grams.append((
-                        lambda n, mu=mu, lam=lam: gram_matrix(elements[:n], mu, lam),
+                        lambda n, mu=mu, lam=lam: mass_gram(polys[:n], mu, lam),
                         lambda e, mu=mu, lam=lam: (
                             gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e)),
                     ))

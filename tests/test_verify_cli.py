@@ -98,7 +98,7 @@ class TestRunSuites:
         assert records and all(r.status == STATUS_SKIP for r in records)
 
     def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
-        real_image, real_inner, real_gram = measures._image, measures.inner_mass, bases.gram_matrix
+        real_image, real_inner, real_gram = measures._image, measures.inner_mass, measures.mass_gram
         imaged, inner_in_gram, in_gram = [], [], []
 
         def image(p, *args):
@@ -120,7 +120,7 @@ class TestRunSuites:
 
         monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(measures, "inner_mass", inner)
-        monkeypatch.setattr(bases, "gram_matrix", gram)
+        monkeypatch.setattr(measures, "mass_gram", gram)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
         assert all(r.status != STATUS_FAIL for r in records)
         # N = 6 elements through degree 2 in d = 2: one Gram matrix images each element once
@@ -128,6 +128,37 @@ class TestRunSuites:
         assert len(imaged) == 6
         assert len(set(imaged)) == len(imaged)
         assert inner_in_gram == []
+
+    def test_product_factorization_reads_the_harmonic_blocks_only(self, monkeypatch):
+        real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
+        calls, items, in_check = [], [], []
+
+        def inner(*args, **kwargs):
+            calls.append(args)
+            return real_inner(*args, **kwargs)
+
+        def check(self, identity, params, producer):
+            if identity != "mass-product-factorization":
+                return real_check(self, identity, params, producer)
+
+            def counted():
+                for item in producer():
+                    items.append(item)
+                    yield item
+
+            before = len(calls)
+            real_check(self, identity, params, counted)
+            in_check.append(len(calls) - before)
+
+        monkeypatch.setattr(jacobi, "inner_jacobi_mass", inner)
+        monkeypatch.setattr(verify._Collector, "check", check)
+        records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
+        assert records and all(r.status != STATUS_FAIL for r in records)
+        # N = 6 elements through degree 2 in d = 2 in five harmonic blocks: (m, nu) = (0, 0)
+        # holds degrees 0 and 2, so 3 pairs, and the other four one element each. Entries
+        # across blocks are mass-gram-offdiagonal's.
+        assert len(items) == 7
+        assert in_check == [len(items)]
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
         real_image, real_inner, real_moment = measures._image, measures._inner, measures._moment
