@@ -327,7 +327,7 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"classical-dimension"},
     ),
-    # A recorded harmonic norm twice <Y, Y>_sphere: the element's own norm and every Gram
+    # A harmonic norm recorded as 2 <Y, Y>_sphere: the element's own norm and every Gram
     # entry are unchanged, so only the product form that reads it sees the fault.
     Mutant(
         "harmonic-sq-norm-doubled",
@@ -337,7 +337,7 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"mass-product-factorization"},
     ),
-    # A recorded radial factor twice q_k: the element's polynomial and norm are built from the
+    # A radial factor recorded as 2 q_k: the element's polynomial and norm are built from the
     # right q_k, so only the product form that reads the factor sees the fault.
     Mutant(
         "radial-factor-doubled",
