@@ -33,6 +33,8 @@ from .harmonics import (
 from .jacobi import (
     connection_op,
     conjugate_connection_op,
+    gram_jacobi_mass,
+    gram_schmidt_jacobi_mass,
     inner_jacobi_mass,
     inner_jacobi_type,
     jacobi_derivative_residual,

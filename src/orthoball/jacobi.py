@@ -21,18 +21,25 @@ Every inner product here is a moment functional applied to the product,
 inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
 inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
 at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer Hankel form over one cached
-table of moment numerators on a common denominator.  The point-mass
-construction is exact when a = mu - 1/2 is a non-negative integer;
-_integer_alpha alone decides that.  The connection operators and the
-fourth-order equation hold at mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every
-check of that rule, and the basis export's eigenvalue field, reads it here.
+table of moment numerators N / D.  Every product runs through one Gram kernel:
+it images each polynomial f = F / Df once, W_f[j] = sum_i F_i N[i+j], and builds
+one Fraction per entry, so a single product is its 1 x 1 case and
+gram_jacobi_mass is its symmetric case.  gram_schmidt_jacobi_mass orthogonalizes
+1, t, t^2, ... by fraction-free (Bareiss) elimination on the integer Hankel
+matrix of the same table, and the three-term recurrence builds each P_n on
+integer numerators in one pass.  The point-mass construction is exact when
+a = mu - 1/2 is a non-negative integer; _integer_alpha alone decides that.
+The connection operators and the fourth-order equation hold at
+mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
+basis export's eigenvalue field, reads it here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, lcm
 from operator import mul
 
 from .exact_gamma import ExactnessError, rising_factorial
@@ -52,12 +59,20 @@ def _jacobi(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
         return UniPoly.constant(1)
     if n == 1:
         return UniPoly([(alpha - beta) / 2, (alpha + beta + 2) / 2])
+    # P_n = x P_(n-1) + y t P_(n-1) + z P_(n-2), summed on integer numerators over one denominator.
     a, b = alpha, beta
     s = 2 * n + a + b
     lead = 2 * n * (n + a + b) * (s - 2)
-    mid = (s - 1) * (UniPoly([a * a - b * b, s * (s - 2)]) * _jacobi(n - 1, a, b))
-    low = 2 * (n + a - 1) * (n + b - 1) * s * _jacobi(n - 2, a, b)
-    return (mid - low) * (Fraction(1) / lead)
+    x = (s - 1) * (a * a - b * b) / lead
+    y = (s - 1) * s * (s - 2) / lead
+    z = -2 * (n + a - 1) * (n + b - 1) * s / lead
+    scale, (x, y, z) = integer_numerators((x, y, z))
+    p, q = _jacobi(n - 1, a, b), _jacobi(n - 2, a, b)
+    den = lcm(p.den, q.den)
+    x, y, z = x * (den // p.den), y * (den // p.den), z * (den // q.den)
+    nums = [x * c + y * d + z * e
+            for c, d, e in zip_longest(p.nums, (0, *p.nums), q.nums, fillvalue=0)]
+    return UniPoly._make(scale * den, nums)
 
 
 def jacobi_polynomial(n: int, alpha, beta) -> UniPoly:
@@ -108,15 +123,43 @@ def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list
     return table
 
 
+def _weights(den: int, scale, lam) -> tuple[int, int, int]:
+    # scale * N/D + lam on integers, with scale = s_n/s_d and lam = l_n/l_d: the weight s_n l_d of
+    # N, the constant l_n s_d D and the common denominator s_d l_d D.
+    return (scale.numerator * lam.denominator, lam.numerator * scale.denominator * den,
+            scale.denominator * lam.denominator * den)
+
+
+def _gram(fs, alpha: Fraction, beta: Fraction, scale=1, lam=0, gs=None) -> list[list[Fraction]]:
+    # [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] for f in fs and g in gs, read from the stored forms
+    # f = F/Df and g = G/Dg; without gs, the symmetric Gram matrix of fs, each entry j >= i built
+    # once.  With moments N/D each f is imaged once, W_f[j] = sum_i F_i N[i+j], so L_J(f g) is the
+    # integer Hankel form W_f . G over Df Dg D and f(1) g(1) is sum(F) sum(G) over Df Dg: an
+    # entry is one Fraction (s_n l_d W_f . G + l_n s_d D sum(F) sum(G)) / (s_d l_d D Df Dg).
+    symmetric = gs is None
+    if symmetric:
+        gs = fs
+    size = max((len(g.nums) for g in gs), default=0)
+    den, moments = _moment_table(alpha, beta, max((len(f.nums) for f in fs), default=0) + size - 1)
+    hankel, point, base = _weights(den, scale, lam)
+    gram = [[None] * len(gs) for _ in fs]
+    for i, f in enumerate(fs):
+        image = [sum(map(mul, f.nums, moments[j:])) for j in range(size)]
+        value = point * sum(f.nums)
+        for j in range(i if symmetric else 0, len(gs)):
+            g = gs[j]
+            entry = Fraction(hankel * sum(map(mul, image, g.nums)) + value * sum(g.nums),
+                             base * f.den * g.den)
+            gram[i][j] = entry
+            if symmetric:
+                gram[j][i] = entry
+    return gram
+
+
 def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction,
                 scale=1, lam=0) -> Fraction:
-    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1), read from the stored forms
-    # f = F/Df and g = G/Dg.  With moments N/D, L_J(f g) is the integer Hankel form
-    # sum_i F_i sum_j G_j N_(i+j) over Df Dg D, and f(1) g(1) is sum(F) sum(G) over Df Dg.
-    fs, gs = f.nums, g.nums
-    den, moments = _moment_table(alpha, beta, len(fs) + len(gs) - 1)
-    hankel = sum(c * sum(map(mul, gs, moments[i:])) for i, c in enumerate(fs) if c)
-    return Fraction(scale * hankel + lam * den * sum(fs) * sum(gs), f.den * g.den * den)
+    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1): the 1 x 1 case of _gram.
+    return _gram([f], alpha, beta, scale, lam, [g])[0][0]
 
 
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
@@ -149,6 +192,19 @@ def _point_mass(alpha: Fraction, lam) -> tuple[int, Fraction]:
     return alpha.numerator, lam
 
 
+def _mass_form(alpha, beta, lam, dim: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(alpha, beta, scale, lam) of inner_jacobi_mass, checked; scale is its weight's total mass."""
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    _check_jacobi_params(alpha, beta)
+    a, lam = _point_mass(alpha, lam)
+    return alpha, beta, _total_mass(dim, a, beta), lam
+
+
+@cache
+def _total_mass(dim: int, a: int, beta: Fraction) -> Fraction:
+    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
+
+
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
     """Prefactored Jacobi-weight product plus lam * f(1)g(1), for integer a >= 0.
 
@@ -156,15 +212,44 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     has total mass (d/2)_(a+1) / (b+1)_(a+1).  Its orthogonal polynomials are
     mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
-    a, lam = _point_mass(alpha, lam)
-    return _functional(f, g, alpha, beta, _total_mass(dim, a, beta), lam)
+    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
+    return _functional(f, g, alpha, beta, scale, lam)
 
 
-@cache
-def _total_mass(dim: int, a: int, beta: Fraction) -> Fraction:
-    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
+def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> list[list[Fraction]]:
+    """The Gram matrix [inner_jacobi_mass(f, g, ...)] of ``polys``: one image per polynomial."""
+    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
+    return _gram(list(polys), alpha, beta, scale, lam)
+
+
+def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniPoly]:
+    """Gram-Schmidt on 1, t, ..., t^(size-1) under inner_jacobi_mass, in coefficient form.
+
+    Entry k is the k-th orthogonal polynomial times a positive integer: row k of
+    the right block after fraction-free (Bareiss) elimination of [H | I], where
+    H_ij = s_n l_d N[i+j] + l_n s_d D is the product of t^i and t^j over one
+    common denominator.  Elimination is the LDL^T factorization of H, so row k
+    is t^k minus its projection on the lower degrees, times the leading
+    principal minor of order k.  A zero pivot before the last row raises
+    ZeroDivisionError, as Gram-Schmidt's division by a zero norm does.
+    """
+    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
+    den, moments = _moment_table(alpha, beta, 2 * size - 1)
+    hankel, point, _ = _weights(den, scale, lam)
+    rows = [[hankel * moments[i + j] + point for j in range(size)]
+            + [int(i == j) for j in range(size)] for i in range(size)]
+    prev = 1
+    for k in range(size - 1):
+        top = rows[k]
+        pivot = top[k]
+        if not pivot:
+            raise ZeroDivisionError(f"zero pivot: the degree-{k} Gram-Schmidt vector has norm zero")
+        for i in range(k + 1, size):
+            row = rows[i]
+            c = row[k]
+            rows[i] = [(pivot * u - c * v) // prev for u, v in zip(row, top)]
+        prev = pivot
+    return [UniPoly._make(1, row[size:]) for row in rows]
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:

@@ -14,7 +14,8 @@ that builds the items.  The one check primitive, ``_Collector.check``, runs the
 producer inside the check's timer, so ``elapsed_ms`` covers building the items,
 and serializes a witness of the first item that fails.  The producer runs before
 ``check`` returns, so it may read the variables of the loop that declares it.
-Orthogonality suites read every check from one Gram matrix per basis.
+Orthogonality suites read every check from one Gram matrix per basis, and
+``krall1d`` from one Gram matrix of the point-mass family per beta.
 """
 
 from __future__ import annotations
@@ -269,17 +270,6 @@ def _beta_values(cfg: SuiteConfig) -> list[Fraction]:
     return sorted({bases.beta_shift(n, k, cfg.dim) for n in degrees for k in range(n // 2 + 1)})
 
 
-def _gram_schmidt(vectors, inner):
-    # Modified Gram-Schmidt; each finished vector carries its own <w, w>.
-    ortho = []
-    for v in vectors:
-        w = v
-        for u, norm in ortho:
-            w = w - (inner(w, u) / norm) * u
-        ortho.append((w, inner(w, w)))
-    return [w for w, _ in ortho]
-
-
 def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
     alpha = cfg.mu - _HALF
     ks = range(max(cfg.max_degree, 2) + 1)
@@ -288,16 +278,16 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
         qs = cache(lambda: [
             jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim) for k in ks
         ])
-        inner = partial(jacobi.inner_jacobi_mass, alpha=alpha, beta=beta, lam=cfg.lam, dim=cfg.dim)
+        gram = cache(lambda: jacobi.gram_jacobi_mass(qs(), alpha, beta, cfg.lam, cfg.dim))
 
         def gram_schmidt():
-            gs, q = _gram_schmidt([UniPoly([0] * k + [1]) for k in ks], inner), qs()
+            gs, q = jacobi.gram_schmidt_jacobi_mass(len(ks), alpha, beta, cfg.lam, cfg.dim), qs()
             return ((k, gs[k] * q[k].leading_coeff() - q[k] * gs[k].leading_coeff()) for k in ks)
 
         out.check(
             "pointmass-orthogonality",
             p,
-            lambda: (((j, k), inner(qs()[j], qs()[k])) for j, k in combinations(ks, 2)),
+            lambda: (((j, k), gram()[j][k]) for j, k in combinations(ks, 2)),
         )
         scale = rising_factorial(Fraction(cfg.dim, 2), alpha.numerator + 1) / cfg.lam
         out.check(
@@ -311,7 +301,7 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
         out.check(
             "pointmass-degree",
             p,
-            lambda: ((k, (qs()[k].degree, inner(qs()[k], qs()[k]) > 0), (k, True)) for k in ks),
+            lambda: ((k, (qs()[k].degree, gram()[k][k] > 0), (k, True)) for k in ks),
         )
         out.check("pointmass-gram-schmidt", p, gram_schmidt)
         if cfg.mu == jacobi.FOURTH_ORDER_MU:

@@ -253,18 +253,40 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"product-symmetry"},
     ),
-    # The (n + a - 1) of the low term of the Jacobi three-term recurrence at (n + a): from
-    # degree 2 on P_n is neither normalized nor a solution of its ODE, and every radial
-    # family built on it breaks with it.  P_2 moves by a constant, which d/dt does not see,
-    # so the derivative identity needs degree 3.
+    # The (n + a - 1) of the coefficient z of P_(n-2) in the Jacobi three-term recurrence at
+    # (n + a): from degree 2 on P_n is neither normalized nor a solution of its ODE, and
+    # every radial family built on it breaks with it.  P_2 moves by a constant, which d/dt
+    # does not see, so the derivative identity needs degree 3.
     Mutant(
         "jacobi-recurrence-low-term",
         "jacobi.py",
-        "    low = 2 * (n + a - 1) * (n + b - 1) * s * _jacobi(n - 2, a, b)\n",
-        "    low = 2 * (n + a) * (n + b - 1) * s * _jacobi(n - 2, a, b)\n",
+        "    z = -2 * (n + a - 1) * (n + b - 1) * s / lead\n",
+        "    z = -2 * (n + a) * (n + b - 1) * s / lead\n",
         ["--dim", "2", "--max-degree", "3", "--suites", "jacobi,krall1d"],
         {"jacobi-derivative", "jacobi-normalization", "jacobi-ode", "pointmass-gram-schmidt",
          "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # The radial Gram kernel without its point mass lam * f(1) g(1): the q_k are no longer
+    # orthogonal, but every squared norm stays positive, and the elimination builds its own
+    # Hankel matrix, so only the off-diagonal check sees it.
+    Mutant(
+        "radial-gram-drops-point-mass",
+        "jacobi.py",
+        "        value = point * sum(f.nums)\n",
+        "        value = 0\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-orthogonality"},
+    ),
+    # The fraction-free elimination step adding the pivot row instead of subtracting it: the
+    # rows stop being orthogonal to the lower degrees.  Dropping the exact division by the
+    # previous pivot instead only rescales each row, which the check allows.
+    Mutant(
+        "radial-elimination-sign",
+        "jacobi.py",
+        "            rows[i] = [(pivot * u - c * v) // prev for u, v in zip(row, top)]\n",
+        "            rows[i] = [(pivot * u + c * v) // prev for u, v in zip(row, top)]\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt"},
     ),
     # The (b+1)(1-t) d/dt term of the univariate connection operator at (b+2): P_k no longer
     # maps to q_k, its integration by parts fails with it, and so does the ball lift.

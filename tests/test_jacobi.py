@@ -11,6 +11,8 @@ from orthoball import (
     UniPoly,
     connection_op,
     conjugate_connection_op,
+    gram_jacobi_mass,
+    gram_schmidt_jacobi_mass,
     inner_jacobi_mass,
     inner_jacobi_type,
     jacobi_derivative_residual,
@@ -50,6 +52,11 @@ class TestClassicalJacobi:
             for b in PARAM_GRID:
                 for n in range(8):
                     assert jacobi_polynomial(n, a, b) == jacobi_explicit_sum(n, a, b)
+        # a + b + 1 = 0, where the general recurrence step at n = 1 would be 0/0, and a pair
+        # with coprime denominators.
+        for a, b in [(Q(-1, 2), Q(-1, 2)), (Q(-1, 3), Q(9, 2))]:
+            for n in range(13):
+                assert jacobi_polynomial(n, a, b) == jacobi_explicit_sum(n, a, b)
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -161,6 +168,55 @@ class TestMassOrthogonalFamily:
     def test_mass_inner_orthogonality_to_one(self):
         q1 = mass_orthogonal_poly(1, 0, 2, Q(1, 2), 3)
         assert inner_jacobi_mass(q1, UniPoly.constant(1), 0, 2, Q(1, 2), 3) == 0
+
+
+def _monomials(count):
+    return [UniPoly([0] * k + [1]) for k in range(count)]
+
+
+class TestRadialKernels:
+    def test_gram_equals_pairwise_products(self):
+        rng = random.Random(16)
+        for alpha in (0, 1, 2):
+            for beta in (Q(-1, 2), Q(1, 2), Q(3, 2), Q(7, 2)):
+                for d in (2, 3, 4, 5):
+                    lam = Q(rng.randint(1, 9), rng.randint(1, 9))
+                    polys = [UniPoly.zero(), UniPoly.constant(Q(rng.randint(1, 9), rng.randint(1, 5)))]
+                    polys += [
+                        UniPoly([Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 9))])
+                        for _ in range(5)
+                    ]
+                    want = [[inner_jacobi_mass(f, g, alpha, beta, lam, d) for g in polys] for f in polys]
+                    assert gram_jacobi_mass(polys, alpha, beta, lam, d) == want
+
+    def test_elimination_matches_gram_schmidt(self):
+        # Each eliminated row is the monic Gram-Schmidt vector times a positive scalar, and
+        # rows do not depend on how many follow.
+        cases = [(0, 2, Q(1, 2), Q(0)), (1, 3, Q(1, 4), Q(3, 2)), (2, 4, Q(2, 5), Q(1, 2)),
+                 (3, 5, Q(7, 3), Q(5))]
+        for alpha, d, lam, beta in cases:
+            monic = gram_schmidt(_monomials(14), lambda f, g: inner_jacobi_mass(f, g, alpha, beta, lam, d))
+            for size in (1, 2, 7, 14):
+                rows = gram_schmidt_jacobi_mass(size, alpha, beta, lam, d)
+                assert len(rows) == size
+                for row, w in zip(rows, monic):
+                    assert row.leading_coeff() > 0
+                    assert row == row.leading_coeff() * w
+
+    def test_zero_pivot_raises_where_a_zero_norm_does(self, monkeypatch):
+        # With every Jacobi moment zero the product is lam f(1) g(1), of rank one: t - 1 has
+        # norm zero, so Gram-Schmidt divides by zero at its third vector, and so must the
+        # elimination; with two vectors neither divides by that norm.
+        monkeypatch.setattr(jacobi, "_moment_table", lambda alpha, beta, size: (1, [0] * max(size, 1)))
+        inner = lambda f, g: inner_jacobi_mass(f, g, 0, 0, 1, 2)
+        for size in (1, 2):
+            assert len(gram_schmidt(_monomials(size), inner)) == size
+            assert len(gram_schmidt_jacobi_mass(size, 0, 0, 1, 2)) == size
+        for size in (3, 5):
+            with pytest.raises(ZeroDivisionError):
+                gram_schmidt(_monomials(size), inner)
+            with pytest.raises(ZeroDivisionError):
+                gram_schmidt_jacobi_mass(size, 0, 0, 1, 2)
 
 
 class TestRadialWeightOracle:

@@ -230,29 +230,41 @@ class TestRunSuites:
         assert len(classical) == len(mass) == 35
         assert products == []
 
-    def test_pointmass_gram_schmidt_computes_one_norm_per_vector(self, monkeypatch):
-        real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
-        calls = []
-        per_check = []
+    def test_krall1d_reads_one_gram_and_one_elimination_per_beta(self, monkeypatch):
+        real_gram, real_inner = jacobi._gram, jacobi.inner_jacobi_mass
+        real_elimination = jacobi.gram_schmidt_jacobi_mass
+        grams, eliminations, products = [], [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real_inner(*args, **kwargs)
+        def gram(fs, alpha, beta, scale=1, lam=0, gs=None):
+            grams.append((beta, [f.canonical() for f in fs], gs))
+            return real_gram(fs, alpha, beta, scale, lam, gs)
 
-        def check(self, identity, params, producer):
-            before = len(calls)
-            real_check(self, identity, params, producer)
-            per_check.append((identity, len(calls) - before))
+        def elimination(size, *args):
+            eliminations.append(size)
+            return real_elimination(size, *args)
 
-        monkeypatch.setattr(jacobi, "inner_jacobi_mass", counting)
-        monkeypatch.setattr(verify._Collector, "check", check)
+        def inner(*args):
+            products.append(args)
+            return real_inner(*args)
+
+        # Every radial product runs through _gram, so it sees each one.
+        monkeypatch.setattr(jacobi, "_gram", gram)
+        monkeypatch.setattr(jacobi, "gram_schmidt_jacobi_mass", elimination)
+        monkeypatch.setattr(jacobi, "inner_jacobi_mass", inner)
         cfg = SuiteConfig(suites=("krall1d",), **dict(SMALL, max_degree=4))
         records = run_suites(cfg)
         assert records and all(r.status != STATUS_FAIL for r in records)
-        # K = 5 monomials per beta: one <w, u> per pair and one <w, w> per vector.
-        counts = [n for identity, n in per_check if identity == "pointmass-gram-schmidt"]
-        assert len(counts) == len(verify._beta_values(cfg)) > 1
-        assert counts == [5 * 6 // 2] * len(counts)
+        betas = verify._beta_values(cfg)
+        assert len(betas) > 1
+        assert products == []
+        # K = 5 per beta: one symmetric Gram matrix of q_0..q_4, which images each of them
+        # once, and one elimination of the monomials 1, t, ..., t^4.
+        assert [beta for beta, _, _ in grams] == betas
+        for beta, polys, gs in grams:
+            qs = [jacobi.mass_orthogonal_poly(k, Q(0), beta, cfg.lam, cfg.dim) for k in range(5)]
+            assert polys == [q.canonical() for q in qs]
+            assert gs is None
+        assert eliminations == [5] * len(betas)
 
     def test_connection_forward_times_its_own_residuals(self, monkeypatch):
         clock = [0.0]
