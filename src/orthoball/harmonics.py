@@ -21,7 +21,9 @@ The two differ only in rounding (Bjorck, "Solving linear least squares
 problems by Gram-Schmidt orthogonalization", BIT 7, 1967), and this
 arithmetic is exact, so they give the same basis.  The classical form lets
 each u_j be imaged once (``measures.sphere_images``) and each coefficient
-be one integer dot product of h_k's numerators with that image.
+be one integer dot product of h_k's numerators with that image; u_k is then
+one integer accumulation of h_k and the scaled earlier u_j over a common
+denominator.
 
 Three structural facts keep the computation small and exact:
 
@@ -36,7 +38,10 @@ Three structural facts keep the computation small and exact:
 * On a homogeneous polynomial of degree m the radial derivative is realized
   by the Euler operator, giving the angular Laplacian a purely polynomial
   form: Delta_0 f = ||x||^2 Delta f - (E^2 + (d-2) E) f with E = sum x_i d/dx_i.
-  On degree-m harmonics this evaluates to -m(m+d-2) f.
+  On degree-m harmonics this evaluates to -m(m+d-2) f.  Delta_0 is applied
+  in one pass over the packed terms (``polynomials.angular_laplacian``), and
+  the polar decomposition checks it against the composed form
+  ||x||^2 Delta f - m(m+d-2) f built from the Laplacian.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .measures import sphere_images
-from .polynomials import Exponents, MultiPoly, euler_op, laplacian, pack, radius_squared
+from .polynomials import (Exponents, MultiPoly, angular_laplacian, euler_op, laplacian, pack,
+                          radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -130,12 +136,19 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
         keys = set().union(*(h.nums for h in block))
         done: list[tuple[MultiPoly, dict[int, int], Fraction]] = []  # (u, W_u, scale)
         for h in block:
-            work = h
+            coeffs = []
             for u, image, scale in done:
                 coeff = Fraction(sum([c * image[b] for b, c in h.nums.items()]), h.den) * scale
                 if coeff:
-                    work = work - coeff * u
-            u = _primitive(work)
+                    coeffs.append((coeff, u))
+            # h - sum_j c_j u_j, accumulated on integer numerators over one common denominator.
+            common = lcm(h.den, *(c.denominator * u.den for c, u in coeffs))
+            out = {k: n * (common // h.den) for k, n in h.nums.items()}
+            for c, u in coeffs:
+                f = c.numerator * (common // (c.denominator * u.den))
+                for k, v in u.nums.items():
+                    out[k] = out.get(k, 0) - f * v
+            u = _primitive(MultiPoly._make(dim, common, out))
             den, (image,) = sphere_images([u], keys)
             norm = Fraction(sum([c * image[b] for b, c in u.nums.items()]), u.den * u.den * den)
             # <h, u> / <u, u> = (H . W_u) / Dh times this scale.
@@ -159,8 +172,7 @@ def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
 
 def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
     """Angular part of the Laplacian, with radial derivatives realized by the Euler operator."""
-    e = euler_op(p)
-    return radius_squared(p.dim) * laplacian(p) - euler_op(e) - (p.dim - 2) * e
+    return angular_laplacian(p)
 
 
 def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:

@@ -13,8 +13,11 @@ Q a fourth-order partial differential equation with eigenvalue
 
     Lambda(n, k) = (M + k(n-k+(d-2)/2)) (M + (k+1)(n-k+d/2)).
 
-Operators are applied as direct symbolic pipelines on exact polynomials, so
-every eigen-identity here can be checked down to the literal zero polynomial.
+The Laplacian, the damped Laplacian (1/4)(1-||x||^2) Delta and the Euler
+operator are each one integer pass over a polynomial's packed numerators,
+with one reduction at the end; the operators above are short sums of them.
+The arithmetic is exact, so every eigen-identity here can be checked down to
+the literal zero polynomial.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .jacobi import jacobi_polynomial, jacobi_type_poly
 from .polynomials import (
     MultiPoly,
     UniPoly,
+    _laplacian_nums,
     as_fraction,
     euler_op,
     laplacian,
@@ -47,7 +51,14 @@ def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
 
 
 def _damped_laplacian(p: MultiPoly) -> MultiPoly:
-    return Fraction(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))
+    """(1/4)(1-||x||^2) Delta p: Delta p's numerators, less their products with ||x||^2, over 4 den."""
+    lap = _laplacian_nums(p)
+    out = dict(lap)
+    steps = radius_squared(p.dim).nums  # the keys of the x_j^2; a product adds packed keys
+    for k, n in lap.items():
+        for step in steps:
+            out[k + step] = out.get(k + step, 0) - n
+    return MultiPoly._make(p.dim, 4 * p.den, out)
 
 
 def ball_connection_op(p: MultiPoly, mass) -> MultiPoly:

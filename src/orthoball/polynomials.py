@@ -6,9 +6,12 @@ integer numerators ``nums`` sharing no common factor with it, so equal
 polynomials hold equal data; arithmetic works on integers and divides out one
 gcd per result.  A monomial x^e is keyed by one packed int (Monagan & Pearce,
 CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
-so int order is graded-lexicographic order and a product adds keys.  Fractions
-appear only in the views ``terms`` and ``coeffs``, built on each read, and in
-``evaluate``, ``canonical()`` and ``str``.  There is no floating point, so every
+so int order is graded-lexicographic order and a product adds keys.  The
+differential operators (``laplacian``, ``angular_laplacian``, ``euler_op``)
+read each exponent with one shift and apply themselves in one integer pass
+over the numerators, with one gcd at the end.  Fractions appear only in the
+views ``terms`` and ``coeffs``, built on each read, and in ``evaluate``,
+``canonical()`` and ``str``.  There is no floating point, so every
 identity downstream can be checked for *literal* equality.
 """
 
@@ -190,6 +193,8 @@ class MultiPoly:
                     k = ka + kb
                     out[k] = out.get(k, 0) + ca * cb
             return MultiPoly._make(self.dim, self.den * other.den, out)
+        if type(other) is int:
+            return MultiPoly._make(self.dim, self.den, {k: n * other for k, n in self.nums.items()})
         c = as_fraction(other)
         return MultiPoly._make(self.dim, self.den * c.denominator,
                                {k: n * c.numerator for k, n in self.nums.items()})
@@ -408,8 +413,9 @@ class UniPoly:
         return f"UniPoly({self.canonical()!r})"
 
 
+@cache
 def radius_squared(dim: int) -> MultiPoly:
-    """The polynomial x1^2 + ... + xd^2."""
+    """The polynomial x1^2 + ... + xd^2, one shared instance per dimension."""
     terms = {}
     for axis in range(dim):
         e = [0] * dim
@@ -423,12 +429,51 @@ def substitute_radial(q: UniPoly, dim: int) -> MultiPoly:
     return q.compose(2 * radius_squared(dim) - 1)
 
 
+def _laplacian_nums(p: MultiPoly) -> dict[int, int]:
+    """The numerators of Delta p over p.den, zeros included, from one pass over p's terms.
+
+    d^2/dx_i^2 takes x^e to e_i (e_i - 1) x^(e - 2 e_i): two less in field i and in the
+    total-degree field.
+    """
+    top = 1 << (_FIELD * p.dim)
+    out: dict[int, int] = {}
+    for k, n in p.nums.items():
+        for shift in range(0, _FIELD * p.dim, _FIELD):
+            if (e := k >> shift & _FIELD_MASK) > 1:
+                key = k - 2 * (top + (1 << shift))
+                out[key] = out.get(key, 0) + n * e * (e - 1)
+    return out
+
+
 def laplacian(p: MultiPoly) -> MultiPoly:
     """Sum of second partials over every axis."""
-    total = MultiPoly.zero(p.dim)
-    for axis in range(p.dim):
-        total = total + p.partial(axis).partial(axis)
-    return total
+    return MultiPoly._make(p.dim, p.den, _laplacian_nums(p))
+
+
+def angular_laplacian(p: MultiPoly) -> MultiPoly:
+    """Delta_0 p = ||x||^2 Delta p - E^2 p - (d-2) E p, with E the Euler operator, in one pass.
+
+    E^2 + (d-2) E scales the grade-g part by g (g + d - 2).  d^2/dx_i^2 takes x^e to
+    e_i (e_i - 1) x^(e - 2 e_i), kept here in grade g so that a product with ||x||^2 is one
+    step of 2 e_j in an exponent field; the Laplacian's own keys are not read.
+    """
+    dim = p.dim
+    top_shift = _FIELD * dim
+    shifts = range(0, top_shift, _FIELD)
+    out: dict[int, int] = {}
+    lowered: dict[int, int] = {}
+    for k, n in p.nums.items():
+        g = k >> top_shift
+        out[k] = -n * g * (g + dim - 2)
+        for shift in shifts:
+            if (e := k >> shift & _FIELD_MASK) > 1:
+                key = k - (2 << shift)
+                lowered[key] = lowered.get(key, 0) + n * e * (e - 1)
+    steps = [2 << shift for shift in shifts]
+    for k, n in lowered.items():
+        for step in steps:
+            out[k + step] = out.get(k + step, 0) + n
+    return MultiPoly._make(dim, p.den, out)
 
 
 def euler_op(p: MultiPoly) -> MultiPoly:

@@ -34,13 +34,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # The 1/4 of the damped Laplacian (1/4)(1-||x||^2) Delta, shared by both connection
-    # operators; the radial and univariate forms keep their own copies and still pass.
+    # The 1/4 of the damped Laplacian (1/4)(1-||x||^2) Delta, its denominator 4 den, shared
+    # by both connection operators; the radial and univariate forms keep their own copies
+    # and still pass.
     Mutant(
         "damped-laplacian-quarter",
         "operators.py",
-        "    return Fraction(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))\n",
-        "    return Fraction(1, 3) * ((1 - radius_squared(p.dim)) * laplacian(p))\n",
+        "    return MultiPoly._make(p.dim, 4 * p.den, out)\n",
+        "    return MultiPoly._make(p.dim, 3 * p.den, out)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
@@ -64,16 +65,28 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
-    # A partial derivative that lowers one exponent field of the packed monomial but not the
-    # total-degree field: the exponents read back right, but the degree and grlex order do not.
+    # The Laplacian's second partials lowering one exponent field of the packed monomial but
+    # not the total-degree field: the exponents read back right, but the degree and grlex
+    # order do not.  A harmonic's Laplacian still cancels to zero; the angular Laplacian
+    # reads no Laplacian key, so the polar decomposition sees it.
     Mutant(
         "partial-keeps-total-degree",
         "polynomials.py",
-        "        step = (1 << (_FIELD * self.dim)) + (1 << shift)\n",
-        "        step = 1 << shift\n",
+        "                key = k - 2 * (top + (1 << shift))\n",
+        "                key = k - 2 * (1 << shift)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"classical-second-order-eigen", "connection-forward", "connection-backward",
-         "connection-lift", "fourth-order-eigen"},
+        {"classical-second-order-eigen", "connection-backward", "connection-forward",
+         "connection-lift", "fourth-order-eigen", "polar-decomposition"},
+    ),
+    # The angular Laplacian's grade factor g(g+d-2) at g(g+d-1): Delta_0 is no longer the
+    # composed ||x||^2 Delta - E^2 - (d-2) E, and no harmonic is its eigenfunction.
+    Mutant(
+        "angular-laplacian-grade",
+        "polynomials.py",
+        "        out[k] = -n * g * (g + dim - 2)\n",
+        "        out[k] = -n * g * (g + dim - 1)\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
+        {"laplace-beltrami-eigen", "polar-decomposition"},
     ),
     # A UniPoly left with a common factor in den and nums: equal polynomials stop comparing
     # equal, but every value, is_zero test and canonical text is unchanged, and the verifier
@@ -187,6 +200,16 @@ MUTANTS = [
         "harmonics.py",
         "            done.append((u, image, Fraction(1, u.den * den) / norm))\n",
         "            done.append((u, image, Fraction(1, u.den * den)))\n",
+        ["--dim", "3", "--max-degree", "3"],
+        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
+    ),
+    # The Gram-Schmidt update h + sum_j c_j u_j instead of h - sum_j c_j u_j: from degree 2 on
+    # in d = 3 the harmonics stop being sphere-orthogonal, and so do the ball bases built on them.
+    Mutant(
+        "gram-schmidt-update-sign",
+        "harmonics.py",
+        "                    out[k] = out.get(k, 0) - f * v\n",
+        "                    out[k] = out.get(k, 0) + f * v\n",
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
     ),
@@ -382,14 +405,15 @@ MUTANTS = [
          "pointmass-orthogonality", "pointmass-type-agreement"},
     ),
     # The Euler operator scales each grade by its degree plus one (the last line of its file,
-    # which has no newline).
+    # which has no newline).  The angular Laplacian reads grades itself, so among the
+    # harmonic identities only the Euler identity applies E.
     Mutant(
         "euler-op-degree",
         "polynomials.py",
         "    return MultiPoly._make(p.dim, p.den, {k: n * (k >> shift) for k, n in p.nums.items()})",
         "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) + 1) for k, n in p.nums.items()})",
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
-        {"euler-identity", "laplace-beltrami-eigen", "polar-decomposition"},
+        {"euler-identity"},
     ),
 ]
 

@@ -10,6 +10,7 @@ from oracles import gamma_sphere_moment, termwise_inner
 
 from orthoball import (
     MultiPoly,
+    euler_op,
     euler_residual,
     harmonic_basis,
     harmonic_space_dim,
@@ -20,7 +21,7 @@ from orthoball import (
     polar_decomposition_residual,
     radius_squared,
 )
-from orthoball.harmonics import _cauchy_harmonic, _monomials
+from orthoball.harmonics import _cauchy_harmonic, _monomials, _primitive
 from orthoball.polynomials import fraction_text
 
 # One line "dim degree sha256" per basis; regenerate only when the bases are meant to
@@ -118,6 +119,35 @@ class TestBasisProperties:
         assert first.sphere_norms == second.sphere_norms
 
 
+def reference_basis(dim: int, degree: int) -> list[MultiPoly]:
+    """Classical Gram-Schmidt on whole MultiPolys, one sphere product per coefficient."""
+    blocks: dict[tuple[int, ...], list[MultiPoly]] = {}
+    for e in _monomials(dim, degree):
+        if e[-1] < 2:
+            blocks.setdefault(tuple(v & 1 for v in e), []).append(_cauchy_harmonic(e))
+    out = []
+    for parity in sorted(blocks):
+        done = []
+        for h in blocks[parity]:
+            work = h
+            for u in done:
+                work = work - (inner_sphere(h, u) / inner_sphere(u, u)) * u
+            done.append(_primitive(work))
+        out += done
+    return out
+
+
+class TestIntegerGramSchmidt:
+    def test_matches_whole_polynomial_gram_schmidt(self):
+        # Equal in den and nums, element by element, to the form that subtracts each
+        # projection as a MultiPoly.
+        for d in range(2, 7):
+            for m in range(7):
+                got = harmonic_basis(d, m).elements
+                want = reference_basis(d, m)
+                assert [(Y.den, Y.nums) for Y in got] == [(Y.den, Y.nums) for Y in want]
+
+
 class TestGoldenBases:
     def test_bases_match_golden(self):
         # Pins every element and norm for d = 2..6, m = 0..6 byte for byte.
@@ -181,6 +211,21 @@ class TestLaplaceBeltrami:
                 for _ in range(3):
                     p = MultiPoly(d, {e: rng.randint(-4, 4) for e in _monomials(d, m)})
                     assert polar_decomposition_residual(p, m).is_zero()
+
+    def test_one_pass_matches_composed_form(self):
+        # Non-homogeneous rational polynomials, the zero polynomial and constants included.
+        rng = random.Random(17)
+        for d in range(1, 7):
+            r2 = radius_squared(d)
+            cases = [MultiPoly.zero(d), MultiPoly.constant(d, Q(-3, 7))]
+            for _ in range(500):
+                terms = {tuple(rng.randint(0, 4) for _ in range(d)):
+                         Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))}
+                cases.append(MultiPoly(d, terms))
+            for p in cases:
+                e = euler_op(p)
+                composed = r2 * laplacian(p) - euler_op(e) - (d - 2) * e
+                assert laplace_beltrami_op(p) == composed
 
     def test_pointwise_on_circle(self):
         Y = MultiPoly(2, {(2, 0): 1, (0, 2): -1})

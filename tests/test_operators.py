@@ -28,6 +28,8 @@ from orthoball import (
     substitute_radial,
     type_eigenvalue,
 )
+from orthoball.harmonics import laplace_beltrami_op
+from orthoball.operators import _damped_laplacian
 
 
 class TestBasicOperators:
@@ -43,6 +45,32 @@ class TestBasicOperators:
         assert euler_op(MultiPoly.constant(2, 9)).is_zero()
         mixed = MultiPoly(2, {(1, 0): 1, (2, 0): 1})
         assert euler_op(mixed) == MultiPoly(2, {(1, 0): 1, (2, 0): 2})
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(
+    lambda dim: st.dictionaries(st.tuples(*[st.integers(0, 4)] * dim),
+                                st.fractions(-4, 4, max_denominator=5), max_size=6)
+    .map(lambda terms: MultiPoly(dim, terms))))
+def test_damped_laplacian_matches_composed_form(p):
+    assert _damped_laplacian(p) == Q(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))
+
+
+@pytest.mark.parametrize("op", [laplacian, laplace_beltrami_op, _damped_laplacian],
+                         ids=lambda op: op.__name__)
+def test_each_operator_reduces_once(op, monkeypatch):
+    p = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 0, 0): Q(1, 7), (0, 0, 0): 4})
+    radius_squared(3)  # built through the validating constructor, once per dimension
+    calls = []
+    make = MultiPoly._make
+
+    def counting(dim, den, nums):
+        calls.append(den)
+        return make(dim, den, nums)
+
+    monkeypatch.setattr(MultiPoly, "_make", staticmethod(counting))
+    assert not op(p).is_zero()
+    assert len(calls) == 1
 
 
 class TestClassicalSecondOrder:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoball import MultiPoly, UniPoly, radius_squared, substitute_radial
+from orthoball import MultiPoly, UniPoly, laplacian, radius_squared, substitute_radial
 from orthoball.polynomials import pack
 
 
@@ -122,6 +122,25 @@ def test_ring_axioms(p, q, r):
 @given(multipolys(), st.integers(0, 2), st.integers(0, 2))
 def test_mixed_partials_commute(p, i, j):
     assert p.partial(i).partial(j) == p.partial(j).partial(i)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda dim: multipolys(dim=dim, max_exp=4)))
+def test_laplacian_is_sum_of_second_partials(p):
+    second = [p.partial(axis).partial(axis) for axis in range(p.dim)]
+    assert laplacian(p) == sum(second, MultiPoly.zero(p.dim))
+
+
+@settings(max_examples=100)
+@given(multipolys(), st.integers(-6, 6))
+def test_int_scaling_matches_fraction_scaling(p, c):
+    assert c * p == p * c == Q(c) * p
+    assert_multi_stored_form(c * p)
+
+
+def test_radius_squared_is_shared_per_dimension():
+    assert radius_squared(3) is radius_squared(3)
+    assert radius_squared(3) == P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
 
 
 @settings(max_examples=60)
