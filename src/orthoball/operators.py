@@ -51,7 +51,7 @@ def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
 
 
 def _damped_laplacian(p: MultiPoly) -> MultiPoly:
-    """(1/4)(1-||x||^2) Delta p: Delta p's numerators, less their products with ||x||^2, over 4 den."""
+    """(1/4)(1-||x||^2) Delta p, as Delta p's numerators less ||x||^2 times them, over 4 den."""
     lap = _laplacian_nums(p)
     out = dict(lap)
     steps = radius_squared(p.dim).nums  # the keys of the x_j^2; a product adds packed keys
