@@ -15,7 +15,8 @@ from .bases import basis_export_text
 from .exact_gamma import ExactnessError
 from .verify import SUITE_NAMES, STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
 
-_RATIONAL_OPTIONS = ("--mu", "--lambda", "--M")
+# The options whose value may start with a minus sign and a digit.
+_SIGNED_OPTIONS = ("--mu", "--lambda", "--M", "--export-basis")
 
 
 def _fraction(text: str) -> Fraction:
@@ -26,10 +27,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite '--mu -1/4' as '--mu=-1/4': argparse reads a lone '-1/4' as an option."""
+    """Rewrite '--mu -1/4' as '--mu=-1/4': argparse reads a lone '-1/4' or '-1,lambda' as an option."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+        if out and out[-1] in _SIGNED_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
             out[-1] += "=" + token
         else:
             out.append(token)

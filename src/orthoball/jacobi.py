@@ -1,9 +1,9 @@
 """Jacobi polynomials, their point-mass-at-1 relatives, and the operators connecting them.
 
-The classical family P_n^(a,b) is generated by the three-term recurrence with
-exact rational coefficients.  Adding a point mass at t = 1 to the weight
-produces a second family q_k: for a non-negative integer first parameter it
-has the closed construction
+The classical family P_n^(a,b) is generated by the three-term recurrence, its
+coefficients integers over one integer denominator.  Adding a point mass at
+t = 1 to the weight produces a second family q_k: for a non-negative integer
+first parameter it has the closed construction
 
     q_k(t) = [a_k - (1+t) d/dt] P_k^(a,b)(t),
 
@@ -21,14 +21,18 @@ Every inner product here is a moment functional applied to the product,
 inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
 inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
 at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer Hankel form over one cached
-table of moment numerators N / D.  Every product runs through one Gram kernel:
+table of moment numerators N / D, built from running integer products of the
+Pochhammer factors with one gcd.  Every product runs through one Gram kernel:
 it images each polynomial f = F / Df once, W_f[j] = sum_i F_i N[i+j], and builds
 one Fraction per entry, so a single product is its 1 x 1 case and
 gram_jacobi_mass is its symmetric case.  gram_schmidt_jacobi_mass orthogonalizes
 1, t, t^2, ... by fraction-free (Bareiss) elimination on the integer Hankel
 matrix of the same table, and the three-term recurrence builds each P_n on
-integer numerators in one pass.  The point-mass construction is exact when
-a = mu - 1/2 is a non-negative integer; _integer_alpha alone decides that.
+integer numerators in one pass, with no Fraction.  Both q_k families come from
+one integer kernel for [c - (1+t) d/dt] p, one pass over the numerators of p;
+at integer a the shift a_k reads k! / (a+1)_k as 1 / C(a+k, k).  The
+point-mass construction is exact when a = mu - 1/2 is a non-negative integer;
+_integer_alpha alone decides that.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -39,11 +43,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .exact_gamma import ExactnessError, rising_factorial
-from .polynomials import UniPoly, as_fraction, integer_numerators
+from .polynomials import UniPoly, as_fraction
 
 
 def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> None:
@@ -53,26 +57,33 @@ def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> None:
         )
 
 
+def _integer_params(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
+    # (r, A, B): r the lcm of the denominators of alpha and beta, A = alpha r and B = beta r.
+    r = lcm(alpha.denominator, beta.denominator)
+    return r, alpha.numerator * (r // alpha.denominator), beta.numerator * (r // beta.denominator)
+
+
 @cache
 def _jacobi(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
     if n == 0:
         return UniPoly.constant(1)
     if n == 1:
         return UniPoly([(alpha - beta) / 2, (alpha + beta + 2) / 2])
-    # P_n = x P_(n-1) + y t P_(n-1) + z P_(n-2), summed on integer numerators over one denominator.
-    a, b = alpha, beta
-    s = 2 * n + a + b
-    lead = 2 * n * (n + a + b) * (s - 2)
-    x = (s - 1) * (a * a - b * b) / lead
-    y = (s - 1) * s * (s - 2) / lead
-    z = -2 * (n + a - 1) * (n + b - 1) * s / lead
-    scale, (x, y, z) = integer_numerators((x, y, z))
-    p, q = _jacobi(n - 1, a, b), _jacobi(n - 2, a, b)
+    # P_n = (x P_(n-1) + y t P_(n-1) + z P_(n-2)) / lead on integers: with (r, A, B) from
+    # _integer_params and S = (2n + a + b) r, x = (S-r)(A^2-B^2), y = (S-r) S (S-2r),
+    # z = -2 ((n-1)r+A) ((n-1)r+B) S and lead = 2n r (nr+A+B) (S-2r), positive for n >= 2.
+    r, a, b = _integer_params(alpha, beta)
+    s = 2 * n * r + a + b
+    lead = 2 * n * r * (n * r + a + b) * (s - 2 * r)
+    x = (s - r) * (a * a - b * b)
+    y = (s - r) * s * (s - 2 * r)
+    z = -2 * ((n - 1) * r + a) * ((n - 1) * r + b) * s
+    p, q = _jacobi(n - 1, alpha, beta), _jacobi(n - 2, alpha, beta)
     den = lcm(p.den, q.den)
     x, y, z = x * (den // p.den), y * (den // p.den), z * (den // q.den)
     nums = [x * c + y * d + z * e
             for c, d, e in zip_longest(p.nums, (0, *p.nums), q.nums, fillvalue=0)]
-    return UniPoly._make(scale * den, nums)
+    return UniPoly._make(lead * den, nums)
 
 
 def jacobi_polynomial(n: int, alpha, beta) -> UniPoly:
@@ -110,14 +121,21 @@ _MOMENTS: dict[tuple[Fraction, Fraction], tuple[int, list[int]]] = {}  # (a, b) 
 
 def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list[int]]:
     # N[m] / D is the normalized moment of t^m against (1-t)^a (1+t)^b, m below a power of two
-    # >= size: sum_i C(m,i) (-2)^i r_i, r_i = (a+1)_i / (a+b+2)_i = r_(i-1) (a+i) / (a+b+1+i).
+    # >= size: sum_i C(m,i) (-2)^i r_i, r_i = (a+1)_i / (a+b+2)_i.  With (r, A, B) from
+    # _integer_params, r_i is the running product of the A + j r over that of the A + B + r + j r,
+    # j = 1..i; over the last denominator, one gcd reduces them.
     table = _MOMENTS.get((alpha, beta))
     if table is None or len(table[1]) < size:
-        ratios = [Fraction(1)]
+        r, a, b = _integer_params(alpha, beta)
+        tops, bottoms = [1], [1]
         for i in range(1, 1 << (size - 1).bit_length()):
-            ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))
-        den, scaled = integer_numerators(ratios)
-        moments = [sum(comb(m, i) * (-2) ** i * r for i, r in enumerate(scaled[: m + 1]))
+            tops.append(tops[-1] * (a + i * r))
+            bottoms.append(bottoms[-1] * (a + b + r + i * r))
+        den = bottoms[-1]
+        scaled = [top * (den // bottom) for top, bottom in zip(tops, bottoms)]
+        g = gcd(den, *scaled)
+        den, scaled = den // g, [n // g for n in scaled]
+        moments = [sum(comb(m, i) * (-2) ** i * n for i, n in enumerate(scaled[: m + 1]))
                    for m in range(len(scaled))]
         table = _MOMENTS[alpha, beta] = den, moments
     return table
@@ -201,8 +219,14 @@ def _mass_form(alpha, beta, lam, dim: int) -> tuple[Fraction, Fraction, Fraction
 
 
 @cache
+def _half_dim_rising(dim: int, a: int) -> Fraction:
+    """(d/2)_(a+1), the numerator of the total mass and of the shift a_k."""
+    return rising_factorial(Fraction(dim, 2), a + 1)
+
+
+@cache
 def _total_mass(dim: int, a: int, beta: Fraction) -> Fraction:
-    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)
+    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 1)
 
 
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
@@ -257,13 +281,18 @@ def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
     a, lam = _point_mass(alpha, lam)
-    gamma_part = (
-        rising_factorial(Fraction(dim, 2), a + 1)
-        * factorial(k)
-        / rising_factorial(alpha + 1, k)
-        / rising_factorial(beta + k + 1, a)
-    )
+    # (d/2)_(a+1) k! / ((a+1)_k (b+k+1)_a), with k! / (a+1)_k = 1 / C(a+k, k) at integer a.
+    gamma_part = _half_dim_rising(dim, a) / (comb(a + k, k) * rising_factorial(beta + k + 1, a))
     return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
+
+
+def _shift(p: UniPoly, c: Fraction) -> UniPoly:
+    # [c - (1+t) d/dt] p in one integer pass: at t^i, c_n P_i - c_d ((i+1) P_(i+1) + i P_i)
+    # over c_d p.den, with c = c_n / c_d and P the numerators of p.
+    cn, cd = c.numerator, c.denominator
+    pairs = zip_longest(p.nums, p.nums[1:], fillvalue=0)
+    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v + i * u)
+                                      for i, (u, v) in enumerate(pairs)])
 
 
 def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
@@ -273,9 +302,7 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    a_k = mass_coefficient(k, alpha, beta, lam, dim)
-    p = jacobi_polynomial(k, alpha, beta)
-    return a_k * p - UniPoly([1, 1]) * p.derivative()
+    return _shift(jacobi_polynomial(k, alpha, beta), mass_coefficient(k, alpha, beta, lam, dim))
 
 
 def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
@@ -285,8 +312,7 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
     beta, mass = as_fraction(beta), as_fraction(mass)
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    p = jacobi_polynomial(k, 0, beta)
-    return (mass + Fraction(k) * (k + beta + 1)) * p - UniPoly([1, 1]) * p.derivative()
+    return _shift(jacobi_polynomial(k, 0, beta), mass + k * (k + beta + 1))
 
 
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:

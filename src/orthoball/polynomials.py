@@ -10,8 +10,9 @@ so int order is graded-lexicographic order and a product adds keys.  The
 differential operators (``laplacian``, ``angular_laplacian``, ``euler_op``)
 read each exponent with one shift and apply themselves in one integer pass
 over the numerators, with one gcd at the end.  Fractions appear only in the
-views ``terms`` and ``coeffs``, built on each read, and in ``evaluate``,
-``canonical()`` and ``str``.  There is no floating point, so every
+views ``terms`` and ``coeffs``, built on each read, in ``MultiPoly.evaluate``,
+``canonical()`` and ``str``; ``UniPoly.evaluate`` runs Horner on integers and
+builds one ``Fraction``, its result.  There is no floating point, so every
 identity downstream can be checked for *literal* equality.
 """
 
@@ -379,11 +380,14 @@ class UniPoly:
         return UniPoly._make(self.den, [k * n for k, n in enumerate(self.nums)][1:])
 
     def evaluate(self, x) -> Fraction:
+        # Horner on integers at x = u/v: total = sum_i N_i u^i v^(deg-i) and power = v^(deg+1).
         x = as_fraction(x)
-        total = Fraction(0)
+        u, v = x.numerator, x.denominator
+        total, power = 0, 1
         for n in reversed(self.nums):
-            total = total * x + n
-        return total / self.den
+            total = total * u + n * power
+            power *= v
+        return Fraction(total * v, self.den * power)
 
     def compose(self, inner: UniPoly | MultiPoly) -> UniPoly | MultiPoly:
         """Horner substitution self(inner) of a UniPoly or a MultiPoly for t, of inner's type."""

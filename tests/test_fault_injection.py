@@ -45,13 +45,14 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
-    # An off-by-one in the Pochhammer step r_i = r_(i-1) (a+i) / (a+b+1+i) of the Jacobi
-    # moment table: every radial product is wrong, but still positive on q_k.
+    # An off-by-one in the running numerator product of r_i = (a+1)_i / (a+b+2)_i, the factor
+    # (A + i r) = r (a + i) at r (a + i + 1), in the Jacobi moment table: every radial product
+    # is wrong, but still positive on q_k.
     Mutant(
         "jacobi-moment-pochhammer-step",
         "jacobi.py",
-        "            ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))\n",
-        "            ratios.append(ratios[-1] * (alpha + i + 1) / (alpha + beta + 1 + i))\n",
+        "            tops.append(tops[-1] * (a + i * r))\n",
+        "            tops.append(tops[-1] * (a + i * r + r))\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
@@ -60,8 +61,8 @@ MUTANTS = [
     Mutant(
         "pointmass-total-mass",
         "jacobi.py",
-        "    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 1)\n",
-        "    return rising_factorial(Fraction(dim, 2), a + 1) / rising_factorial(beta + 1, a + 2)\n",
+        "    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 1)\n",
+        "    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 2)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
@@ -277,14 +278,15 @@ MUTANTS = [
         {"product-symmetry"},
     ),
     # The (n + a - 1) of the coefficient z of P_(n-2) in the Jacobi three-term recurrence at
-    # (n + a): from degree 2 on P_n is neither normalized nor a solution of its ODE, and
-    # every radial family built on it breaks with it.  P_2 moves by a constant, which d/dt
-    # does not see, so the derivative identity needs degree 3.
+    # (n + a), here ((n-1)r + A) at (nr + A) on integers: from degree 2 on P_n is neither
+    # normalized nor a solution of its ODE, and every radial family built on it breaks with
+    # it.  P_2 moves by a constant, which d/dt does not see, so the derivative identity needs
+    # degree 3.
     Mutant(
         "jacobi-recurrence-low-term",
         "jacobi.py",
-        "    z = -2 * (n + a - 1) * (n + b - 1) * s / lead\n",
-        "    z = -2 * (n + a) * (n + b - 1) * s / lead\n",
+        "    z = -2 * ((n - 1) * r + a) * ((n - 1) * r + b) * s\n",
+        "    z = -2 * (n * r + a) * ((n - 1) * r + b) * s\n",
         ["--dim", "2", "--max-degree", "3", "--suites", "jacobi,krall1d"],
         {"jacobi-derivative", "jacobi-normalization", "jacobi-ode", "pointmass-gram-schmidt",
          "pointmass-normalization", "pointmass-orthogonality"},
@@ -392,17 +394,43 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"mass-product-factorization"},
     ),
-    # q_k = a_k P_k - (1+t) P_k' without the derivative: degree k + 1, and every check on
-    # the point-mass family and on the mass basis built from it fails.
+    # q_k = a_k P_k - (1+t) P_k' without the derivative, in the composed form in place of the
+    # shift kernel: degree k + 1, and every check on the point-mass family and on the mass
+    # basis built from it fails.  jacobi_type_poly still calls the kernel, so the two
+    # families disagree.
     Mutant(
         "pointmass-drops-derivative",
         "jacobi.py",
-        "    return a_k * p - UniPoly([1, 1]) * p.derivative()\n",
-        "    return a_k * p - UniPoly([1, 1]) * p\n",
+        "    return _shift(jacobi_polynomial(k, alpha, beta), mass_coefficient(k, alpha, beta, lam, dim))\n",
+        "    p = jacobi_polynomial(k, alpha, beta); "
+        "return mass_coefficient(k, alpha, beta, lam, dim) * p - UniPoly([1, 1]) * p\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
          "pointmass-orthogonality", "pointmass-type-agreement"},
+    ),
+    # The shift kernel [c - (1+t) d/dt] p without its i P_i term, t d/dt: both q_k families
+    # read the kernel, so they still agree with each other and pointmass-type-agreement
+    # passes, but neither is orthogonal, normalized or connected to P_k any more.
+    Mutant(
+        "shift-kernel-drops-t-term",
+        "jacobi.py",
+        "    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v + i * u)\n",
+        "    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-backward", "connection-forward", "connection-radial", "connection-univariate",
+         "fourth-order-eigen", "mass-gram-offdiagonal", "pointmass-gram-schmidt",
+         "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # The shift a_k's k! / (a+1)_k = 1 / C(a+k, k) at 1 / C(a+k+1, k): at a = 1 every q_k with
+    # k >= 1 is wrong, but of degree k and with a positive norm.
+    Mutant(
+        "mass-coefficient-binomial",
+        "jacobi.py",
+        "    gamma_part = _half_dim_rising(dim, a) / (comb(a + k, k) * rising_factorial(beta + k + 1, a))\n",
+        "    gamma_part = _half_dim_rising(dim, a) / (comb(a + k + 1, k) * rising_factorial(beta + k + 1, a))\n",
+        ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),
     # The Euler operator scales each grade by its degree plus one (the last line of its file,
     # which has no newline).  The angular Laplacian reads grades itself, so among the

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as Q
 from functools import cache
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 from oracles import gram_schmidt, jacobi_explicit_sum, radial_weight_integral
@@ -217,6 +217,79 @@ class TestRadialKernels:
                 gram_schmidt(_monomials(size), inner)
             with pytest.raises(ZeroDivisionError):
                 gram_schmidt_jacobi_mass(size, 0, 0, 1, 2)
+
+
+# Parameters with negative and coprime denominators, for the integer paths.
+SIGNED_PARAMS = (Q(-3, 4), Q(-1, 2), Q(-1, 3), Q(2, 3), Q(9, 2))
+
+
+def _fraction_moment_table(alpha, beta, size):
+    # The table as Fractions: r_i = r_(i-1) (a+i) / (a+b+1+i), over the lcm of their denominators.
+    ratios = [Q(1)]
+    for i in range(1, 1 << (size - 1).bit_length()):
+        ratios.append(ratios[-1] * (alpha + i) / (alpha + beta + 1 + i))
+    den = lcm(*(r.denominator for r in ratios))
+    scaled = [r.numerator * (den // r.denominator) for r in ratios]
+    return den, [sum(comb(m, i) * (-2) ** i * n for i, n in enumerate(scaled[: m + 1]))
+                 for m in range(len(scaled))]
+
+
+def _fraction_jacobi(n, a, b):
+    # The three-term recurrence with Fraction coefficients.
+    if n == 0:
+        return UniPoly.constant(1)
+    if n == 1:
+        return UniPoly([(a - b) / 2, (a + b + 2) / 2])
+    s = 2 * n + a + b
+    lead = 2 * n * (n + a + b) * (s - 2)
+    p, q = _fraction_jacobi(n - 1, a, b), _fraction_jacobi(n - 2, a, b)
+    return (((s - 1) * (a * a - b * b) / lead) * p + ((s - 1) * s * (s - 2) / lead) * UniPoly.t() * p
+            - (2 * (n + a - 1) * (n + b - 1) * s / lead) * q)
+
+
+class TestIntegerPaths:
+    """Each integer path of the radial layer equals the Fraction form it replaces, under ==."""
+
+    def test_moment_table(self, monkeypatch):
+        # Grown in steps, each table equals the Fraction table of its own size.
+        monkeypatch.setattr(jacobi, "_MOMENTS", {})
+        params = SIGNED_PARAMS + (Q(0), Q(1))
+        for alpha in params:
+            for beta in params:
+                for size in (1, 2, 5, 9, 23):
+                    den, moments = jacobi._moment_table(alpha, beta, size)
+                    assert (den, moments) == _fraction_moment_table(alpha, beta, size)
+                    assert len(moments) >= size
+
+    def test_recurrence(self):
+        for alpha in SIGNED_PARAMS:
+            for beta in SIGNED_PARAMS:
+                for n in range(9):
+                    assert jacobi_polynomial(n, alpha, beta) == _fraction_jacobi(n, alpha, beta)
+
+    def test_shift_kernel(self):
+        # [c - (1+t) d/dt] p against its composed form, including a c that cancels the top
+        # term (c = deg p) and the zero polynomial.
+        rng = random.Random(18)
+        polys = [UniPoly.zero(), UniPoly.constant(Q(-2, 3))]
+        polys += [UniPoly([Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 8))])
+                  for _ in range(12)]
+        for p in polys:
+            for c in (Q(0), Q(1), Q(-5, 4), Q(7, 3), Q(p.degree), Q(rng.randint(-20, 20), rng.randint(1, 9))):
+                assert jacobi._shift(p, c) == c * p - UniPoly([1, 1]) * p.derivative()
+
+    def test_mass_coefficient(self):
+        # a_k = (d/2)_(a+1) k! / ((a+1)_k (b+k+1)_a lam) + k (k+a+b+1) / (a+1).
+        for alpha in MASS_ALPHAS:
+            for d in (2, 3, 4, 5):
+                for beta in SIGNED_PARAMS + (Q(0), Q(1), Q(7, 2)):
+                    for lam in (Q(1, 3), Q(5, 11), Q(2)):
+                        for k in range(9):
+                            gamma_part = (rising_factorial(Q(d, 2), alpha + 1) * factorial(k)
+                                          / rising_factorial(alpha + 1, k)
+                                          / rising_factorial(beta + k + 1, alpha))
+                            want = gamma_part / lam + Q(k) * (k + alpha + beta + 1) / (alpha + 1)
+                            assert mass_coefficient(k, alpha, beta, lam, d) == want
 
 
 class TestRadialWeightOracle:

@@ -214,6 +214,21 @@ class TestUniPoly:
         assert f.derivative() == UniPoly([0, 6])
         assert f.evaluate(Q(1, 2)) == Q(23, 4)
 
+    def test_evaluate_matches_fraction_horner(self):
+        # The integer Horner pass against Horner on Fractions, at negative, zero and
+        # non-reduced points and on the zero polynomial.
+        polys = [UniPoly.zero(), UniPoly.constant(Q(-7, 3)), UniPoly([Q(1, 2), 0, Q(-5, 6), Q(3, 4)]),
+                 UniPoly([0, 0, 0, Q(9, 10), 0, -4])]
+        for f in polys:
+            for x in (0, 1, -1, 3, Q(-3, 2), Q(-5, 7), Q(2, 9), "2/4", "-6/4"):
+                want = Q(0)
+                for c in reversed(f.coeffs):
+                    want = want * Q(x) + c
+                got = f.evaluate(x)
+                assert type(got) is Q and got == want
+        assert UniPoly.zero().evaluate("2/4") == 0
+        assert UniPoly([1, 1]).evaluate("2/4") == Q(3, 2)
+
     def test_compose(self):
         f = UniPoly([0, 0, 1])
         inner = UniPoly([1, 1])

@@ -386,7 +386,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["--dim", "x"],
-        ["--export-basis", "-1,classical"],  # a value that looks like an option
+        ["--export-basis", "-x,classical"],  # a value that looks like an option, not a number
         # The abbreviation of --lambda may read -1/4 as an option or as a
         # non-positive coupling; both are usage errors.
         ["--lam", "-1/4"],
@@ -409,6 +409,13 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 2
         assert all(line.startswith("configuration error") for line in err)
+
+    @pytest.mark.parametrize("kind", ["lambda", "classical"])
+    def test_export_negative_degree_reaches_the_export(self, kind, capsys):
+        assert main(["--dim", "2", "--export-basis", f"-1,{kind}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "export failed: degree must be non-negative, got -1\n"
 
     def test_exit_two_on_unwritable_out(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "x")
