@@ -8,7 +8,8 @@ one harmonic, x^e plus terms of higher x_d-exponent, in closed form:
     h_e = sum_i (-1)^i x_d^(a+2i) / (a+2i)! * Delta'^i x'^e'
 
 with Delta' the Laplacian in x_1..x_(d-1) and x'^e' the monomial x^e without
-its x_d factor.  These harmonics are then orthogonalized with Gram-Schmidt
+its x_d factor: integer numerators over the one denominator (a + 2I)!, with I
+the largest i.  These harmonics are then orthogonalized with Gram-Schmidt
 under the normalized sphere inner product.  The basis is kept orthogonal
 rather than orthonormal (normalizing would introduce square roots); the
 squared sphere norms are recorded instead.
@@ -19,11 +20,18 @@ them from the partly reduced vector instead, w - sum_(i<j) c_i u_i, and
 <w, u_j> = <h_k, u_j> because the earlier u_i are already orthogonal to u_j.
 The two differ only in rounding (Bjorck, "Solving linear least squares
 problems by Gram-Schmidt orthogonalization", BIT 7, 1967), and this
-arithmetic is exact, so they give the same basis.  The classical form lets
-each u_j be imaged once (``measures.sphere_images``) and each coefficient
-be one integer dot product of h_k's numerators with that image; u_k is then
-one integer accumulation of h_k and the scaled earlier u_j over a common
-denominator.
+arithmetic is exact, so they give the same basis.  The classical form runs
+on integers.  Each u_j is kept primitive: integer coefficients U_j with
+content 1 and a positive coefficient at its largest key.  It is imaged once
+over the block's monomials with the sphere moment table (``measures._image``),
+W_j, and N_j = U_j . W_j is an integer, so <u_j, u_j> = N_j / D.  For
+h_k = H / Dh the coefficient <h_k, u_j> / <u_j, u_j> is (H . W_j) / (Dh N_j).
+u_k is fixed up to scale and primitivity fixes the scale, so u_k is the
+primitive part of
+
+    L H - sum_j (L / N_j) (H . W_j) U_j,    L = lcm of the N_j with H . W_j != 0,
+
+and its recorded squared norm N_k / D is the one Fraction it builds.
 
 Three structural facts keep the computation small and exact:
 
@@ -52,9 +60,9 @@ from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 
-from .measures import sphere_images
-from .polynomials import (Exponents, MultiPoly, angular_laplacian, euler_op, laplacian, pack,
-                          radius_squared)
+from . import measures
+from .polynomials import (_FIELD, Exponents, MultiPoly, angular_laplacian, euler_op, laplacian,
+                          pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -92,25 +100,23 @@ def _cauchy_harmonic(e: Exponents) -> MultiPoly:
 
     Delta'^i x'^e' expands by the multinomial theorem over j with |j| = i: the
     monomial x'^(e' - 2j) has coefficient i! prod_l e'_l! / ((e'_l - 2 j_l)! j_l!).
+    Every coefficient is an integer over (a + 2i)!, so all are integers over (a + 2I)!,
+    with I the largest i.
     """
     *head, a = e
-    terms = {}
+    dim = len(e)
+    last = a + 2 * sum(k // 2 for k in head)
+    base = pack(e)
+    shifts = [_FIELD * (dim - 1 - axis) for axis in range(dim - 1)]
+    nums = {}
     for j in product(*(range(k // 2 + 1) for k in head)):
         i = sum(j)
         weight = prod(factorial(k) // (factorial(k - 2 * t) * factorial(t)) for k, t in zip(head, j))
-        exps = tuple(k - 2 * t for k, t in zip(head, j)) + (a + 2 * i,)
-        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i))
-    return MultiPoly(len(e), terms)
-
-
-def _primitive(p: MultiPoly) -> MultiPoly:
-    """Scale to integer coefficients with content 1 and positive leading grlex term."""
-    if p.is_zero():
-        return p
-    content = gcd(*p.nums.values())
-    if p.nums[max(p.nums)] < 0:
-        content = -content
-    return p * Fraction(p.den, content)
+        # x'^(e' - 2j) x_d^(a + 2i): the same total degree, 2 j_l less in each head field and
+        # 2i more in the last one.
+        key = base + 2 * i - sum(t << (shift + 1) for t, shift in zip(j, shifts))
+        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 1, last + 1))
+    return MultiPoly._make(dim, factorial(last), nums)
 
 
 @cache
@@ -130,31 +136,38 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     norms: list[Fraction] = []
     for parity in sorted(blocks):
         # Classical Gram-Schmidt within the block; pairs from different blocks are orthogonal
-        # already because their products have only odd-exponent monomials.  Each u is imaged
-        # once over the block's monomials, W_u, so <h, u> = (H . W_u) / (Dh Du D).
+        # already because their products have only odd-exponent monomials.  Every monomial of
+        # the block has its parity, so one list of keys serves every image.
         block = [_cauchy_harmonic(e) for e in blocks[parity]]
-        keys = set().union(*(h.nums for h in block))
-        done: list[tuple[MultiPoly, dict[int, int], Fraction]] = []  # (u, W_u, scale)
+        keys = sorted(set().union(*(h.nums for h in block)))
+        table = measures._moment_table(dim, measures._SPHERE_MU, 0, 2 * keys[-1])
+        by_parity = {keys[0] & measures._low_bits(dim): keys}
+        done: list[tuple[dict[int, int], dict[int, int], int]] = []  # (U_j, W_j, N_j)
         for h in block:
-            coeffs = []
-            for u, image, scale in done:
-                coeff = Fraction(sum([c * image[b] for b, c in h.nums.items()]), h.den) * scale
-                if coeff:
-                    coeffs.append((coeff, u))
-            # h - sum_j c_j u_j, accumulated on integer numerators over one common denominator.
-            common = lcm(h.den, *(c.denominator * u.den for c, u in coeffs))
-            out = {k: n * (common // h.den) for k, n in h.nums.items()}
-            for c, u in coeffs:
-                f = c.numerator * (common // (c.denominator * u.den))
-                for k, v in u.nums.items():
+            # <h, u_j> / <u_j, u_j> = (H . W_j) / (Dh N_j), so Dh L (h - sum_j c_j u_j) is
+            # L H - sum_j (L / N_j)(H . W_j) U_j on integers, with L the lcm of the N_j it reads.
+            dots = []
+            for nums, image, sq in done:
+                dot = sum([c * image[b] for b, c in h.nums.items()])
+                if dot:
+                    dots.append((dot, sq, nums))
+            scale = lcm(*(sq for _, sq, _ in dots))
+            out = {k: scale * n for k, n in h.nums.items()}
+            for dot, sq, nums in dots:
+                f = scale // sq * dot
+                for k, v in nums.items():
                     out[k] = out.get(k, 0) - f * v
-            u = _primitive(MultiPoly._make(dim, common, out))
-            den, (image,) = sphere_images([u], keys)
-            norm = Fraction(sum([c * image[b] for b, c in u.nums.items()]), u.den * u.den * den)
-            # <h, u> / <u, u> = (H . W_u) / Dh times this scale.
-            done.append((u, image, Fraction(1, u.den * den) / norm))
+            # u_k is the primitive part, with a positive coefficient at its largest key.
+            out = {k: n for k, n in out.items() if n}
+            content = gcd(*out.values())
+            if out[max(out)] < 0:
+                content = -content
+            u = MultiPoly._make(dim, 1, {k: n // content for k, n in out.items()})
+            image = measures._image(u, by_parity, table)
+            sq = sum([c * image[b] for b, c in u.nums.items()])
+            done.append((u.nums, image, sq))
             ortho.append(u)
-            norms.append(norm)
+            norms.append(Fraction(sq, table.den))
 
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 

@@ -11,9 +11,10 @@ differential operators (``laplacian``, ``angular_laplacian``, ``euler_op``)
 read each exponent with one shift and apply themselves in one integer pass
 over the numerators, with one gcd at the end.  Fractions appear only in the
 views ``terms`` and ``coeffs``, built on each read, in ``MultiPoly.evaluate``,
-``canonical()`` and ``str``; ``UniPoly.evaluate`` runs Horner on integers and
-builds one ``Fraction``, its result.  There is no floating point, so every
-identity downstream can be checked for *literal* equality.
+``UniPoly.canonical()`` and ``str``; ``MultiPoly.canonical()`` reduces each
+numerator against ``den`` with one gcd, and ``UniPoly.evaluate`` runs Horner on
+integers and builds one ``Fraction``, its result.  There is no floating point,
+so every identity downstream can be checked for *literal* equality.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def pack(exps: Exponents) -> int:
 
 def _unpack(packed: int, dim: int) -> Exponents:
     return tuple((packed >> (_FIELD * i)) & _FIELD_MASK for i in reversed(range(dim)))
+
+
+@cache
+def _monomial_text(packed: int, dim: int) -> str:
+    """The monomial's text in canonical form, `x1^e1*...*xd^ed`, every exponent written."""
+    return "*".join(f"x{j + 1}^{k}" for j, k in enumerate(_unpack(packed, dim)))
 
 
 def _readable(terms: Iterable[tuple[str, Fraction]]) -> str:
@@ -253,10 +260,11 @@ class MultiPoly:
         """Canonical text form: graded-lex terms `num/den * x1^e1*...*xd^ed`."""
         if not self.nums:
             return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(f"x{j + 1}^{k}" for j, k in enumerate(e))
-            parts.append(f"{fraction_text(c)} * {mono}")
+        den, parts = self.den, []
+        for k in sorted(self.nums):
+            n = self.nums[k]
+            g = gcd(n, den)
+            parts.append(f"{n // g}/{den // g} * {_monomial_text(k, self.dim)}")
         return " + ".join(parts)
 
     def __str__(self):

@@ -15,7 +15,10 @@ producer inside the check's timer, so ``elapsed_ms`` covers building the items,
 and serializes a witness of the first item that fails.  The producer runs before
 ``check`` returns, so it may read the variables of the loop that declares it.
 Orthogonality suites read every check from one Gram matrix per basis, and
-``krall1d`` from one Gram matrix of the point-mass family per beta.
+``krall1d`` from one Gram matrix of the point-mass family per beta.  Their
+exact-zero producers yield only the nonzero entries, in row-major order, so a
+passing scan builds no tag and no witness and a failing one reports the same
+first entry that an item per entry would.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
@@ -168,6 +170,15 @@ def _serialize(value) -> str:
     return fraction_text(value) if isinstance(value, Fraction) else str(value)
 
 
+def _nonzero_above_diagonal(gram):
+    """Each nonzero entry above the diagonal of ``gram``, tagged (i, j), in row-major order.
+
+    An exact-zero check over a Gram matrix passes all its zeros without building a tag or
+    a witness for them; its first item, if any, is the first failure of the row-major scan.
+    """
+    return (((i, j), row[j]) for i, row in enumerate(gram) for j in range(i + 1, len(row)) if row[j])
+
+
 def _witness(kind: str, values) -> str | None:
     """Serialized evidence that one check item fails, or None when it passes."""
     if kind == STATUS_ZERO:
@@ -284,11 +295,7 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
             gs, q = jacobi.gram_schmidt_jacobi_mass(len(ks), alpha, beta, cfg.lam, cfg.dim), qs()
             return ((k, gs[k] * q[k].leading_coeff() - q[k] * gs[k].leading_coeff()) for k in ks)
 
-        out.check(
-            "pointmass-orthogonality",
-            p,
-            lambda: (((j, k), gram()[j][k]) for j, k in combinations(ks, 2)),
-        )
+        out.check("pointmass-orthogonality", p, lambda: _nonzero_above_diagonal(gram()))
         scale = rising_factorial(Fraction(cfg.dim, 2), alpha.numerator + 1) / cfg.lam
         out.check(
             "pointmass-normalization",
@@ -322,17 +329,17 @@ def _suite_harmonics(cfg: SuiteConfig, out: _Collector) -> None:
         def each(residual, *args):
             return lambda: ((i, residual(Y, *args)) for i, Y in enumerate(basis().elements))
 
-        def sphere_orthogonality():
-            gram = measures.sphere_gram(basis().elements)
-            return (((i, j), gram[i][j]) for i, j in combinations(range(len(gram)), 2))
-
         out.check(
             "harmonic-dimension",
             p,
             lambda: [(m, len(basis().elements), harmonics.harmonic_space_dim(d, m))],
         )
         out.check("harmonic-laplace", p, each(operators.laplacian))
-        out.check("harmonic-sphere-orthogonality", p, sphere_orthogonality)
+        out.check(
+            "harmonic-sphere-orthogonality",
+            p,
+            lambda: _nonzero_above_diagonal(measures.sphere_gram(basis().elements)),
+        )
         out.check(
             "harmonic-norm-positive",
             p,
@@ -425,8 +432,8 @@ def _key(el: bases.BallBasisElement) -> tuple[int, int, int]:
 
 
 def _offdiagonal(els, gram):
-    """The entries above the diagonal of ``gram``, each tagged with both element keys."""
-    return ((_key(a) + _key(b), gram[i][j]) for (i, a), (j, b) in combinations(enumerate(els), 2))
+    """The nonzero entries above the diagonal of ``gram``, each tagged with both element keys."""
+    return ((_key(els[i]) + _key(els[j]), value) for (i, j), value in _nonzero_above_diagonal(gram))
 
 
 def _diagonal(els, gram):
@@ -459,16 +466,16 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
 
     def lower_degree():
         # <P, x^e> = W_P[e] / (den_P D), read from one moment image of each degree-n element
-        # over the monomials of degree below n.
+        # over the monomials of degree below n; an item only where the integer W_P[e] is nonzero.
         for n in range(1, cfg.max_degree + 1):
             exps = list(_exps_upto(d, n - 1))
             keys = list(map(pack, exps))
             elements = bases.classical_basis(n, d, mu)
             den, images = measures.moment_images([el.poly for el in elements], keys, mu)
             for el, image in zip(elements, images):
-                scale = el.poly.den * den
                 for e, key in zip(exps, keys):
-                    yield _key(el) + (e,), Fraction(image[key], scale)
+                    if image[key]:
+                        yield _key(el) + (e,), Fraction(image[key], el.poly.den * den)
 
     out.check("classical-lower-degree", p, lower_degree)
 
@@ -695,7 +702,7 @@ def summarize(cfg: SuiteConfig, records: list[CheckRecord]) -> dict:
 def report_lines(cfg: SuiteConfig, records: list[CheckRecord]) -> list[str]:
     """JSON Lines report: one object per check, then a summary object."""
     lines = [
-        json.dumps(dict(asdict(r), type="check", elapsed_ms=round(r.elapsed_ms, 3)), sort_keys=True)
+        json.dumps(dict(vars(r), type="check", elapsed_ms=round(r.elapsed_ms, 3)), sort_keys=True)
         for r in records
     ]
     lines.append(json.dumps(summarize(cfg, records), sort_keys=True))

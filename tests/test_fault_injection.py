@@ -144,14 +144,15 @@ MUTANTS = [
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
          "mass-product-factorization", "sphere-moment-consistency"},
     ),
-    # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big: from degree 2
-    # on h_e is not harmonic: both harmonic identities fail, and with them most checks on
-    # the ball bases built from it.
+    # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big, here the
+    # numerator (a+2I)!/(a+2i)! over (a+2I)! at (a+2I+1)!/(a+2i+1)!, which only adds the
+    # constant a+2I+1: from degree 2 on h_e is not harmonic: both harmonic identities fail,
+    # and with them most checks on the ball bases built from it.
     Mutant(
         "cauchy-harmonic-denominator",
         "harmonics.py",
-        "        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i))\n",
-        "        terms[exps] = Fraction((-1) ** i * factorial(i) * weight, factorial(a + 2 * i + 1))\n",
+        "        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 1, last + 1))\n",
+        "        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 2, last + 2))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
          "connection-backward", "connection-forward", "fourth-order-eigen", "harmonic-laplace",
@@ -193,14 +194,14 @@ MUTANTS = [
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
          "mass-product-factorization", "sphere-moment-consistency", "unit-mass"},
     ),
-    # Gram-Schmidt coefficients <h, u> without the division by <u, u>: from degree 2 on in
-    # d = 3 the harmonics stop being sphere-orthogonal, and the ball bases built from them
-    # stop being orthogonal.
+    # Gram-Schmidt coefficients (H . W_j) / (Dh N_j) without the division by the norm N_j:
+    # from degree 2 on in d = 3 the harmonics stop being sphere-orthogonal, and the ball
+    # bases built from them stop being orthogonal.
     Mutant(
         "gram-schmidt-drops-norm",
         "harmonics.py",
-        "            done.append((u, image, Fraction(1, u.den * den) / norm))\n",
-        "            done.append((u, image, Fraction(1, u.den * den)))\n",
+        "                f = scale // sq * dot\n",
+        "                f = scale * dot\n",
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
     ),
@@ -347,8 +348,8 @@ MUTANTS = [
     Mutant(
         "harmonic-norm-sign",
         "harmonics.py",
-        "            norms.append(norm)\n",
-        "            norms.append(-norm)\n",
+        "            norms.append(Fraction(sq, table.den))\n",
+        "            norms.append(Fraction(-sq, table.den))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-diagonal", "harmonic-norm-positive", "mass-gram-diagonal",
          "mass-product-factorization"},

@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as Q
 from functools import cache
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from orthoball import (
     polar_decomposition_residual,
     radius_squared,
 )
-from orthoball.harmonics import _cauchy_harmonic, _monomials, _primitive
+from orthoball.harmonics import _cauchy_harmonic, _monomials
 from orthoball.polynomials import fraction_text
 
 # One line "dim degree sha256" per basis; regenerate only when the bases are meant to
@@ -119,6 +119,14 @@ class TestBasisProperties:
         assert first.sphere_norms == second.sphere_norms
 
 
+def _primitive(p: MultiPoly) -> MultiPoly:
+    """Scale to integer coefficients with content 1 and positive leading grlex term."""
+    content = gcd(*p.nums.values())
+    if p.nums[max(p.nums)] < 0:
+        content = -content
+    return p * Q(p.den, content)
+
+
 def reference_basis(dim: int, degree: int) -> list[MultiPoly]:
     """Classical Gram-Schmidt on whole MultiPolys, one sphere product per coefficient."""
     blocks: dict[tuple[int, ...], list[MultiPoly]] = {}
@@ -140,12 +148,12 @@ def reference_basis(dim: int, degree: int) -> list[MultiPoly]:
 class TestIntegerGramSchmidt:
     def test_matches_whole_polynomial_gram_schmidt(self):
         # Equal in den and nums, element by element, to the form that subtracts each
-        # projection as a MultiPoly.
-        for d in range(2, 7):
-            for m in range(7):
-                got = harmonic_basis(d, m).elements
-                want = reference_basis(d, m)
-                assert [(Y.den, Y.nums) for Y in got] == [(Y.den, Y.nums) for Y in want]
+        # projection as a MultiPoly.  (3, 12) and (4, 8) have large blocks: many nonzero
+        # coefficients per update, so a large lcm of the norms and tall coefficients.
+        for d, m in [(d, m) for d in range(2, 7) for m in range(7)] + [(3, 12), (4, 8)]:
+            got = harmonic_basis(d, m).elements
+            want = reference_basis(d, m)
+            assert [(Y.den, Y.nums) for Y in got] == [(Y.den, Y.nums) for Y in want]
 
 
 class TestGoldenBases:

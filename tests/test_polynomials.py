@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoball import MultiPoly, UniPoly, laplacian, radius_squared, substitute_radial
-from orthoball.polynomials import pack
+from orthoball.polynomials import fraction_text, pack
 
 
 def P(dim, terms):
@@ -106,6 +107,26 @@ class TestMultiPolyBasics:
         p = P(2, {(2, 0): 1, (0, 2): -1, (0, 0): Q(1, 2)})
         assert p.canonical() == "1/2 * x1^0*x2^0 + -1/1 * x1^0*x2^2 + 1/1 * x1^2*x2^0"
         assert MultiPoly.zero(2).canonical() == "0"
+
+    def test_canonical_matches_fraction_form(self):
+        # The integer form (one gcd per term, cached monomial text) against the Fraction form
+        # it replaces: negative numerators, den > 1 with and without a shared factor, zero.
+        rng = random.Random(23)
+        for dim in range(1, 7):
+            cases = [MultiPoly.zero(dim), MultiPoly.constant(dim, Q(-6, 4))]
+            for _ in range(200):
+                terms = {tuple(rng.randint(0, 5) for _ in range(dim)):
+                         Q(rng.randint(-30, 30), rng.choice([1, 2, 6, 12, 35]))
+                         for _ in range(rng.randint(1, 6))}
+                cases.append(MultiPoly(dim, terms))
+            assert any(p.den > 1 for p in cases)
+            assert any(n < 0 for p in cases for n in p.nums.values())
+            for p in cases:
+                want = " + ".join(
+                    f"{fraction_text(c)} * " + "*".join(f"x{j + 1}^{k}" for j, k in enumerate(e))
+                    for e, c in p.sorted_terms()
+                ) or "0"
+                assert p.canonical() == want
 
 
 @settings(max_examples=100)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,44 @@ class TestCli:
         assert code == 1
         records = [json.loads(line) for line in out.read_text().strip().split("\n")]
         assert any(r.get("status") == "FAIL" and r.get("witness") for r in records)
+
+    @pytest.mark.parametrize("gram_name, suites, identities", [
+        ("sphere_gram", "harmonics", ["harmonic-sphere-orthogonality"]),
+        ("mass_gram", "classical-orthogonality,lambda-orthogonality",
+         ["classical-gram-offdiagonal", "mass-gram-offdiagonal"]),
+    ])
+    def test_gram_scan_reports_the_row_major_first_entry(self, monkeypatch, tmp_path,
+                                                          gram_name, suites, identities):
+        real, planted = getattr(measures, gram_name), []
+
+        def gram(polys, *args):
+            entries = real(polys, *args)
+            if len(entries) >= 4:
+                # (1, 2) comes first by column and by distance from the diagonal, (0, 3) by row.
+                for (i, j), value in [((1, 2), Q(5, 7)), ((0, 3), Q(-2, 3))]:
+                    entries[i][j] = entries[j][i] = value
+                planted.append(entries)
+            return entries
+
+        monkeypatch.setattr(measures, gram_name, gram)
+        out = tmp_path / "report.jsonl"
+        assert main(["--dim", "3", "--max-degree", "2", "--suites", suites, "--out", str(out)]) == 1
+        failed = {r["identity"]: r for r in map(json.loads, out.read_text().splitlines())
+                  if r.get("status") == STATUS_FAIL}
+        cfg = SuiteConfig(dim=3, max_degree=2)
+        elements = {
+            "classical-gram-offdiagonal": verify._elements(cfg, bases.classical_basis, cfg.mu),
+            "mass-gram-offdiagonal": verify._elements(cfg, bases.mass_basis, cfg.mu, cfg.lam),
+        }
+        assert len(planted) == len(identities)
+        for identity, entries in zip(identities, planted):
+            # The item-wise scan: the first nonzero entry above the diagonal, in row-major order.
+            i, j = next((i, j) for i, j in combinations(range(len(entries)), 2) if entries[i][j])
+            assert (i, j) == (0, 3)
+            els = elements.get(identity)
+            tag = [i, j] if els is None else [*verify._key(els[i]), *verify._key(els[j])]
+            assert failed[identity]["params"]["first_failure"] == tag
+            assert failed[identity]["witness"] == "-2/3"
 
     def test_exit_two_on_bad_config(self, capsys):
         assert main(["--lambda", "1/4", "--M", "2"]) == 2
