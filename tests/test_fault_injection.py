@@ -144,10 +144,11 @@ MUTANTS = [
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
          "mass-product-factorization", "sphere-moment-consistency"},
     ),
-    # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big, here the
-    # numerator (a+2I)!/(a+2i)! over (a+2I)! at (a+2I+1)!/(a+2i+1)!, which only adds the
-    # constant a+2I+1: from degree 2 on h_e is not harmonic: both harmonic identities fail,
-    # and with them most checks on the ball bases built from it.
+    # The closed-form harmonic's x_d-denominator (a+2i)! one factor too big, written over
+    # the common denominator (a+2I)!: the numerator factor (a+2I)!/(a+2i)! at
+    # (a+2I+1)!/(a+2i+1)!, that fault times the constant a+2I+1.  From degree 2 on h_e is
+    # not harmonic: both harmonic identities fail, and with them most checks on the ball
+    # bases built from it.
     Mutant(
         "cauchy-harmonic-denominator",
         "harmonics.py",
