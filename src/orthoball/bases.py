@@ -25,9 +25,9 @@ so a basis build makes no product on the ball.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .exact_gamma import rising_factorial
 from .harmonics import harmonic_basis
@@ -58,16 +58,14 @@ def sphere_coupling(dim: int, mass) -> Fraction:
     return Fraction(dim) / (2 * mass)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
+class BasisIndex(NamedTuple):
     n: int
     k: int
     nu: int  # 0-based position in the harmonic basis of degree n - 2k
     beta_k: Fraction
 
 
-@dataclass(frozen=True)
-class BallBasisElement:
+class BallBasisElement(NamedTuple):
     index: BasisIndex
     poly: MultiPoly
     sq_norm: Fraction
@@ -159,6 +157,8 @@ def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:
         elements = mass_basis(n, dim, mu, lam)
     else:
         raise ValueError(f"kind must be 'classical' or 'lambda', got {kind!r}")
+    # The point mass M of the eigenvalue, once per export; only a "lambda" basis at mu = 1/2 has one.
+    mass = mass_parameter(dim, lam) if kind == "lambda" and mu == FOURTH_ORDER_MU else None
     records = []
     for el in elements:
         record = {
@@ -170,9 +170,8 @@ def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:
             "harmonic_sq_norm": fraction_text(el.harmonic_sq_norm),
             "poly": el.poly.canonical(),
         }
-        if kind == "lambda" and mu == FOURTH_ORDER_MU:
-            record["eigenvalue"] = fraction_text(
-                type_eigenvalue(el.index.k, el.index.beta_k, mass_parameter(dim, lam)))
+        if mass is not None:
+            record["eigenvalue"] = fraction_text(type_eigenvalue(el.index.k, el.index.beta_k, mass))
         records.append(record)
     return {
         "dim": dim,

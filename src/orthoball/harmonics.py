@@ -54,11 +54,11 @@ Three structural facts keep the computation small and exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
+from typing import NamedTuple
 
 from . import measures
 from .polynomials import (_FIELD, Exponents, MultiPoly, angular_laplacian, euler_op, laplacian,
@@ -74,8 +74,7 @@ def harmonic_space_dim(dim: int, degree: int) -> int:
     return first - second
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(NamedTuple):
     """Mutually sphere-orthogonal basis of harmonic homogeneous polynomials."""
 
     dim: int
@@ -84,15 +83,17 @@ class HarmonicBasis:
     sphere_norms: tuple[Fraction, ...]  # squared norms under the normalized sphere product
 
 
-def _monomials(dim: int, degree: int) -> list[Exponents]:
+@cache
+def _monomials(dim: int, degree: int) -> tuple[Exponents, ...]:
+    """Every exponent vector of total degree ``degree`` in ``dim`` variables, in grlex order."""
     if dim == 1:
-        return [(degree,)]
+        return ((degree,),)
     out = []
     for head in range(degree + 1):
         for tail in _monomials(dim - 1, degree - head):
             out.append((head,) + tail)
     out.sort(key=pack)
-    return out
+    return tuple(out)
 
 
 def _cauchy_harmonic(e: Exponents) -> MultiPoly:

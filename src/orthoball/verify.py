@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
@@ -106,35 +105,39 @@ _IDENTITIES = {
 }
 
 
-@dataclass
 class SuiteConfig:
-    dim: int = 2
-    mu: Fraction = Fraction(1, 2)
-    lam: Fraction | None = None
-    mass: Fraction | None = None
-    max_degree: int = 4
-    suites: tuple[str, ...] = ("all",)
-    seed: int = 0
-    corrupt_eigenvalue: bool = False  # self-test hook: offsets the fourth-order eigenvalue
+    """One verifier run's parameters, validated and normalized as they are set."""
 
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be at least 2, got {self.dim}")
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be non-negative, got {self.max_degree}")
-        self.mu = measures._check_mu(self.mu)
-        if self.lam is not None and self.mass is not None:
+    def __init__(
+        self,
+        dim: int = 2,
+        mu: Fraction = Fraction(1, 2),
+        lam: Fraction | None = None,
+        mass: Fraction | None = None,
+        max_degree: int = 4,
+        suites: tuple[str, ...] = ("all",),
+        seed: int = 0,
+        corrupt_eigenvalue: bool = False,  # self-test hook: offsets the fourth-order eigenvalue
+    ):
+        if dim < 2:
+            raise ValueError(f"dim must be at least 2, got {dim}")
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be non-negative, got {max_degree}")
+        self.dim, self.max_degree = dim, max_degree
+        self.seed, self.corrupt_eigenvalue = seed, corrupt_eigenvalue
+        self.mu = measures._check_mu(mu)
+        if lam is not None and mass is not None:
             raise ValueError("give exactly one of the sphere coupling and the point mass")
-        if self.lam is None and self.mass is None:
-            self.lam = Fraction(1, 4)
-        if self.lam is None:
-            self.mass = as_fraction(self.mass)
-            self.lam = bases.sphere_coupling(self.dim, self.mass)
+        if lam is None and mass is None:
+            lam = Fraction(1, 4)
+        if lam is None:
+            self.mass = as_fraction(mass)
+            self.lam = bases.sphere_coupling(dim, self.mass)
         else:
-            self.lam = as_fraction(self.lam)
-            self.mass = bases.mass_parameter(self.dim, self.lam)
+            self.lam = as_fraction(lam)
+            self.mass = bases.mass_parameter(dim, self.lam)
         names = []
-        for name in self.suites:
+        for name in suites:
             if name != "all" and name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
             names.extend(SUITE_NAMES if name == "all" else [name])
@@ -143,8 +146,7 @@ class SuiteConfig:
         self.suites = tuple(dict.fromkeys(names))
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     identity: str
     statement: str
@@ -702,7 +704,7 @@ def summarize(cfg: SuiteConfig, records: list[CheckRecord]) -> dict:
 def report_lines(cfg: SuiteConfig, records: list[CheckRecord]) -> list[str]:
     """JSON Lines report: one object per check, then a summary object."""
     lines = [
-        json.dumps(dict(vars(r), type="check", elapsed_ms=round(r.elapsed_ms, 3)), sort_keys=True)
+        json.dumps(dict(r._asdict(), type="check", elapsed_ms=round(r.elapsed_ms, 3)), sort_keys=True)
         for r in records
     ]
     lines.append(json.dumps(summarize(cfg, records), sort_keys=True))

@@ -22,6 +22,7 @@ from orthoball import (
     mass_orthogonal_poly,
     sphere_coupling,
 )
+from orthoball import bases
 from orthoball.harmonics import _monomials
 
 
@@ -195,6 +196,20 @@ class TestExport:
             for record in data["elements"]:
                 expect = fourth_order_eigenvalue(record["n"], record["k"], d, M)
                 assert record["eigenvalue"] == f"{expect.numerator}/{expect.denominator}"
+
+    def test_export_reads_the_point_mass_once(self, monkeypatch):
+        # M = d / (2 lam) is the same for every element, so the export computes it once.
+        calls = []
+
+        def counted(dim, lam):
+            calls.append((dim, lam))
+            return mass_parameter(dim, lam)
+
+        monkeypatch.setattr(bases, "mass_parameter", counted)
+        data = basis_export(4, 2, Q(1, 2), Q(1, 3), "lambda")
+        assert data["count"] == 5
+        assert all("eigenvalue" in record for record in data["elements"])
+        assert calls == [(2, Q(1, 3))]
 
     def test_export_eigenvalue_only_for_lambda_at_half(self):
         exports = [basis_export(n, d, mu, Q(1, 3), "classical")

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as Q
 from functools import cache
+from itertools import product
 from math import comb, gcd
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from orthoball import (
     radius_squared,
 )
 from orthoball.harmonics import _cauchy_harmonic, _monomials
-from orthoball.polynomials import fraction_text
+from orthoball.polynomials import fraction_text, pack
 
 # One line "dim degree sha256" per basis; regenerate only when the bases are meant to
 # change: PYTHONPATH=src python tests/test_harmonics.py > tests/golden/harmonic_bases.txt
@@ -160,6 +161,20 @@ class TestGoldenBases:
     def test_bases_match_golden(self):
         # Pins every element and norm for d = 2..6, m = 0..6 byte for byte.
         assert golden_lines() == GOLDEN_BASES.read_text().strip().split("\n")
+
+
+class TestMonomials:
+    def test_cached_tuple_in_grlex_order(self):
+        # One tuple per (dim, degree), shared by every caller, holding each exponent vector
+        # of that degree once, sorted by packed key: the order polar-decomposition's seeded
+        # draws and the harmonic blocks read.
+        for dim in range(1, 7):
+            for degree in range(7):
+                monos = _monomials(dim, degree)
+                assert isinstance(monos, tuple)
+                assert _monomials(dim, degree) is monos
+                every = [e for e in product(range(degree + 1), repeat=dim) if sum(e) == degree]
+                assert list(monos) == sorted(every, key=pack)
 
 
 class TestCauchyHarmonic:
