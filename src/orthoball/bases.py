@@ -58,6 +58,17 @@ def sphere_coupling(dim: int, mass) -> Fraction:
     return Fraction(dim) / (2 * mass)
 
 
+def _couplings(dim: int, lam=None, mass=None) -> tuple[Fraction, Fraction]:
+    """(lam, M) from at most one of the sphere coupling lam and the point mass M; lam = 1/4 by default."""
+    if lam is not None and mass is not None:
+        raise ValueError("give exactly one of the sphere coupling and the point mass")
+    if mass is not None:
+        mass = as_fraction(mass)
+        return sphere_coupling(dim, mass), mass
+    lam = Fraction(1, 4) if lam is None else as_fraction(lam)
+    return lam, mass_parameter(dim, lam)
+
+
 class BasisIndex(NamedTuple):
     n: int
     k: int
@@ -123,14 +134,15 @@ def _mass_basis(n: int, dim: int, mu: Fraction, lam: Fraction) -> tuple[BallBasi
 def mass_basis(n: int, dim: int, mu, lam) -> tuple[BallBasisElement, ...]:
     """Mutually orthogonal basis of degree n for the ball product plus lam * sphere product.
 
-    The exact construction requires mu - 1/2 to be a non-negative integer
-    (ExactnessError otherwise); mu = 1/2 is the case with the fourth-order theory.
+    It needs mu > -1/2 (ValueError otherwise), and the exact construction needs
+    mu - 1/2 to be a non-negative integer (ExactnessError otherwise); mu = 1/2 is
+    the case with the fourth-order theory.
     """
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    mu = as_fraction(mu)
+    mu = _check_mu(mu)
     _, lam = _point_mass(mu - Fraction(1, 2), lam)
     return _mass_basis(n, dim, mu, lam)
 
@@ -157,8 +169,13 @@ def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:
         elements = mass_basis(n, dim, mu, lam)
     else:
         raise ValueError(f"kind must be 'classical' or 'lambda', got {kind!r}")
-    # The point mass M of the eigenvalue, once per export; only a "lambda" basis at mu = 1/2 has one.
-    mass = mass_parameter(dim, lam) if kind == "lambda" and mu == FOURTH_ORDER_MU else None
+    # Only a "lambda" basis at mu = 1/2 has an eigenvalue. It depends on an element only
+    # through k, so it is computed once per radial index, with the point mass M once per export.
+    eigenvalues = {}
+    if kind == "lambda" and mu == FOURTH_ORDER_MU:
+        mass = mass_parameter(dim, lam)
+        eigenvalues = {k: fraction_text(type_eigenvalue(k, beta_shift(n, k, dim), mass))
+                       for k in range(n // 2 + 1)}
     records = []
     for el in elements:
         record = {
@@ -170,8 +187,8 @@ def basis_export(n: int, dim: int, mu, lam, kind: str) -> dict:
             "harmonic_sq_norm": fraction_text(el.harmonic_sq_norm),
             "poly": el.poly.canonical(),
         }
-        if mass is not None:
-            record["eigenvalue"] = fraction_text(type_eigenvalue(el.index.k, el.index.beta_k, mass))
+        if eigenvalues:
+            record["eigenvalue"] = eigenvalues[el.index.k]
         records.append(record)
     return {
         "dim": dim,

@@ -11,9 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bases import basis_export_text
-from .exact_gamma import ExactnessError
-from .verify import SUITE_NAMES, STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
+# No package module is imported at module level: main imports the verifier only for a
+# verifier run (or to list its suites in --help) and the bases only for an export.
 
 # The options whose value may start with a minus sign and a digit.
 _SIGNED_OPTIONS = ("--mu", "--lambda", "--M", "--export-basis")
@@ -37,8 +36,18 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """The CLI's parser; its help ends with the suite names, read from the verifier only then."""
+
+    def format_help(self) -> str:
+        from .verify import SUITE_NAMES
+
+        self.epilog = "suites: " + ", ".join(SUITE_NAMES)
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthoball",
         description=(
             "Verify, in exact rational arithmetic, the orthogonality and "
@@ -54,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="point-mass coupling M = d/(2*lambda); mutually exclusive with --lambda")
     parser.add_argument("--max-degree", type=int, default=4, help="largest total degree to verify")
     parser.add_argument("--suites", default="all",
-                        help="comma-separated subset of: " + ", ".join(SUITE_NAMES) + "; or 'all'")
+                        help="comma-separated subset of the suites listed below; or 'all'")
     parser.add_argument("--seed", type=int, default=0, help="seed for the randomized sweeps")
     parser.add_argument("--out", default=None, help="write the report (or export) here instead of stdout")
     parser.add_argument("--export-basis", default=None, metavar="N,KIND",
@@ -77,7 +86,15 @@ def _write(text: str, out_path: str | None) -> bool:
     return True
 
 
-def _run_export(args, cfg: SuiteConfig) -> int:
+def _run_export(args) -> int:
+    """Write the basis that --export-basis names; reads only --dim, --mu, --lambda/--M and --out."""
+    from .bases import _couplings, basis_export_text
+
+    try:
+        lam, _ = _couplings(args.dim, args.lam, args.mass)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     try:
         raw_n, _, raw_kind = args.export_basis.partition(",")
         n = int(raw_n)
@@ -86,8 +103,8 @@ def _run_export(args, cfg: SuiteConfig) -> int:
         print(f"--export-basis expects 'N,kind', got {args.export_basis!r}", file=sys.stderr)
         return 2
     try:
-        text = basis_export_text(n, cfg.dim, cfg.mu, cfg.lam, kind)
-    except (ValueError, ExactnessError) as exc:
+        text = basis_export_text(n, args.dim, args.mu, lam, kind)
+    except ValueError as exc:  # ExactnessError included
         print(f"export failed: {exc}", file=sys.stderr)
         return 2
     return 0 if _write(text, args.out) else 2
@@ -99,6 +116,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code
+    if args.export_basis is not None:
+        return _run_export(args)
+
+    from .verify import STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
+
     try:
         cfg = SuiteConfig(
             dim=args.dim,
@@ -113,9 +135,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if args.export_basis is not None:
-        return _run_export(args, cfg)
 
     records = run_suites(cfg)
     if all(r.status == STATUS_SKIP for r in records):

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import bases, harmonics, jacobi, measures, operators
 from .exact_gamma import rising_factorial
-from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, pack, substitute_radial
+from .polynomials import MultiPoly, UniPoly, fraction_text, pack, substitute_radial
 
 STATUS_ZERO = "exact-zero"
 STATUS_MATCH = "exact-match"
@@ -126,16 +126,7 @@ class SuiteConfig:
         self.dim, self.max_degree = dim, max_degree
         self.seed, self.corrupt_eigenvalue = seed, corrupt_eigenvalue
         self.mu = measures._check_mu(mu)
-        if lam is not None and mass is not None:
-            raise ValueError("give exactly one of the sphere coupling and the point mass")
-        if lam is None and mass is None:
-            lam = Fraction(1, 4)
-        if lam is None:
-            self.mass = as_fraction(mass)
-            self.lam = bases.sphere_coupling(dim, self.mass)
-        else:
-            self.lam = as_fraction(lam)
-            self.mass = bases.mass_parameter(dim, self.lam)
+        self.lam, self.mass = bases._couplings(dim, lam, mass)
         names = []
         for name in suites:
             if name != "all" and name not in SUITE_NAMES:

@@ -21,6 +21,7 @@ from orthoball import (
     mass_parameter,
     mass_orthogonal_poly,
     sphere_coupling,
+    type_eigenvalue,
 )
 from orthoball import bases
 from orthoball.harmonics import _monomials
@@ -210,6 +211,21 @@ class TestExport:
         assert data["count"] == 5
         assert all("eigenvalue" in record for record in data["elements"])
         assert calls == [(2, Q(1, 3))]
+
+    def test_export_computes_one_eigenvalue_per_radial_index(self, monkeypatch):
+        # Lambda(n, k) depends on an element only through k: the 21 elements of degree 5 in
+        # d = 3 have three radial indices, so the export computes three eigenvalues.
+        calls = []
+
+        def counted(k, beta, mass):
+            calls.append(k)
+            return type_eigenvalue(k, beta, mass)
+
+        monkeypatch.setattr(bases, "type_eigenvalue", counted)
+        data = basis_export(5, 3, Q(1, 2), Q(1, 3), "lambda")
+        assert data["count"] == 21
+        assert all("eigenvalue" in record for record in data["elements"])
+        assert sorted(calls) == [0, 1, 2]
 
     def test_export_eigenvalue_only_for_lambda_at_half(self):
         exports = [basis_export(n, d, mu, Q(1, 3), "classical")

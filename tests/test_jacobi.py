@@ -161,6 +161,13 @@ class TestMassOrthogonalFamily:
         with pytest.raises(ExactnessError):
             inner_jacobi_mass(UniPoly.t(), UniPoly.t(), Q(1, 4), 0, Q(1, 2), 2)
 
+    def test_fractional_alpha_error_names_mu(self):
+        # The message names mu = alpha + 1/2, the parameter the caller passed, not alpha.
+        for alpha, mu in ((Q(1, 4), "3/4"), (Q(1, 2), "1"), (Q(-1, 3), "1/6")):
+            with pytest.raises(ExactnessError) as exc:
+                mass_orthogonal_poly(2, alpha, 0, Q(1, 2), 2)
+            assert str(exc.value).endswith(f"got mu={mu}")
+
     def test_mass_inner_example(self):
         one = UniPoly.constant(1)
         assert inner_jacobi_mass(one, one, 0, 0, 1, 2) == 2

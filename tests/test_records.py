@@ -3,9 +3,11 @@
 The immutable records (``BasisIndex``, ``BallBasisElement``, ``HarmonicBasis``,
 ``CheckRecord``) are ``typing.NamedTuple``s and ``SuiteConfig`` is a plain class,
 so ``import orthoball.cli`` loads neither ``dataclasses`` nor the ``inspect``,
-``ast``, ``dis`` and ``tokenize`` modules it pulls in.  The tests below pin the
-import and the record behaviour that callers read: field names and order,
-equality, hashing, immutability, ``repr`` and ``SuiteConfig``'s normalization.
+``ast``, ``dis`` and ``tokenize`` modules it pulls in.  The CLI imports the
+verifier only for a verifier run or its help, so neither the import nor a basis
+export loads ``orthoball.verify``.  The tests below pin the imports and the
+record behaviour that callers read: field names and order, equality, hashing,
+immutability, ``repr`` and ``SuiteConfig``'s normalization.
 """
 
 import inspect
@@ -20,6 +22,7 @@ import pytest
 
 from orthoball import BallBasisElement, BasisIndex, HarmonicBasis, classical_basis, harmonic_basis
 from orthoball import verify
+from orthoball.cli import main
 from orthoball.verify import CheckRecord, SuiteConfig, run_suites
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,18 +35,52 @@ FIELDS = {
 }
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # The baseline is taken in the same process, so whatever ``site`` preloads on this
-    # Python is not counted as the package's.
-    code = ("import sys; before = set(sys.modules); import orthoball.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+def _modules_added(code: str) -> set[str]:
+    """The modules that running ``code`` adds to ``sys.modules`` in a fresh interpreter.
+
+    The baseline is taken in the same process, so whatever ``site`` preloads on this
+    Python is not counted as the package's.
+    """
+    script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def _main_call(*argv: str) -> str:
+    """Code that runs the CLI's main on ``argv``, its output discarded, and asserts exit 0."""
+    return f"from orthoball.cli import main; assert main({[*argv, '--out', os.devnull]!r}) == 0"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    added = _modules_added("import orthoball.cli")
     assert "orthoball.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_no_verifier():
+    added = _modules_added("import orthoball.cli")
+    assert {"orthoball.cli", "orthoball.bases"} <= added
+    assert "orthoball.verify" not in added
+
+
+def test_export_loads_no_verifier():
+    added = _modules_added(_main_call("--dim", "2", "--export-basis", "2,lambda"))
+    assert "orthoball.bases" in added
+    assert "orthoball.verify" not in added
+
+
+def test_suite_run_loads_the_verifier():
+    added = _modules_added(_main_call("--dim", "2", "--max-degree", "1", "--suites", "jacobi"))
+    assert "orthoball.verify" in added
+
+
+def test_help_lists_every_suite(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no suite name is broken at a hyphen
+    assert main(["--help"]) == 0
+    assert "suites: " + ", ".join(verify.SUITE_NAMES) in capsys.readouterr().out
 
 
 def _samples():

@@ -456,6 +456,37 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "export failed: degree must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("extra", [["--suites", "spectra"], ["--max-degree", "-1"]])
+    def test_export_reads_only_its_own_options(self, tmp_path, extra):
+        # An export reads --dim, --mu, --lambda/--M, --export-basis and --out alone, so a
+        # verifier option that would be a configuration error does not reach it.
+        plain, with_extra = tmp_path / "plain.json", tmp_path / "extra.json"
+        argv = ["--dim", "2", "--export-basis", "1,lambda"]
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + extra + ["--out", str(with_extra)]) == 0
+        assert with_extra.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda", "1/4", "--M", "2"],
+         "configuration error: give exactly one of the sphere coupling and the point mass"),
+        (["--lambda", "0"], "configuration error: the sphere coupling must be positive, got 0"),
+        (["--M", "-3/2"], "configuration error: mass must be positive, got -3/2"),
+        (["--dim", "1"], "export failed: dimension must be at least 2, got 1"),
+        (["--mu", "-1"], "export failed: mu must exceed -1/2 for an integrable weight, got -1"),
+        (["--export-basis", "x,lambda"], "--export-basis expects 'N,kind', got 'x,lambda'"),
+    ])
+    def test_export_rejects_what_it_reads(self, argv, message, capsys):
+        assert main(["--export-basis", "2,lambda"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_max_degree_defaults_to_four(self, tmp_path):
+        out = tmp_path / "report.jsonl"
+        assert main(["--dim", "2", "--suites", "jacobi", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text().strip().split("\n")[-1])
+        assert summary["config"]["max_degree"] == 4
+
     def test_exit_two_on_unwritable_out(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "x")
         assert main(["--dim", "2", "--max-degree", "1", "--suites", "jacobi",
