@@ -36,6 +36,16 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Fills text without breaking at hyphens, so every suite name prints whole."""
+
+    def _fill_text(self, text, width, indent):
+        import textwrap
+
+        return textwrap.fill(" ".join(text.split()), width, initial_indent=indent,
+                             subsequent_indent=indent, break_on_hyphens=False)
+
+
 class _Parser(argparse.ArgumentParser):
     """The CLI's parser; its help ends with the suite names, read from the verifier only then."""
 
@@ -49,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="orthoball",
+        formatter_class=_Formatter,
         description=(
             "Verify, in exact rational arithmetic, the orthogonality and "
             "differential identities of the ball bases, or export a basis."

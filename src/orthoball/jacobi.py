@@ -13,7 +13,10 @@ coupling M, reads
     q_k(t) = [M - (1+t) d/dt + k(k+b+1)] P_k^(0,b)(t),   q_k(1) = M.
 
 Both families are eigen-connected through a pair of second-order operators
-whose composition gives each q_k a fourth-order differential equation.
+whose composition gives each q_k a fourth-order differential equation.  The
+shift, both connection operators and the Jacobi ODE are each one call of one
+integer kernel, c f + (p0 + p1 t) f' + s (1-t^2) f'': a three-term band over the
+numerators of f.
 
 Every inner product here is a moment functional applied to the product,
 <f, g> = L(f g): a scalar multiple of the normalized Jacobi functional L_J^(a,b)
@@ -28,11 +31,9 @@ one Fraction per entry, so a single product is its 1 x 1 case and
 gram_jacobi_mass is its symmetric case.  gram_schmidt_jacobi_mass orthogonalizes
 1, t, t^2, ... by fraction-free (Bareiss) elimination on the integer Hankel
 matrix of the same table, and the three-term recurrence builds each P_n on
-integer numerators in one pass, with no Fraction.  Both q_k families come from
-one integer kernel for [c - (1+t) d/dt] p, one pass over the numerators of p;
-at integer a the shift a_k reads k! / (a+1)_k as 1 / C(a+k, k).  The
-point-mass construction is exact when a = mu - 1/2 is a non-negative integer;
-_integer_alpha alone decides that.
+integer numerators in one pass, with no Fraction.  At integer a the shift a_k
+reads k! / (a+1)_k as 1 / C(a+k, k); the point-mass construction is exact when
+a = mu - 1/2 is a non-negative integer, and _integer_alpha alone decides that.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -109,11 +110,7 @@ def jacobi_ode_residual(n: int, alpha, beta) -> UniPoly:
     """(1-t^2)y'' + [b-a-(a+b+2)t]y' + n(n+a+b+1)y with y = P_n^(a,b); identically zero."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     y = jacobi_polynomial(n, alpha, beta)
-    dy = y.derivative()
-    ddy = dy.derivative()
-    one_minus_t2 = UniPoly([1, 0, -1])
-    first_order = UniPoly([beta - alpha, -(alpha + beta + 2)])
-    return one_minus_t2 * ddy + first_order * dy + n * (n + alpha + beta + 1) * y
+    return _shift(y, n * (n + alpha + beta + 1), beta - alpha, -(alpha + beta + 2), 1)
 
 
 _MOMENTS: dict[tuple[Fraction, Fraction], tuple[int, list[int]]] = {}  # (a, b) -> (D, N)
@@ -286,13 +283,19 @@ def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
 
 
-def _shift(p: UniPoly, c: Fraction) -> UniPoly:
-    # [c - (1+t) d/dt] p in one integer pass: at t^i, c_n P_i - c_d ((i+1) P_(i+1) + i P_i)
-    # over c_d p.den, with c = c_n / c_d and P the numerators of p.
-    cn, cd = c.numerator, c.denominator
-    pairs = zip_longest(p.nums, p.nums[1:], fillvalue=0)
-    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v + i * u)
-                                      for i, (u, v) in enumerate(pairs)])
+def _shift(p: UniPoly, c, p0=-1, p1=-1, s=0) -> UniPoly:
+    # c p + (p0 + p1 t) p' + s (1-t^2) p'', by default the shift [c - (1+t) d/dt] p, over the lcm L
+    # of the coefficients' denominators: with C = L c and so on and F the numerators of p, t^i takes
+    # (C + i P1) F_i + (i+1) P0 F_(i+1) + S ((i+1)(i+2) F_(i+2) - i(i-1) F_i) over L p.den.
+    den = lcm(c.denominator, p0.denominator, p1.denominator, s.denominator)
+    cn, q0, q1, sn = [x.numerator * (den // x.denominator) for x in (c, p0, p1, s)]
+    nums = p.nums
+    out = [(cn + i * q1) * u + (i + 1) * q0 * v
+           for i, (u, v) in enumerate(zip_longest(nums, nums[1:], fillvalue=0))]
+    if sn:  # the second-order term, zero in the q_k shift
+        for i, (u, w) in enumerate(zip_longest(nums, nums[2:], fillvalue=0)):
+            out[i] += sn * ((i + 1) * (i + 2) * w - i * (i - 1) * u)
+    return UniPoly._make(den * p.den, out)
 
 
 def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
@@ -330,8 +333,7 @@ def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
 def connection_op(f: UniPoly, beta, mass) -> UniPoly:
     """[M - (1-t^2) d^2/dt^2 - (b+1)(1-t) d/dt] f; sends P_k^(0,b) to the Jacobi-type q_k."""
     beta, mass = as_fraction(beta), as_fraction(mass)
-    df = f.derivative()
-    return mass * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 1) * UniPoly([1, -1]) * df
+    return _shift(f, mass, -(beta + 1), beta + 1, -1)
 
 
 def conjugate_connection_op(f: UniPoly, beta, mass) -> UniPoly:
@@ -341,12 +343,7 @@ def conjugate_connection_op(f: UniPoly, beta, mass) -> UniPoly:
     into this operator; it sends q_k back to a scalar multiple of P_k^(0,b).
     """
     beta, mass = as_fraction(beta), as_fraction(mass)
-    df = f.derivative()
-    return (
-        (mass + beta + 1) * f
-        - UniPoly([1, 0, -1]) * df.derivative()
-        - UniPoly([beta - 1, -(beta + 3)]) * df
-    )
+    return _shift(f, mass + beta + 1, 1 - beta, beta + 3, -1)
 
 
 def type_eigenvalue(k: int, beta, mass) -> Fraction:

@@ -13,64 +13,67 @@ Q a fourth-order partial differential equation with eigenvalue
 
     Lambda(n, k) = (M + k(n-k+(d-2)/2)) (M + (k+1)(n-k+d/2)).
 
-The Laplacian, the damped Laplacian (1/4)(1-||x||^2) Delta and the Euler
-operator are each one integer pass over a polynomial's packed numerators,
-with one reduction at the end; the operators above are short sums of them.
-The arithmetic is exact, so every eigen-identity here can be checked down to
-the literal zero polynomial.
+Each second-order operator is a scalar on each homogeneous grade g plus Delta
+(classical: -(d+g)(2mu-1+g)) or the damped -(1/4)(1-||x||^2) Delta (connection:
+M; conjugate: M + d/2 + g), applied by one integer kernel in one pass over the
+numerators of p and of Delta p, with one reduction; the fourth-order operator
+is two passes.  The arithmetic is exact, so every eigen-identity here can be
+checked down to the literal zero polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .bases import beta_shift
 from .jacobi import jacobi_polynomial, jacobi_type_poly
-from .polynomials import (
-    MultiPoly,
-    UniPoly,
-    _laplacian_nums,
-    as_fraction,
-    euler_op,
-    laplacian,
-    radius_squared,
-)
+# euler_op and laplacian are imported for the package's operator API.
+from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, euler_op,
+                          laplacian, radius_squared)
+
+
+def _second_order(p: MultiPoly, diagonal, damped: bool) -> MultiPoly:
+    """diagonal(g) times each grade g of p, plus Delta p, or minus (1/4)(1-||x||^2) Delta p if damped."""
+    # Integers over den = lcm(quarter, the diagonal's denominators), one product per term.
+    shift = _FIELD * p.dim
+    diag = {g: diagonal(g) for g in {k >> shift for k in p.nums}}
+    quarter = 4 if damped else 1
+    den = lcm(quarter, *(c.denominator for c in diag.values()))
+    weights = {g: c.numerator * (den // c.denominator) for g, c in diag.items()}
+    out = {k: n * weights[k >> shift] for k, n in p.nums.items()}
+    scale = -den // quarter if damped else den
+    steps = radius_squared(p.dim).nums if damped else ()  # the x_j^2 keys; a product adds keys
+    for k, n in _laplacian_nums(p).items():
+        n *= scale
+        out[k] = out.get(k, 0) + n
+        for step in steps:
+            out[k + step] = out.get(k + step, 0) - n
+    return MultiPoly._make(p.dim, den * p.den, out)
 
 
 def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
     """Delta - sum_j d/dx_j [ x_j (2mu - 1 + E) ] with E = <x, grad>, the euler_op.
 
     This divergence form (Dunkl & Xu, Orthogonal Polynomials of Several
-    Variables, 5.2) is applied as Delta - (d + E)(2mu - 1 + E), by
+    Variables, 5.2) is Delta - (d + g)(2mu - 1 + g) on each grade g, by
     sum_j d/dx_j (x_j h) = (d + E) h.  Degree-n orthogonal polynomials for the
     ball weight are eigenfunctions with eigenvalue -(n+d)(n+2mu-1).
     """
-    mu = as_fraction(mu)
-    inner = (2 * mu - 1) * p + euler_op(p)
-    return laplacian(p) - p.dim * inner - euler_op(inner)
-
-
-def _damped_laplacian(p: MultiPoly) -> MultiPoly:
-    """(1/4)(1-||x||^2) Delta p, as Delta p's numerators less ||x||^2 times them, over 4 den."""
-    lap = _laplacian_nums(p)
-    out = dict(lap)
-    steps = radius_squared(p.dim).nums  # the keys of the x_j^2; a product adds packed keys
-    for k, n in lap.items():
-        for step in steps:
-            out[k + step] = out.get(k + step, 0) - n
-    return MultiPoly._make(p.dim, 4 * p.den, out)
+    shifted = 2 * as_fraction(mu) - 1
+    return _second_order(p, lambda g: -(p.dim + g) * (shifted + g), False)
 
 
 def ball_connection_op(p: MultiPoly, mass) -> MultiPoly:
     """[M - (1/4)(1-||x||^2) Delta] p; maps each classical element to its mass-modified partner."""
     mass = as_fraction(mass)
-    return mass * p - _damped_laplacian(p)
+    return _second_order(p, lambda g: mass, True)
 
 
 def ball_conjugate_op(p: MultiPoly, mass) -> MultiPoly:
     """[M + d/2 - (1/4)(1-||x||^2) Delta + <x, grad>] p; maps Q back to Lambda times P."""
-    mass = as_fraction(mass)
-    return (mass + Fraction(p.dim, 2)) * p - _damped_laplacian(p) + euler_op(p)
+    base = as_fraction(mass) + Fraction(p.dim, 2)
+    return _second_order(p, lambda g: base + g, True)
 
 
 def fourth_order_op(p: MultiPoly, mass) -> MultiPoly:

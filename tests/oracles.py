@@ -3,13 +3,15 @@
 Each routine here recomputes a quantity along a different path than the
 library: the explicit hypergeometric sum instead of the recurrence, the
 Wallis double-factorial formula instead of Gamma splitting, an iterated
-one-dimensional integral recurrence instead of the polar factorization.
+one-dimensional integral recurrence instead of the polar factorization, and
+each second-order operator composed from whole polynomials (derivatives,
+products and sums) instead of the one-pass integer kernels.
 They share no code with the implementations they check.
 """
 
 from fractions import Fraction
 
-from orthoball import UniPoly
+from orthoball import UniPoly, euler_op, laplacian, radius_squared
 from orthoball.exact_gamma import rising_factorial
 
 
@@ -188,3 +190,37 @@ def gram_schmidt(vectors, inner):
             w = w - (inner(w, u) / inner(u, u)) * u
         ortho.append(w)
     return ortho
+
+
+def damped_laplacian(p):
+    """(1/4)(1-||x||^2) Delta p, as a product of whole polynomials."""
+    return Fraction(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))
+
+
+def composed_classical_ball_op(p, mu):
+    """Delta - (d + E)(2mu - 1 + E) p, E the Euler operator, as a sum of whole polynomials."""
+    inner = (2 * Fraction(mu) - 1) * p + euler_op(p)
+    return laplacian(p) - p.dim * inner - euler_op(inner)
+
+
+def composed_ball_connection_op(p, mass):
+    """[M - (1/4)(1-||x||^2) Delta] p."""
+    return Fraction(mass) * p - damped_laplacian(p)
+
+
+def composed_ball_conjugate_op(p, mass):
+    """[M + d/2 - (1/4)(1-||x||^2) Delta + E] p."""
+    return (Fraction(mass) + Fraction(p.dim, 2)) * p - damped_laplacian(p) + euler_op(p)
+
+
+def composed_connection_op(f, beta, mass):
+    """[M - (1-t^2) d^2/dt^2 - (b+1)(1-t) d/dt] f."""
+    beta, df = Fraction(beta), f.derivative()
+    return Fraction(mass) * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 1) * UniPoly([1, -1]) * df
+
+
+def composed_conjugate_connection_op(f, beta, mass):
+    """[M + b + 1 - (1-t^2) d^2/dt^2 - (b-1-(b+3)t) d/dt] f."""
+    beta, df = Fraction(beta), f.derivative()
+    return ((Fraction(mass) + beta + 1) * f - UniPoly([1, 0, -1]) * df.derivative()
+            - UniPoly([beta - 1, -(beta + 3)]) * df)

@@ -34,14 +34,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # The 1/4 of the damped Laplacian (1/4)(1-||x||^2) Delta, its denominator 4 den, shared
-    # by both connection operators; the radial and univariate forms keep their own copies
-    # and still pass.
+    # The 1/4 of the damped -(1/4)(1-||x||^2) Delta in the ball operator kernel, read by both
+    # connection operators and not by the classical one; the radial and univariate forms keep
+    # their own copies and still pass.
     Mutant(
         "damped-laplacian-quarter",
         "operators.py",
-        "    return MultiPoly._make(p.dim, 4 * p.den, out)\n",
-        "    return MultiPoly._make(p.dim, 3 * p.den, out)\n",
+        "    quarter = 4 if damped else 1\n",
+        "    quarter = 3 if damped else 1\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
@@ -100,13 +100,13 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         set(),
     ),
-    # The divergence sum_j d/dx_j (x_j h) = (d + E) h with one d too few: only the classical
-    # eigen-identity applies the operator.
+    # The divergence sum_j d/dx_j (x_j h) = (d + E) h with one d too few, in the classical
+    # operator's grade scalar -(d+g)(2mu-1+g): only the classical eigen-identity applies it.
     Mutant(
         "classical-op-divergence-dim",
         "operators.py",
-        "    return laplacian(p) - p.dim * inner - euler_op(inner)\n",
-        "    return laplacian(p) - (p.dim - 1) * inner - euler_op(inner)\n",
+        "    return _second_order(p, lambda g: -(p.dim + g) * (shifted + g), False)\n",
+        "    return _second_order(p, lambda g: -(p.dim - 1 + g) * (shifted + g), False)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-second-order-eigen"},
     ),
@@ -315,13 +315,14 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt"},
     ),
-    # The (b+1)(1-t) d/dt term of the univariate connection operator at (b+2): P_k no longer
-    # maps to q_k, its integration by parts fails with it, and so does the ball lift.
+    # The (b+1)(1-t) d/dt term of the univariate connection operator at (b+2), in both of its
+    # line-kernel coefficients p0 and p1: P_k no longer maps to q_k, its integration by parts
+    # fails with it, and so does the ball lift.
     Mutant(
         "connection-op-first-order",
         "jacobi.py",
-        "    return mass * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 1) * UniPoly([1, -1]) * df\n",
-        "    return mass * f - UniPoly([1, 0, -1]) * df.derivative() - (beta + 2) * UniPoly([1, -1]) * df\n",
+        "    return _shift(f, mass, -(beta + 1), beta + 1, -1)\n",
+        "    return _shift(f, mass, -(beta + 2), beta + 2, -1)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "parts-identity"},
     ),
@@ -411,18 +412,30 @@ MUTANTS = [
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
          "pointmass-orthogonality", "pointmass-type-agreement"},
     ),
-    # The shift kernel [c - (1+t) d/dt] p without its i P_i term, t d/dt: both q_k families
-    # read the kernel, so they still agree with each other and pointmass-type-agreement
-    # passes, but neither is orthogonal, normalized or connected to P_k any more.
+    # The line kernel c f + (p0 + p1 t) f' + s (1-t^2) f'' without its p1 t f' term: both q_k
+    # families, both connection operators and the Jacobi ODE read the kernel.  The q_k still
+    # agree with each other, so pointmass-type-agreement passes, but neither family is
+    # orthogonal, normalized or connected to P_k any more.
     Mutant(
         "shift-kernel-drops-t-term",
         "jacobi.py",
-        "    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v + i * u)\n",
-        "    return UniPoly._make(cd * p.den, [cn * u - cd * ((i + 1) * v)\n",
+        "    out = [(cn + i * q1) * u + (i + 1) * q0 * v\n",
+        "    out = [cn * u + (i + 1) * q0 * v\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"connection-backward", "connection-forward", "connection-radial", "connection-univariate",
-         "fourth-order-eigen", "mass-gram-offdiagonal", "pointmass-gram-schmidt",
-         "pointmass-normalization", "pointmass-orthogonality"},
+        {"connection-backward", "connection-forward", "connection-lift", "connection-radial",
+         "connection-univariate", "fourth-order-eigen", "jacobi-ode", "mass-gram-offdiagonal",
+         "parts-identity", "pointmass-gram-schmidt", "pointmass-normalization",
+         "pointmass-orthogonality"},
+    ),
+    # The line kernel's s (1-t^2) f'' with i^2 for i (i-1) at t^i, so s t^2 f'' is wrong: the
+    # q_k shift has s = 0 and passes; the Jacobi ODE and both connection operators do not.
+    Mutant(
+        "line-kernel-second-order",
+        "jacobi.py",
+        "            out[i] += sn * ((i + 1) * (i + 2) * w - i * (i - 1) * u)\n",
+        "            out[i] += sn * ((i + 1) * (i + 2) * w - i * i * u)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-lift", "connection-univariate", "jacobi-ode", "parts-identity"},
     ),
     # The shift a_k's k! / (a+1)_k = 1 / C(a+k, k) at 1 / C(a+k+1, k): at a = 1 every q_k with
     # k >= 1 is wrong, but of degree k and with a positive norm.

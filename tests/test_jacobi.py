@@ -285,6 +285,34 @@ class TestIntegerPaths:
             for c in (Q(0), Q(1), Q(-5, 4), Q(7, 3), Q(p.degree), Q(rng.randint(-20, 20), rng.randint(1, 9))):
                 assert jacobi._shift(p, c) == c * p - UniPoly([1, 1]) * p.derivative()
 
+    @pytest.mark.parametrize("op", [
+        lambda: connection_op(UniPoly([1, Q(-2, 3), 0, 5]), Q(3, 2), Q(7, 3)),
+        lambda: conjugate_connection_op(UniPoly([1, Q(-2, 3), 0, 5]), Q(3, 2), Q(7, 3)),
+        lambda: jacobi_ode_residual(4, Q(1, 2), Q(-1, 4)),
+        lambda: mass_orthogonal_poly(3, 1, Q(1, 2), Q(2, 5), 3),
+        lambda: jacobi_type_poly(3, Q(3, 2), Q(7, 3)),
+    ], ids=["connection_op", "conjugate_connection_op", "jacobi_ode_residual",
+            "mass_orthogonal_poly", "jacobi_type_poly"])
+    def test_each_line_operator_is_one_kernel_call(self, op, monkeypatch):
+        # The q_k shifts, both connection operators and the Jacobi ODE: one call of _shift,
+        # one reduction, past the cached P_k.
+        op()
+        calls, makes = [], []
+        real_shift, real_make = jacobi._shift, UniPoly._make
+
+        def shift(*args):
+            calls.append(args)
+            return real_shift(*args)
+
+        def make(den, nums):
+            makes.append(den)
+            return real_make(den, nums)
+
+        monkeypatch.setattr(jacobi, "_shift", shift)
+        monkeypatch.setattr(UniPoly, "_make", staticmethod(make))
+        op()
+        assert len(calls) == 1 and len(makes) == 1
+
     def test_mass_coefficient(self):
         # a_k = (d/2)_(a+1) k! / ((a+1)_k (b+k+1)_a lam) + k (k+a+b+1) / (a+1).
         for alpha in MASS_ALPHAS:

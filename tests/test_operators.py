@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthoball import (
@@ -29,7 +29,15 @@ from orthoball import (
     substitute_radial,
     type_eigenvalue,
 )
-from orthoball.operators import _damped_laplacian
+from orthoball.operators import _second_order
+from oracles import (
+    composed_ball_conjugate_op,
+    composed_ball_connection_op,
+    composed_classical_ball_op,
+    composed_conjugate_connection_op,
+    composed_connection_op,
+    damped_laplacian,
+)
 
 
 class TestBasicOperators:
@@ -47,19 +55,54 @@ class TestBasicOperators:
         assert euler_op(mixed) == MultiPoly(2, {(1, 0): 1, (2, 0): 2})
 
 
-@settings(max_examples=100)
-@given(st.integers(1, 5).flatmap(
+_POLYS = st.integers(1, 5).flatmap(
     lambda dim: st.dictionaries(st.tuples(*[st.integers(0, 4)] * dim),
                                 st.fractions(-4, 4, max_denominator=5), max_size=6)
-    .map(lambda terms: MultiPoly(dim, terms))))
+    .map(lambda terms: MultiPoly(dim, terms)))
+
+
+def _damped(p):
+    """The kernel's damped part alone, -(1/4)(1-||x||^2) Delta p."""
+    return _second_order(p, lambda g: 0, True)
+
+
+@settings(max_examples=100)
+@given(_POLYS)
 def test_damped_laplacian_matches_composed_form(p):
-    assert _damped_laplacian(p) == Q(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))
+    assert _damped(p) == -damped_laplacian(p)
 
 
-@pytest.mark.parametrize("op", [laplacian, laplace_beltrami_op, _damped_laplacian],
-                         ids=lambda op: op.__name__)
-def test_each_operator_reduces_once(op, monkeypatch):
-    p = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 0, 0): Q(1, 7), (0, 0, 0): 4})
+_RATIONAL_MU = st.one_of(st.sampled_from([Q(1, 3), Q(-1, 4)]),
+                         st.fractions(Q(-1, 2), 4, max_denominator=7).filter(lambda mu: mu > Q(-1, 2)))
+_PROBE = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 0, 0): Q(1, 7), (0, 0, 0): 4})
+
+
+@settings(max_examples=100)
+@given(_POLYS, st.lists(st.fractions(-4, 4, max_denominator=5), max_size=8).map(UniPoly),
+       _RATIONAL_MU, st.fractions(-3, 5, max_denominator=7), st.fractions(Q(1, 7), 5, max_denominator=7))
+@example(_PROBE, UniPoly([1, Q(-2, 3), 0, 5]), Q(1, 3), Q(1, 2), Q(7, 3))
+@example(_PROBE, UniPoly([Q(1, 5), 0, 3, Q(-1, 2)]), Q(-1, 4), Q(-1, 4), Q(2, 5))
+def test_kernels_match_composed_forms(p, f, mu, beta, mass):
+    # Each one-pass operator against the sum of whole polynomials it replaced, under ==.
+    assert classical_ball_op(p, mu) == composed_classical_ball_op(p, mu)
+    assert ball_connection_op(p, mass) == composed_ball_connection_op(p, mass)
+    assert ball_conjugate_op(p, mass) == composed_ball_conjugate_op(p, mass)
+    assert connection_op(f, beta, mass) == composed_connection_op(f, beta, mass)
+    assert conjugate_connection_op(f, beta, mass) == composed_conjugate_connection_op(f, beta, mass)
+
+
+_ONE_PASS = {
+    "laplacian": laplacian,
+    "laplace_beltrami_op": laplace_beltrami_op,
+    "damped_kernel": _damped,
+    "classical_ball_op": lambda p: classical_ball_op(p, Q(1, 3)),
+    "ball_connection_op": lambda p: ball_connection_op(p, Q(5, 2)),
+    "ball_conjugate_op": lambda p: ball_conjugate_op(p, Q(5, 2)),
+}
+
+
+def _reductions(op, monkeypatch) -> int:
+    """How many MultiPoly._make calls op(_PROBE) makes; its result must be nonzero."""
     calls = []
     make = MultiPoly._make
 
@@ -68,8 +111,17 @@ def test_each_operator_reduces_once(op, monkeypatch):
         return make(dim, den, nums)
 
     monkeypatch.setattr(MultiPoly, "_make", staticmethod(counting))
-    assert not op(p).is_zero()
-    assert len(calls) == 1
+    assert not op(_PROBE).is_zero()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", list(_ONE_PASS))
+def test_each_operator_reduces_once(name, monkeypatch):
+    assert _reductions(_ONE_PASS[name], monkeypatch) == 1
+
+
+def test_fourth_order_op_is_two_kernel_passes(monkeypatch):
+    assert _reductions(lambda p: fourth_order_op(p, Q(5, 2)), monkeypatch) == 2
 
 
 class TestClassicalSecondOrder:

@@ -230,6 +230,9 @@ class TestUniPoly:
         assert g * g == UniPoly([0, 0, 1])
         assert 2 * f == UniPoly([2, 4, 6])
 
+    def test_str_with_constant_and_linear_terms(self):
+        assert str(UniPoly([1, -2, 3])) == "1 - 2*t + 3*t^2"
+
     def test_derivative_and_eval(self):
         f = UniPoly([5, 0, 3])  # 5 + 3t^2
         assert f.derivative() == UniPoly([0, 6])

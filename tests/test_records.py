@@ -83,6 +83,16 @@ def test_help_lists_every_suite(capsys, monkeypatch):
     assert "suites: " + ", ".join(verify.SUITE_NAMES) in capsys.readouterr().out
 
 
+def test_help_prints_every_suite_name_whole_at_80_columns(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    tokens = out.replace(",", " ").split()
+    assert max(map(len, out.splitlines())) <= 80
+    for name in verify.SUITE_NAMES:
+        assert name in tokens
+
+
 def _samples():
     el = classical_basis(2, 3, Q(1, 2))[1]
     return {

@@ -4,11 +4,12 @@ import sys
 from fractions import Fraction as Q
 from functools import cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from orthoball import bases, harmonics, jacobi, measures, operators, verify
+from orthoball import MultiPoly, bases, harmonics, jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -85,6 +86,37 @@ class TestRunSuites:
         failures = [r for r in records if r.status == STATUS_FAIL]
         assert failures
         assert all(f.witness for f in failures)
+
+    def test_connection_radial_visits_every_radial_index(self, monkeypatch):
+        real, visited = operators.radial_connection_residuals, []
+
+        def counting(n, k, dim, mass):
+            visited.append((n, k))
+            return real(n, k, dim, mass)
+
+        monkeypatch.setattr(operators, "radial_connection_residuals", counting)
+        cfg = SuiteConfig(suites=("connection",), **dict(SMALL, max_degree=5))
+        records = run_suites(cfg)
+        assert records and all(r.status != STATUS_FAIL for r in records)
+        assert visited == [(n, k) for n in range(6) for k in range(6) if 2 * k <= n]
+
+    def test_exps_upto_yields_every_exponent_through_the_total(self):
+        for d in (1, 2, 3, 5):
+            for total in range(7):
+                exps = list(verify._exps_upto(d, total))
+                assert len(exps) == len(set(exps)) == comb(total + d, d)
+                assert all(len(e) == d and sum(e) <= total for e in exps)
+
+    def test_product_positivity_fails_on_a_zero_norm(self, monkeypatch):
+        real = measures.inner_mass
+        mono = MultiPoly(2, {(1, 1): 1})
+
+        def inner(f, g, *args, **kwargs):
+            return Q(0) if f == g == mono else real(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "inner_mass", inner)
+        records = run_suites(SuiteConfig(suites=("moments",), **SMALL))
+        assert [r.identity for r in records if r.status == STATUS_FAIL] == ["product-positivity"]
 
     def test_unsupported_mu_skips(self):
         cfg = SuiteConfig(dim=2, mu=Q(3, 4), lam=Q(1, 4), max_degree=2,
