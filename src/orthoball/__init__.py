@@ -20,7 +20,7 @@ from .bases import (
     mass_parameter,
     sphere_coupling,
 )
-from .exact_gamma import ExactnessError, rising_factorial
+from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
 from .harmonics import (
     HarmonicBasis,
     euler_residual,
@@ -56,7 +56,6 @@ from .measures import (
     moment_images,
     sphere_ball_ratio,
     sphere_gram,
-    sphere_images,
     sphere_moment,
 )
 from .operators import (

@@ -16,7 +16,7 @@ Xu, Orthogonal Polynomials of Several Variables, section 5.2): with radial
 factor q_k, harmonic Y of degree m = n - 2k and alpha = mu - 1/2,
 
     classical: ||P||^2 = c_m <P_k, P_k>_(alpha, beta_k) <Y, Y>_sphere,
-               c_m = (d/2)_m / ((d+1)/2 + mu)_m
+               c_m = (d/2)_m / ((d+1)/2 + mu)_m, the point-mass weight's total mass
     mass:      ||Q||^2 = inner_jacobi_mass(q_k, q_k) <Y, Y>_sphere
 
 so a basis build makes no product on the ball.
@@ -29,9 +29,8 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .exact_gamma import rising_factorial
 from .harmonics import harmonic_basis
-from .jacobi import (FOURTH_ORDER_MU, _point_mass, inner_jacobi_mass, jacobi_inner,
+from .jacobi import (FOURTH_ORDER_MU, _point_mass, _total_mass, inner_jacobi_mass, jacobi_inner,
                      jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue)
 from .measures import _check_mu
 from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
@@ -102,10 +101,9 @@ def _classical_basis(n: int, dim: int, mu: Fraction) -> tuple[BallBasisElement, 
     alpha = mu - Fraction(1, 2)
 
     def radial(k):
-        beta, m = beta_shift(n, k, dim), n - 2 * k
+        beta = beta_shift(n, k, dim)
         p = jacobi_polynomial(k, alpha, beta)
-        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim + 1, 2) + mu, m)
-        return p, c_m * jacobi_inner(p, p, alpha, beta)
+        return p, _total_mass(dim, alpha, beta) * jacobi_inner(p, p, alpha, beta)
 
     return _assemble(n, dim, radial)
 
@@ -134,16 +132,15 @@ def _mass_basis(n: int, dim: int, mu: Fraction, lam: Fraction) -> tuple[BallBasi
 def mass_basis(n: int, dim: int, mu, lam) -> tuple[BallBasisElement, ...]:
     """Mutually orthogonal basis of degree n for the ball product plus lam * sphere product.
 
-    It needs mu > -1/2 (ValueError otherwise), and the exact construction needs
-    mu - 1/2 to be a non-negative integer (ExactnessError otherwise); mu = 1/2 is
-    the case with the fourth-order theory.
+    It needs mu > -1/2 and lam > 0 (ValueError otherwise); mu = 1/2 is the case
+    with the fourth-order theory.
     """
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     mu = _check_mu(mu)
-    _, lam = _point_mass(mu - Fraction(1, 2), lam)
+    lam = _point_mass(lam)
     return _mass_basis(n, dim, mu, lam)
 
 

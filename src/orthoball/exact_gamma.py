@@ -2,13 +2,15 @@
 
 Each constant is a ratio of Gamma values whose arguments differ by integers, so
 it is a product of rising factorials (a)_n = Gamma(a + n) / Gamma(a), rational
-for every rational a.  Where no such product exists the caller raises
-ExactnessError; nothing here evaluates Gamma itself.
+for every rational a.  gamma_ratio alone decides whether such a pairing of the
+Gammas exists, and raises ExactnessError when none does; nothing here evaluates
+Gamma itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .polynomials import as_fraction
 
@@ -22,7 +24,23 @@ def rising_factorial(a, count: int) -> Fraction:
     a = as_fraction(a)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    result = Fraction(1)
-    for j in range(count):
-        result *= a + j
-    return result
+    p, q = a.numerator, a.denominator  # (p/q)_n = prod_j (p + j q) / q^n, on integers
+    return Fraction(prod(range(p, p + count * q, q)), q ** count)
+
+
+def gamma_ratio(tops, bottoms) -> Fraction:
+    """Gamma(p1) Gamma(p2) / (Gamma(q1) Gamma(q2)) for tops (p1, p2) and bottoms (q1, q2).
+
+    Each Gamma(p) / Gamma(q) with an integer gap p - q is (q)_gap, or 1 / (p)_(-gap)
+    for a negative gap.  The pairing p1/q1, p2/q2 is tried first, then p1/q2, p2/q1;
+    ExactnessError when neither has integer gaps.
+    """
+    (p1, p2), (q1, q2) = map(as_fraction, tops), map(as_fraction, bottoms)
+    for r1, r2 in ((q1, q2), (q2, q1)):
+        if (p1 - r1).denominator == (p2 - r2).denominator == 1:
+            value = Fraction(1)
+            for top, bottom in ((p1, r1), (p2, r2)):  # Gamma(top) / Gamma(bottom)
+                gap = int(top - bottom)
+                value *= rising_factorial(bottom, gap) if gap >= 0 else 1 / rising_factorial(top, -gap)
+            return value
+    raise ExactnessError(f"Gamma({p1}) Gamma({p2}) / (Gamma({q1}) Gamma({q2})) has no Pochhammer form")

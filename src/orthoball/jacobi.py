@@ -2,8 +2,7 @@
 
 The classical family P_n^(a,b) is generated by the three-term recurrence, its
 coefficients integers over one integer denominator.  Adding a point mass at
-t = 1 to the weight produces a second family q_k: for a non-negative integer
-first parameter it has the closed construction
+t = 1 to the weight produces a second family q_k, with the closed construction
 
     q_k(t) = [a_k - (1+t) d/dt] P_k^(a,b)(t),
 
@@ -21,19 +20,21 @@ numerators of f.
 Every inner product here is a moment functional applied to the product,
 <f, g> = L(f g): a scalar multiple of the normalized Jacobi functional L_J^(a,b)
 (total mass 1) plus a point mass at t = 1.  jacobi_inner is L_J^(a,b),
-inner_jacobi_mass is (d/2)_(a+1) / (b+1)_(a+1) * L_J^(a,b) + lam * delta_1, and
-inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M, which is inner_jacobi_mass
-at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer Hankel form over one cached
-table of moment numerators N / D, built from running integer products of the
-Pochhammer factors with one gcd.  Every product runs through one Gram kernel:
-it images each polynomial f = F / Df once, W_f[j] = sum_i F_i N[i+j], and builds
-one Fraction per entry, so a single product is its 1 x 1 case and
-gram_jacobi_mass is its symmetric case.  gram_schmidt_jacobi_mass orthogonalizes
-1, t, t^2, ... by fraction-free (Bareiss) elimination on the integer Hankel
-matrix of the same table, and the three-term recurrence builds each P_n on
-integer numerators in one pass, with no Fraction.  At integer a the shift a_k
-reads k! / (a+1)_k as 1 / C(a+k, k); the point-mass construction is exact when
-a = mu - 1/2 is a non-negative integer, and _integer_alpha alone decides that.
+inner_jacobi_mass is G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) * L_J^(a,b) + lam * delta_1
+with G the Gamma function, and inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M,
+which is inner_jacobi_mass at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer
+Hankel form over one cached table of moment numerators N / D, built from running
+integer products of the Pochhammer factors with one gcd.  Every product runs
+through one Gram kernel: it images each polynomial f = F / Df once,
+W_f[j] = sum_i F_i N[i+j], and builds one Fraction per entry, so a single product
+is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
+gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... by fraction-free (Bareiss)
+elimination on the integer Hankel matrix of the same table, and the three-term
+recurrence builds each P_n on integer numerators in one pass, with no Fraction.
+The point-mass construction holds for every a > -1; its two Gamma ratios, the
+total mass and the one in the shift a_k, are rational when a or b - d/2 is an
+integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
+alone decides that.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -44,10 +45,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .exact_gamma import ExactnessError, rising_factorial
+from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
 from .polynomials import UniPoly, as_fraction
 
 
@@ -189,49 +190,47 @@ def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
 FOURTH_ORDER_MU = Fraction(1, 2)
 
 
-def _integer_alpha(alpha: Fraction) -> bool:
-    """Whether alpha = mu - 1/2 is a non-negative integer, the range where the point-mass construction is exact."""
-    return alpha.denominator == 1 and alpha >= 0
-
-
-def _point_mass(alpha: Fraction, lam) -> tuple[int, Fraction]:
-    """The point-mass construction's (a, lam): ExactnessError naming mu unless _integer_alpha, ValueError unless lam > 0."""
-    if not _integer_alpha(alpha):
-        raise ExactnessError(
-            f"the exact point-mass construction needs mu - 1/2 to be a non-negative "
-            f"integer, got mu={alpha + Fraction(1, 2)}"
-        )
+def _point_mass(lam) -> Fraction:
+    """The point-mass construction's coupling lam: ValueError unless lam > 0."""
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError(f"the coupling lam must be positive, got {lam}")
-    return alpha.numerator, lam
+    return lam
+
+
+def _mass_gamma(dim: int, alpha: Fraction, beta: Fraction, top, bottom) -> Fraction:
+    """Gamma(d/2+a+1) Gamma(top) / (Gamma(d/2) Gamma(bottom)); its ExactnessError names mu, beta, d."""
+    half_dim = Fraction(dim, 2)
+    try:
+        return gamma_ratio((half_dim + alpha + 1, top), (half_dim, bottom))
+    except ExactnessError:
+        raise ExactnessError(
+            f"the exact point-mass construction needs mu - 1/2 or beta - d/2 to be an integer, "
+            f"got mu={alpha + Fraction(1, 2)}, beta={beta}, d={dim}"
+        ) from None
 
 
 def _mass_form(alpha, beta, lam, dim: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(alpha, beta, scale, lam) of inner_jacobi_mass, checked; scale is its weight's total mass."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
-    a, lam = _point_mass(alpha, lam)
-    return alpha, beta, _total_mass(dim, a, beta), lam
+    lam = _point_mass(lam)
+    return alpha, beta, _total_mass(dim, alpha, beta), lam
 
 
 @cache
-def _half_dim_rising(dim: int, a: int) -> Fraction:
-    """(d/2)_(a+1), the numerator of the total mass and of the shift a_k."""
-    return rising_factorial(Fraction(dim, 2), a + 1)
-
-
-@cache
-def _total_mass(dim: int, a: int, beta: Fraction) -> Fraction:
-    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 1)
+def _total_mass(dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
+    """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)); (d/2)_m / (d/2+a+1)_m on the ball."""
+    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)
 
 
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
-    """Prefactored Jacobi-weight product plus lam * f(1)g(1), for integer a >= 0.
+    """Prefactored Jacobi-weight product plus lam * f(1)g(1), for a > -1.
 
     The weight Gamma(a+d/2+1)/(Gamma(d/2) Gamma(a+1)) 2^-(a+b+1) (1-t)^a (1+t)^b
-    has total mass (d/2)_(a+1) / (b+1)_(a+1).  Its orthogonal polynomials are
-    mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
+    has total mass Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)), rational
+    when a or b - d/2 is an integer (ExactnessError otherwise).  Its orthogonal
+    polynomials are mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
     alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
     return _functional(f, g, alpha, beta, scale, lam)
@@ -277,9 +276,10 @@ def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     """The shift a_k in the point-mass construction q_k = [a_k - (1+t) d/dt] P_k."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
-    a, lam = _point_mass(alpha, lam)
-    # (d/2)_(a+1) k! / ((a+1)_k (b+k+1)_a), with k! / (a+1)_k = 1 / C(a+k, k) at integer a.
-    gamma_part = _half_dim_rising(dim, a) / (comb(a + k, k) * rising_factorial(beta + k + 1, a))
+    lam = _point_mass(lam)
+    # Gamma(d/2+a+1) Gamma(b+k+1) / (Gamma(d/2) Gamma(a+b+k+1)) times k! / (a+1)_k.
+    gamma_part = (_mass_gamma(dim, alpha, beta, beta + k + 1, alpha + beta + k + 1)
+                  * factorial(k) / rising_factorial(alpha + 1, k))
     return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
 
 

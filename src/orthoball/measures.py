@@ -34,7 +34,7 @@ Dg, keyed by packed monomials, see ``polynomials``):
 * ``_image`` is the image kernel: for p = P / Dp it computes the integer
   W[b] = sum_a P_a M[a + b] at each given key b of a parity that some term of
   p has, so that L(p x^b) = W[b] / (Dp D); at the other keys W[b] = 0.
-  ``moment_images`` and ``sphere_images`` are batches of it, and a single
+  ``moment_images`` is a batch of it, and a single
   product is the image of f at the keys of g dotted with g's numerators G:
   L(f g) = (G . W_f) / (Df Dg D).
 * ``_gram`` is the Gram kernel, G = C W^T as a sparse product.  It indexes
@@ -47,9 +47,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import prod
 
-from .exact_gamma import ExactnessError, rising_factorial
+from .exact_gamma import gamma_ratio
 from .polynomials import (_FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction,
                           integer_numerators, pack)
 
@@ -194,11 +194,6 @@ def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     return _images(polys, keys, _check_mu(mu), _check_lam(lam))
 
 
-def sphere_images(polys, keys) -> tuple[int, list[dict[int, int]]]:
-    """moment_images under the normalized sphere product: inner_sphere(p, x^b) = W[b] / (Dp D)."""
-    return _images(polys, keys, _SPHERE_MU, 0)
-
-
 def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
     polys = list(polys)
     if not polys:
@@ -270,18 +265,12 @@ def inner_mass(f: MultiPoly, g: MultiPoly, mu, lam) -> Fraction:
 def sphere_ball_ratio(dim: int, mu) -> Fraction:
     """Sphere area divided by the weighted ball mass: 2 / B(a, b) with a = d/2, b = mu + 1/2.
 
-    2 / B(a, b) = 2 Gamma(a + b) / (Gamma(a) Gamma(b)) is the Pochhammer ratio
-    2 (a)_b / (b - 1)! when b is a positive integer, and the same with a and b
-    swapped: rational when mu is a half-integer or d is even.  Raises
-    ExactnessError when neither a nor b is an integer.
+    2 / B(a, b) = 2 Gamma(a + b) Gamma(1) / (Gamma(a) Gamma(b)), a gamma_ratio:
+    rational when mu is a half-integer or d is even.  Raises ExactnessError when
+    neither a nor b is an integer.
     """
     mu = _check_mu(mu)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     half_dim, shifted = Fraction(dim, 2), mu + Fraction(1, 2)
-    for a, b in ((half_dim, shifted), (shifted, half_dim)):
-        if b.denominator == 1:
-            return 2 * rising_factorial(a, b.numerator) / factorial(b.numerator - 1)
-    raise ExactnessError(
-        f"sphere/ball mass ratio is irrational for mu={mu} in odd dimension {dim}"
-    )
+    return 2 * gamma_ratio((half_dim + shifted, 1), (half_dim, shifted))

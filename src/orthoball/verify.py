@@ -32,7 +32,7 @@ from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from . import bases, harmonics, jacobi, measures, operators
-from .exact_gamma import rising_factorial
+from .exact_gamma import gamma_ratio, rising_factorial
 from .polynomials import MultiPoly, UniPoly, fraction_text, pack, substitute_radial
 
 STATUS_ZERO = "exact-zero"
@@ -275,7 +275,8 @@ def _beta_values(cfg: SuiteConfig) -> list[Fraction]:
 
 
 def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
-    alpha = cfg.mu - _HALF
+    alpha, half_dim = cfg.mu - _HALF, Fraction(cfg.dim, 2)
+    top = half_dim + alpha + 1
     ks = range(max(cfg.max_degree, 2) + 1)
     for beta in _beta_values(cfg):
         p = dict(_params(cfg, "dim", "mu", "lambda"), beta=beta)
@@ -289,12 +290,12 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
             return ((k, gs[k] * q[k].leading_coeff() - q[k] * gs[k].leading_coeff()) for k in ks)
 
         out.check("pointmass-orthogonality", p, lambda: _nonzero_above_diagonal(gram()))
-        scale = rising_factorial(Fraction(cfg.dim, 2), alpha.numerator + 1) / cfg.lam
         out.check(
             "pointmass-normalization",
             p,
             lambda: (
-                (k, qs()[k].evaluate(1), scale / rising_factorial(beta + k + 1, alpha.numerator))
+                (k, qs()[k].evaluate(1),
+                 gamma_ratio((top, beta + k + 1), (half_dim, alpha + beta + k + 1)) / cfg.lam)
                 for k in ks
             ),
         )
@@ -482,8 +483,10 @@ def _per_element(residual, *degree_bases):
     )
 
 
-def _lambda_nk(el: bases.BallBasisElement, mass: Fraction) -> Fraction:
-    return operators.fourth_order_eigenvalue(el.index.n, el.index.k, el.poly.dim, mass)
+def _lambda_n(n: int, dim: int, mass: Fraction) -> Callable[[], list[Fraction]]:
+    # [Lambda(n, k) for k = 0..n//2], built on the first call, inside a producer and its timer.
+    return cache(lambda: [operators.fourth_order_eigenvalue(n, k, dim, mass)
+                          for k in range(n // 2 + 1)])
 
 
 def _suite_d_mu_eigen(cfg: SuiteConfig, out: _Collector) -> None:
@@ -531,9 +534,10 @@ def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
         both = partial(bases.classical_basis, n, d, mu), partial(bases.mass_basis, n, d, mu, lam)
+        lambdas = _lambda_n(n, d, M)
         forward = _per_element(lambda P, Q: operators.ball_connection_op(P.poly, M) - Q.poly, *both)
         backward = _per_element(
-            lambda P, Q: operators.ball_conjugate_op(Q.poly, M) - _lambda_nk(P, M) * P.poly, *both
+            lambda P, Q: operators.ball_conjugate_op(Q.poly, M) - lambdas()[P.index.k] * P.poly, *both
         )
 
         def radial():
@@ -586,8 +590,9 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
     offset = Fraction(1) if cfg.corrupt_eigenvalue else Fraction(0)
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
+        lambdas = _lambda_n(n, d, M)
         eigen = _per_element(
-            lambda Q: operators.fourth_order_op(Q.poly, M) - (_lambda_nk(Q, M) + offset) * Q.poly,
+            lambda Q: operators.fourth_order_op(Q.poly, M) - (lambdas()[Q.index.k] + offset) * Q.poly,
             partial(bases.mass_basis, n, d, jacobi.FOURTH_ORDER_MU, lam),
         )
         out.check("fourth-order-eigen", dict(p, n=n), eigen)
@@ -619,27 +624,17 @@ class _Requirement(NamedTuple):
     reason: str
 
 
-_INTEGER_ALPHA = _Requirement(
-    lambda cfg: jacobi._integer_alpha(cfg.mu - _HALF),
-    "exact construction needs mu - 1/2 to be a non-negative integer",
-)
 _AT_HALF = _Requirement(lambda cfg: cfg.mu == jacobi.FOURTH_ORDER_MU, "the fourth-order theory lives at mu = 1/2")
 
 # name -> (runner, requirement or None, then the identity, statement and params that the
 # skipped record carries when the configuration falls outside the requirement).
 _SUITES = {
     "jacobi": (_suite_jacobi, None),
-    "krall1d": (
-        _suite_krall1d, _INTEGER_ALPHA, "pointmass-family",
-        "closed construction of the mass-modified radial family", ("dim", "mu", "lambda"),
-    ),
+    "krall1d": (_suite_krall1d, None),
     "harmonics": (_suite_harmonics, None),
     "moments": (_suite_moments, None),
     "classical-orthogonality": (_suite_classical_orthogonality, None),
-    "lambda-orthogonality": (
-        _suite_lambda_orthogonality, _INTEGER_ALPHA, "mass-gram-diagonal",
-        "mutual orthogonality of the mass-modified basis", ("dim", "mu", "lambda", "max_degree"),
-    ),
+    "lambda-orthogonality": (_suite_lambda_orthogonality, None),
     "d-mu-eigen": (_suite_d_mu_eigen, None),
     "connection": (
         _suite_connection, _AT_HALF, "connection-forward",

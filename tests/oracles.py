@@ -162,6 +162,33 @@ def radial_weight_integral(m: int, a: int, b) -> Fraction:
     return total
 
 
+def beta_step(x, y, steps: int) -> Fraction:
+    """B(x + steps, y) / B(x, y) for an integer ``steps`` of either sign, by B(x+1, y) = B(x, y) x / (x + y)."""
+    x, y = Fraction(x), Fraction(y)
+    out = Fraction(1)
+    for j in range(steps):
+        out *= (x + j) / (x + y + j)
+    for j in range(steps, 0):
+        out *= (x + y + j) / (x + j)
+    return out
+
+
+def point_mass_total(a, b, dim: int):
+    """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)) = B(b+1, a+1) / B(d/2, a+1), or None.
+
+    When b + 1 - d/2 is an integer the two Beta values are one recurrence apart in
+    their first argument.  When a is an integer each is a recurrence from
+    B(1, y) = 1/y in its second argument (B is symmetric).  Otherwise the ratio has
+    no Pochhammer form.
+    """
+    a, b, half = Fraction(a), Fraction(b), Fraction(dim, 2)
+    if (b + 1 - half).denominator == 1:
+        return beta_step(half, a + 1, int(b + 1 - half))
+    if a.denominator == 1:
+        return beta_step(1, b + 1, int(a)) / (b + 1) * half / beta_step(1, half, int(a))
+    return None
+
+
 def beta_sphere_ball_ratio(dim: int, mu):
     """2 / B(d/2, mu + 1/2) by the Beta recurrence, or None where it is irrational.
 

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from orthoball import (
-    ExactnessError,
     MultiPoly,
     basis_export,
     basis_export_text,
@@ -154,10 +153,6 @@ class TestMassBasis:
         const = mass_basis(0, 2, Q(1, 2), Q(1, 2))[0]
         assert inner_ball(q.poly, const.poly, Q(1, 2)) != 0
         assert inner_mass(q.poly, const.poly, Q(1, 2), Q(1, 2)) == 0
-
-    def test_unsupported_mu_raises(self):
-        with pytest.raises(ExactnessError):
-            mass_basis(2, 2, Q(3, 4), Q(1, 2))
 
     def test_product_factorization(self):
         # The mass product of two elements collapses to the radial product times

@@ -56,13 +56,14 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
-    # A wrong cached total mass (d/2)_(a+1) / (b+1)_(a+1) of the point-mass weight, which
-    # unbalances the Jacobi part against lam * delta_1.
+    # A wrong cached total mass G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) of the point-mass weight,
+    # at G(a+b+3) (G the Gamma function), which unbalances the Jacobi part against lam * delta_1.
+    # The classical norms read the same constant, but this run builds no ball basis.
     Mutant(
         "pointmass-total-mass",
         "jacobi.py",
-        "    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 1)\n",
-        "    return _half_dim_rising(dim, a) / rising_factorial(beta + 1, a + 2)\n",
+        "    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)\n",
+        "    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 3)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
@@ -249,14 +250,14 @@ MUTANTS = [
          "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
          "pointmass-type-agreement"},
     ),
-    # The denominator (d/2 + mu + 1/2)_m of the classical norm factor c_m at d/2 + mu: each
-    # classical norm with a harmonic of degree m >= 1 is wrong, and only the Gram diagonal
-    # compares it with a product on the ball.
+    # The classical norm factor c_m = (d/2)_m / (d/2 + mu + 1/2)_m, the point-mass weight's total
+    # mass at beta_k, read at beta_k + 1, which is c_(m+1): each classical norm is wrong, and only
+    # the Gram diagonal compares it with a product on the ball.
     Mutant(
         "classical-norm-factor",
         "bases.py",
-        "        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim + 1, 2) + mu, m)\n",
-        "        c_m = rising_factorial(Fraction(dim, 2), m) / rising_factorial(Fraction(dim, 2) + mu, m)\n",
+        "        return p, _total_mass(dim, alpha, beta) * jacobi_inner(p, p, alpha, beta)\n",
+        "        return p, _total_mass(dim, alpha, beta + 1) * jacobi_inner(p, p, alpha, beta)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-diagonal"},
     ),
@@ -326,12 +327,13 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "parts-identity"},
     ),
-    # The Pochhammer ratio 2 (a)_b / (b-1)! from a + 1: only the mass ratio reads it.
+    # The Gamma ratio 2 G(a + b) / (G(a) G(b)) with G(a + b + 1) on top: only the mass ratio
+    # reads it.
     Mutant(
         "sphere-ball-ratio-base",
         "measures.py",
-        "            return 2 * rising_factorial(a, b.numerator) / factorial(b.numerator - 1)\n",
-        "            return 2 * rising_factorial(a + 1, b.numerator) / factorial(b.numerator - 1)\n",
+        "    return 2 * gamma_ratio((half_dim + shifted, 1), (half_dim, shifted))\n",
+        "    return 2 * gamma_ratio((half_dim + shifted + 1, 1), (half_dim, shifted))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"sphere-ball-ratio"},
     ),
@@ -437,13 +439,13 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "jacobi-ode", "parts-identity"},
     ),
-    # The shift a_k's k! / (a+1)_k = 1 / C(a+k, k) at 1 / C(a+k+1, k): at a = 1 every q_k with
-    # k >= 1 is wrong, but of degree k and with a positive norm.
+    # The shift a_k's k! / (a+1)_k at k! / (a+2)_k: at a = 1 every q_k with k >= 1 is wrong, but
+    # of degree k and with a positive norm.
     Mutant(
         "mass-coefficient-binomial",
         "jacobi.py",
-        "    gamma_part = _half_dim_rising(dim, a) / (comb(a + k, k) * rising_factorial(beta + k + 1, a))\n",
-        "    gamma_part = _half_dim_rising(dim, a) / (comb(a + k + 1, k) * rising_factorial(beta + k + 1, a))\n",
+        "                  * factorial(k) / rising_factorial(alpha + 1, k))\n",
+        "                  * factorial(k) / rising_factorial(alpha + 2, k))\n",
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),

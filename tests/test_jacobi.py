@@ -4,7 +4,8 @@ from functools import cache
 from math import comb, factorial, lcm
 
 import pytest
-from oracles import gram_schmidt, jacobi_explicit_sum, radial_weight_integral
+from oracles import (beta_step, gram_schmidt, jacobi_explicit_sum, point_mass_total,
+                     radial_weight_integral)
 
 from orthoball import (
     ExactnessError,
@@ -20,16 +21,30 @@ from orthoball import (
     jacobi_ode_residual,
     jacobi_polynomial,
     jacobi_type_poly,
+    mass_basis,
     mass_coefficient,
     mass_orthogonal_poly,
     parts_residual,
     type_eigenvalue,
 )
 from orthoball import jacobi
-from orthoball.exact_gamma import rising_factorial
+from orthoball.exact_gamma import gamma_ratio, rising_factorial
 
 PARAM_GRID = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]
-MASS_ALPHAS = (0, 1, 2, 3)  # mu - 1/2 for mu in {1/2, 3/2, 5/2, 7/2}
+# mu - 1/2 for mu in {1/2, 3/2, 5/2, 7/2} and at three fractional mu in (-1/2, 1): the
+# construction holds at every a > -1 where a or beta - d/2 is an integer.
+MASS_ALPHAS = (0, 1, 2, 3, Q(1, 4), Q(-1, 4), Q(1, 3))
+_weight = cache(radial_weight_integral)
+
+
+def _normalized_moment(a, b):
+    """m -> L_J^(a,b)(t^m) from the termwise-integrated weight; None unless a or b is an integer."""
+    a, b = Q(a), Q(b)
+    if a.denominator == 1:
+        return lambda m: _weight(m, a.numerator, b) / _weight(0, a.numerator, b)
+    if b.denominator == 1:  # t -> -t swaps the two exponents of the weight.
+        return lambda m: (-1) ** m * _weight(m, b.numerator, a) / _weight(0, b.numerator, a)
+    return None
 
 
 class TestClassicalJacobi:
@@ -130,11 +145,12 @@ class TestMassOrthogonalFamily:
             assert q.evaluate(1) == Q(d, 2) * 2
 
     def test_orthogonality(self):
-        # alpha = mu - 1/2 for mu in {1/2, 3/2, 5/2, 7/2}.
         for alpha in MASS_ALPHAS:
             for d in (2, 3):
                 for lam in (Q(1, 4), Q(1, 2), Q(1)):
                     for beta in (Q(0), Q(1), Q(1, 2), Q(3, 2), Q(2)):
+                        if point_mass_total(alpha, beta, d) is None:
+                            continue
                         qs = [mass_orthogonal_poly(k, alpha, beta, lam, d) for k in range(7)]
                         for j in range(7):
                             for k in range(j + 1, 7):
@@ -155,18 +171,24 @@ class TestMassOrthogonalFamily:
                     q = mass_orthogonal_poly(k, alpha, beta, lam, d)
                     assert gs[k] * q.leading_coeff() == q * gs[k].leading_coeff()
 
-    def test_fractional_alpha_rejected(self):
-        with pytest.raises(ExactnessError):
-            mass_orthogonal_poly(2, Q(1, 2), 0, Q(1, 2), 2)
-        with pytest.raises(ExactnessError):
-            inner_jacobi_mass(UniPoly.t(), UniPoly.t(), Q(1, 4), 0, Q(1, 2), 2)
-
     def test_fractional_alpha_error_names_mu(self):
-        # The message names mu = alpha + 1/2, the parameter the caller passed, not alpha.
-        for alpha, mu in ((Q(1, 4), "3/4"), (Q(1, 2), "1"), (Q(-1, 3), "1/6")):
+        # The exactness boundary: a fractional a needs beta - d/2 to be an integer.  At a = 1/2,
+        # beta = 1/2, d = 2 the total mass is a multiple of pi, and every entry point raises
+        # with a message naming mu = a + 1/2 (the parameter the caller passed), beta and d.
+        alpha, beta, lam, d = Q(1, 2), Q(1, 2), Q(1, 2), 2
+        t = UniPoly.t()
+        for call in (lambda: mass_orthogonal_poly(2, alpha, beta, lam, d),
+                     lambda: mass_coefficient(0, alpha, beta, lam, d),
+                     lambda: inner_jacobi_mass(t, t, alpha, beta, lam, d),
+                     lambda: gram_jacobi_mass([t], alpha, beta, lam, d),
+                     lambda: gram_schmidt_jacobi_mass(2, alpha, beta, lam, d)):
             with pytest.raises(ExactnessError) as exc:
-                mass_orthogonal_poly(2, alpha, 0, Q(1, 2), 2)
-            assert str(exc.value).endswith(f"got mu={mu}")
+                call()
+            assert str(exc.value).endswith("got mu=1, beta=1/2, d=2")
+        # Where beta - d/2 is an integer a fractional a is exact, as on the ball at every mu.
+        for alpha in (Q(1, 4), Q(1, 2), Q(-1, 3)):
+            assert mass_orthogonal_poly(2, alpha, 0, lam, 2).degree == 2
+        assert len(mass_basis(2, 2, Q(3, 4), lam)) == 3
 
     def test_mass_inner_example(self):
         one = UniPoly.constant(1)
@@ -175,6 +197,38 @@ class TestMassOrthogonalFamily:
     def test_mass_inner_orthogonality_to_one(self):
         q1 = mass_orthogonal_poly(1, 0, 2, Q(1, 2), 3)
         assert inner_jacobi_mass(q1, UniPoly.constant(1), 0, 2, Q(1, 2), 3) == 0
+
+
+class TestGammaRatio:
+    def test_rising_factorial_matches_a_product_of_fractions(self):
+        for a in (Q(1, 3), Q(-1, 4), Q(5, 2), Q(0), Q(7), Q(-7, 3)):
+            want = Q(1)
+            for n in range(15):
+                assert rising_factorial(a, n) == want
+                want *= a + n
+
+    def test_pairings(self):
+        # Direct: G(7/2) G(2) / (G(3/2) G(4)) = (3/2)(5/2) / (2 * 3).
+        assert gamma_ratio((Q(7, 2), 2), (Q(3, 2), 4)) == Q(5, 8)
+        # Crossed: G(7/3) G(5/2) / (G(1/2) G(1/3)) = (1/2)_2 (1/3)_2.
+        assert gamma_ratio((Q(7, 3), Q(5, 2)), (Q(1, 2), Q(1, 3))) == Q(3, 4) * Q(4, 9)
+        # Negative gaps invert: G(1/2) G(1) / (G(5/2) G(2)) = 1 / ((1/2)(3/2) * 1).
+        assert gamma_ratio((Q(1, 2), 1), (Q(5, 2), 2)) == Q(4, 3)
+        # Where both pairings have integer gaps the value does not depend on the pairing.
+        assert gamma_ratio((3, 4), (1, 2)) == gamma_ratio((4, 3), (1, 2)) == 12
+        # The total mass of the point-mass weight, against the Beta recurrence.
+        for a in MASS_ALPHAS:
+            for d in (2, 3, 4):
+                for m in range(4):
+                    b = Q(d, 2) + m - 1
+                    got = gamma_ratio((Q(d, 2) + a + 1, b + 1), (Q(d, 2), a + b + 2))
+                    assert got == beta_step(Q(d, 2), a + 1, m)
+
+    def test_no_integer_pairing_raises(self):
+        # G(2) G(3/2) / (G(1) G(1)) would be sqrt(pi) / 2.
+        for tops, bottoms in [((2, Q(3, 2)), (1, 1)), ((Q(3, 2), Q(5, 3)), (Q(1, 3), Q(1, 4)))]:
+            with pytest.raises(ExactnessError):
+                gamma_ratio(tops, bottoms)
 
 
 def _monomials(count):
@@ -314,15 +368,20 @@ class TestIntegerPaths:
         assert len(calls) == 1 and len(makes) == 1
 
     def test_mass_coefficient(self):
-        # a_k = (d/2)_(a+1) k! / ((a+1)_k (b+k+1)_a lam) + k (k+a+b+1) / (a+1).
+        # a_k = G(d/2+a+1) G(b+k+1) k! / (G(d/2) G(a+b+k+1) (a+1)_k lam) + k (k+a+b+1) / (a+1),
+        # G the Gamma function; the Gamma ratio is (a+b+k+1) times the total mass at b + k.
         for alpha in MASS_ALPHAS:
             for d in (2, 3, 4, 5):
                 for beta in SIGNED_PARAMS + (Q(0), Q(1), Q(7, 2)):
                     for lam in (Q(1, 3), Q(5, 11), Q(2)):
                         for k in range(9):
-                            gamma_part = (rising_factorial(Q(d, 2), alpha + 1) * factorial(k)
-                                          / rising_factorial(alpha + 1, k)
-                                          / rising_factorial(beta + k + 1, alpha))
+                            total = point_mass_total(alpha, beta + k, d)
+                            if total is None:
+                                with pytest.raises(ExactnessError):
+                                    mass_coefficient(k, alpha, beta, lam, d)
+                                continue
+                            gamma_part = ((alpha + beta + k + 1) * total * factorial(k)
+                                          / rising_factorial(alpha + 1, k))
                             want = gamma_part / lam + Q(k) * (k + alpha + beta + 1) / (alpha + 1)
                             assert mass_coefficient(k, alpha, beta, lam, d) == want
 
@@ -333,21 +392,21 @@ class TestRadialWeightOracle:
         monomials = [UniPoly([0] * k + [1]) for k in range(5)]
         for a in MASS_ALPHAS:
             for b in (Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(5, 2)):
-                total = radial_weight_integral(0, a, b)
+                moment = _normalized_moment(a, b)
+                if moment is None:
+                    continue
                 for i, ti in enumerate(monomials):
                     for j, tj in enumerate(monomials):
-                        w = radial_weight_integral(i + j, a, b)
-                        assert jacobi_inner(ti, tj, a, b) == w / total
+                        w = moment(i + j)
+                        assert jacobi_inner(ti, tj, a, b) == w
                         for d in (2, 3):
-                            # Gamma(a + d/2 + 1) / (Gamma(d/2) Gamma(a + 1))
-                            prefactor = Q(1)
-                            for r in range(a + 1):
-                                prefactor *= Q(d, 2) + r
-                            prefactor /= factorial(a)
-                            got = inner_jacobi_mass(ti, tj, a, b, Q(1, 3), d)
-                            assert got == prefactor * w + Q(1, 3)
+                            total = point_mass_total(a, b, d)
+                            if total is not None:
+                                got = inner_jacobi_mass(ti, tj, a, b, Q(1, 3), d)
+                                assert got == total * w + Q(1, 3)
                         if a == 0:
-                            assert inner_jacobi_type(ti, tj, b, Q(7, 3)) == w + Q(3, 7)
+                            # The a = 0 weight has total mass B(1, b + 1) = 1 / (b + 1).
+                            assert inner_jacobi_type(ti, tj, b, Q(7, 3)) == w / (b + 1) + Q(3, 7)
 
     @staticmethod
     def _random_poly(rng, degree):
@@ -370,32 +429,27 @@ class TestRadialWeightOracle:
         rng = random.Random(20151)
         degrees = [14, 13, 1, 0, 6] if high_first else [0, 1, 6, 13, 14]
         pairs = [(self._random_poly(rng, n), self._random_poly(rng, rng.randint(0, n))) for n in degrees]
-        weight = cache(radial_weight_integral)
         betas = (Q(-1, 2), Q(0), Q(1, 2), Q(2), Q(7, 2))
         lam = Q(2, 7)
         for alpha in (Q(0), Q(1, 2), Q(1), Q(3)):
             for b in betas:
-                if alpha.denominator == 1:
-                    a = alpha.numerator
-
-                    def moment(m):
-                        return weight(m, a, b) / weight(0, a, b)
-                elif b.denominator == 1:
-                    # t -> -t swaps the two exponents of the weight.
-                    def moment(m):
-                        return (-1) ** m * weight(m, b.numerator, alpha) / weight(0, b.numerator, alpha)
-                else:
+                moment = _normalized_moment(alpha, b)
+                if moment is None:
                     continue
                 for f, g in pairs:
                     assert jacobi_inner(f, g, alpha, b) == self._termwise(f, g, moment)
         for a in MASS_ALPHAS:
             for b in betas:
+                moment = _normalized_moment(a, b)
+                totals = {d: point_mass_total(a, b, d) for d in (2, 3)}
+                if moment is None or totals == {2: None, 3: None}:
+                    continue
                 for f, g in pairs:
-                    weighted = self._termwise(f, g, lambda m: weight(m, a, b))
-                    for d in (2, 3):
-                        want = rising_factorial(Q(d, 2), a + 1) / factorial(a) * weighted
-                        want += lam * f.evaluate(1) * g.evaluate(1)
-                        assert inner_jacobi_mass(f, g, a, b, lam, d) == want
+                    weighted = self._termwise(f, g, moment)
+                    for d, total in totals.items():
+                        if total is not None:
+                            want = total * weighted + lam * f.evaluate(1) * g.evaluate(1)
+                            assert inner_jacobi_mass(f, g, a, b, lam, d) == want
 
 
 class TestJacobiTypeFamily:

@@ -23,7 +23,6 @@ from orthoball import (
     moment_images,
     sphere_ball_ratio,
     sphere_gram,
-    sphere_images,
     sphere_moment,
 )
 from orthoball import measures
@@ -327,7 +326,6 @@ class TestTermwiseOracle:
             moment_images([f], f.nums, Q(1, 2), Q(-1, 3))
         with pytest.raises(ValueError):
             moment_images([f, MultiPoly.variable(3, 0)], f.nums, Q(1, 2))
-        assert sphere_images([], []) == (1, [])
         assert mass_gram([], Q(1, 2)) == sphere_gram([]) == []
         with pytest.raises(ValueError):
             mass_gram([f], Q(-1, 2))

@@ -118,11 +118,13 @@ class TestRunSuites:
         records = run_suites(SuiteConfig(suites=("moments",), **SMALL))
         assert [r.identity for r in records if r.status == STATUS_FAIL] == ["product-positivity"]
 
-    def test_unsupported_mu_skips(self):
+    def test_mass_suites_pass_at_fractional_mu(self):
+        # The point-mass construction holds at every mu > -1/2, so neither suite skips.
         cfg = SuiteConfig(dim=2, mu=Q(3, 4), lam=Q(1, 4), max_degree=2,
                           suites=("krall1d", "lambda-orthogonality"))
         records = run_suites(cfg)
-        assert records and all(r.status == STATUS_SKIP for r in records)
+        assert {r.suite for r in records} == {"krall1d", "lambda-orthogonality"}
+        assert all(r.status in (STATUS_ZERO, STATUS_MATCH) for r in records)
 
     def test_fourth_order_skips_away_from_half(self):
         cfg = SuiteConfig(dim=2, mu=Q(5, 2), lam=Q(1, 4), max_degree=2,
@@ -447,7 +449,7 @@ class TestCli:
         assert main(["--suites", ","]) == 2
         assert main(["--suites", ""]) == 2
         # Neither would a run where every selected suite is skipped.
-        assert main(["--suites", "krall1d", "--mu", "1/3"]) == 2
+        assert main(["--suites", "fourth-order", "--mu", "1/3"]) == 2
         assert main(["--suites", "connection", "--mu", "3/2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -559,8 +561,12 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["count"] == 1
 
-    def test_export_rejects_unsupported_mu(self, capsys):
-        assert main(["--dim", "2", "--mu", "3/4", "--export-basis", "2,lambda"]) == 2
+    def test_export_at_fractional_mu(self, capsys):
+        # A lambda export at mu = 3/4 is exact; away from mu = 1/2 it records no eigenvalue.
+        assert main(["--dim", "2", "--mu", "3/4", "--export-basis", "2,lambda"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["mu"] == "3/4" and data["count"] == 3
+        assert not any("eigenvalue" in el for el in data["elements"])
 
     def test_console_entry_point(self):
         proc = subprocess.run(
