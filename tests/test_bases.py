@@ -154,6 +154,14 @@ class TestMassBasis:
         assert inner_ball(q.poly, const.poly, Q(1, 2)) != 0
         assert inner_mass(q.poly, const.poly, Q(1, 2), Q(1, 2)) == 0
 
+    def test_unsupported_mu_raises(self):
+        # Every mu > -1/2 is exact on the ball, mu = 3/4 included; at mu <= -1/2 the
+        # weight is not integrable and the basis is refused.
+        assert len(mass_basis(2, 2, Q(3, 4), Q(1, 2))) == 3
+        for mu in (Q(-1, 2), Q(-3, 4), Q(-1)):
+            with pytest.raises(ValueError, match="mu must exceed -1/2"):
+                mass_basis(2, 2, mu, Q(1, 2))
+
     def test_product_factorization(self):
         # The mass product of two elements collapses to the radial product times
         # the harmonic norm when the harmonic factors coincide, else zero.

@@ -171,6 +171,15 @@ class TestMassOrthogonalFamily:
                     q = mass_orthogonal_poly(k, alpha, beta, lam, d)
                     assert gs[k] * q.leading_coeff() == q * gs[k].leading_coeff()
 
+    def test_fractional_alpha_rejected(self):
+        # A fractional a with beta - d/2 fractional too leaves no integer pairing of the
+        # Gamma ratio, so the exact construction refuses it.
+        t = UniPoly.t()
+        with pytest.raises(ExactnessError):
+            mass_orthogonal_poly(2, Q(1, 2), Q(1, 2), Q(1, 2), 2)
+        with pytest.raises(ExactnessError):
+            inner_jacobi_mass(t, t, Q(1, 4), Q(1, 2), Q(1, 2), 2)
+
     def test_fractional_alpha_error_names_mu(self):
         # The exactness boundary: a fractional a needs beta - d/2 to be an integer.  At a = 1/2,
         # beta = 1/2, d = 2 the total mass is a multiple of pi, and every entry point raises
