@@ -32,40 +32,8 @@ from typing import NamedTuple
 from .harmonics import harmonic_basis
 from .jacobi import (FOURTH_ORDER_MU, _point_mass, _total_mass, inner_jacobi_mass, jacobi_inner,
                      jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue)
-from .measures import _check_mu
-from .polynomials import MultiPoly, UniPoly, as_fraction, fraction_text, substitute_radial
-
-
-def beta_shift(n: int, k: int, dim: int) -> Fraction:
-    """The radial Jacobi parameter beta_k = n - 2k + (d-2)/2."""
-    return Fraction(2 * (n - 2 * k) + dim - 2, 2)
-
-
-def mass_parameter(dim: int, lam) -> Fraction:
-    """The point-mass coupling M = d / (2 lam) paired with the sphere coupling lam."""
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ValueError(f"the sphere coupling must be positive, got {lam}")
-    return Fraction(dim) / (2 * lam)
-
-
-def sphere_coupling(dim: int, mass) -> Fraction:
-    """Inverse of mass_parameter: lam = d / (2 M)."""
-    mass = as_fraction(mass)
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    return Fraction(dim) / (2 * mass)
-
-
-def _couplings(dim: int, lam=None, mass=None) -> tuple[Fraction, Fraction]:
-    """(lam, M) from at most one of the sphere coupling lam and the point mass M; lam = 1/4 by default."""
-    if lam is not None and mass is not None:
-        raise ValueError("give exactly one of the sphere coupling and the point mass")
-    if mass is not None:
-        mass = as_fraction(mass)
-        return sphere_coupling(dim, mass), mass
-    lam = Fraction(1, 4) if lam is None else as_fraction(lam)
-    return lam, mass_parameter(dim, lam)
+from .polynomials import (MultiPoly, UniPoly, _check_mu, as_fraction, beta_shift, fraction_text,
+                          mass_parameter, substitute_radial)
 
 
 class BasisIndex(NamedTuple):

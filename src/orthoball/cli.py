@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 # No package module is imported at module level: main imports the verifier only for a
-# verifier run (or to list its suites in --help) and the bases only for an export.
+# verifier run (or to list its suites in --help) and the bases only for an export, and
+# the verifier loads only the layers that the selected suites read.
 
 # The options whose value may start with a minus sign and a digit.
 _SIGNED_OPTIONS = ("--mu", "--lambda", "--M", "--export-basis")
@@ -99,7 +100,8 @@ def _write(text: str, out_path: str | None) -> bool:
 
 def _run_export(args) -> int:
     """Write the basis that --export-basis names; reads only --dim, --mu, --lambda/--M and --out."""
-    from .bases import _couplings, basis_export_text
+    from .bases import basis_export_text
+    from .polynomials import _couplings
 
     try:
         lam, _ = _couplings(args.dim, args.lam, args.mass)

@@ -34,7 +34,10 @@ recurrence builds each P_n on integer numerators in one pass, with no Fraction.
 The point-mass construction holds for every a > -1; its two Gamma ratios, the
 total mass and the one in the shift a_k, are rational when a or b - d/2 is an
 integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
-alone decides that.
+alone decides that.  The shift's Gamma part is one running product in k per
+(d, a, b), which reads gamma_ratio only where the product starts or restarts.  The
+public entry points check a > -1 and b > -1 once each and read the cached
+recurrence directly.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -102,15 +105,19 @@ def jacobi_derivative_residual(n: int, alpha, beta) -> UniPoly:
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    lhs = jacobi_polynomial(n, alpha, beta).derivative()
-    rhs = Fraction(n + alpha + beta + 1, 2) * jacobi_polynomial(n - 1, alpha + 1, beta + 1)
+    _check_jacobi_params(alpha, beta)
+    lhs = _jacobi(n, alpha, beta).derivative()
+    rhs = Fraction(n + alpha + beta + 1, 2) * _jacobi(n - 1, alpha + 1, beta + 1)
     return lhs - rhs
 
 
 def jacobi_ode_residual(n: int, alpha, beta) -> UniPoly:
     """(1-t^2)y'' + [b-a-(a+b+2)t]y' + n(n+a+b+1)y with y = P_n^(a,b); identically zero."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    y = jacobi_polynomial(n, alpha, beta)
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    _check_jacobi_params(alpha, beta)
+    y = _jacobi(n, alpha, beta)
     return _shift(y, n * (n + alpha + beta + 1), beta - alpha, -(alpha + beta + 2), 1)
 
 
@@ -272,15 +279,41 @@ def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniP
     return [UniPoly._make(1, row[size:]) for row in rows]
 
 
+_GAMMA_PARTS: dict[tuple[int, Fraction, Fraction], list[Fraction]] = {}  # (d, a, b) -> parts
+
+
+def _gamma_part(k: int, dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
+    """Gamma(d/2+a+1) Gamma(b+k+1) / (Gamma(d/2) Gamma(a+b+k+1)) times k! / (a+1)_k.
+
+    One running product in k per (d, a, b): the step k-1 -> k multiplies by
+    (b+k) k / ((a+b+k)(a+k)), on integers with (r, A, B) from _integer_params.  Where
+    a + b + k = 0 the step is undefined (the value at k - 1 is 0), and the product
+    restarts from _mass_gamma, as it starts at k = 0.
+    """
+    parts = _GAMMA_PARTS.setdefault((dim, alpha, beta), [])
+    if len(parts) <= k:
+        r, a, b = _integer_params(alpha, beta)
+        for j in range(len(parts), k + 1):
+            if j and a + b + j * r:
+                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))
+            else:
+                parts.append(_mass_gamma(dim, alpha, beta, beta + j + 1, alpha + beta + j + 1)
+                             * factorial(j) / rising_factorial(alpha + 1, j))
+    return parts[k]
+
+
+def _mass_coefficient(k: int, alpha: Fraction, beta: Fraction, lam: Fraction, dim: int) -> Fraction:
+    # mass_coefficient on parameters that are already checked.
+    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
+
+
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     """The shift a_k in the point-mass construction q_k = [a_k - (1+t) d/dt] P_k."""
+    if k < 0:
+        raise ValueError(f"degree must be non-negative, got {k}")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     _check_jacobi_params(alpha, beta)
-    lam = _point_mass(lam)
-    # Gamma(d/2+a+1) Gamma(b+k+1) / (Gamma(d/2) Gamma(a+b+k+1)) times k! / (a+1)_k.
-    gamma_part = (_mass_gamma(dim, alpha, beta, beta + k + 1, alpha + beta + k + 1)
-                  * factorial(k) / rising_factorial(alpha + 1, k))
-    return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
+    return _mass_coefficient(k, alpha, beta, _point_mass(lam), dim)
 
 
 def _shift(p: UniPoly, c, p0=-1, p1=-1, s=0) -> UniPoly:
@@ -305,7 +338,10 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    return _shift(jacobi_polynomial(k, alpha, beta), mass_coefficient(k, alpha, beta, lam, dim))
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    _check_jacobi_params(alpha, beta)
+    lam = _point_mass(lam)
+    return _shift(_jacobi(k, alpha, beta), _mass_coefficient(k, alpha, beta, lam, dim))
 
 
 def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
@@ -315,7 +351,9 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
     beta, mass = as_fraction(beta), as_fraction(mass)
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    return _shift(jacobi_polynomial(k, 0, beta), mass + k * (k + beta + 1))
+    alpha = Fraction(0)
+    _check_jacobi_params(alpha, beta)
+    return _shift(_jacobi(k, alpha, beta), mass + k * (k + beta + 1))
 
 
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:

@@ -50,11 +50,8 @@ from functools import cache
 from math import prod
 
 from .exact_gamma import gamma_ratio
-from .polynomials import (_FIELD, _FIELD_MASK, MultiPoly, as_exponents, as_fraction,
-                          integer_numerators, pack)
-
-# Normalized surface measure is the ball weight at mu = -1/2, a limit that _check_mu rejects.
-_SPHERE_MU = Fraction(-1, 2)
+from .polynomials import (_FIELD, _FIELD_MASK, _SPHERE_MU, MultiPoly, _check_mu, as_exponents,
+                          as_fraction, integer_numerators, pack)
 
 
 @cache
@@ -126,13 +123,6 @@ def _moment(exps, mu: Fraction) -> Fraction:
 def sphere_moment(exps) -> Fraction:
     """Normalized sphere average of the monomial xi^exps; zero for odd exponents."""
     return _moment(as_exponents(exps), _SPHERE_MU)
-
-
-def _check_mu(mu) -> Fraction:
-    mu = as_fraction(mu)
-    if mu <= _SPHERE_MU:
-        raise ValueError(f"mu must exceed -1/2 for an integrable weight, got {mu}")
-    return mu
 
 
 def _check_lam(lam) -> Fraction:

@@ -26,11 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .bases import beta_shift
 from .jacobi import jacobi_polynomial, jacobi_type_poly
 # euler_op and laplacian are imported for the package's operator API.
-from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, euler_op,
-                          laplacian, radius_squared)
+from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, beta_shift,
+                          euler_op, laplacian, radius_squared)
 
 
 def _second_order(p: MultiPoly, diagonal, damped: bool) -> MultiPoly:

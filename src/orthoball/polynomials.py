@@ -15,6 +15,11 @@ views ``terms`` and ``coeffs``, built on each read, in ``MultiPoly.evaluate``,
 numerator against ``den`` with one gcd, and ``UniPoly.evaluate`` runs Horner on
 integers and builds one ``Fraction``, its result.  There is no floating point,
 so every identity downstream can be checked for *literal* equality.
+
+The module also holds the ball families' parameters: the check mu > -1/2, the
+radial parameter beta_k and the two couplings, the sphere's lam and the point
+mass M = d / (2 lam).  Every layer above reads them, and so does every verifier
+run, which therefore loads no layer that it does not use.
 """
 
 from __future__ import annotations
@@ -439,6 +444,51 @@ def radius_squared(dim: int) -> MultiPoly:
 def substitute_radial(q: UniPoly, dim: int) -> MultiPoly:
     """Expand q(2*||x||^2 - 1) as a polynomial in x1..xd."""
     return q.compose(2 * radius_squared(dim) - 1)
+
+
+# The ball families' parameters, read by the layers above and by every verifier run.
+
+# Normalized surface measure is the ball weight at mu = -1/2, a limit that _check_mu rejects.
+_SPHERE_MU = Fraction(-1, 2)
+
+
+def _check_mu(mu) -> Fraction:
+    mu = as_fraction(mu)
+    if mu <= _SPHERE_MU:
+        raise ValueError(f"mu must exceed -1/2 for an integrable weight, got {mu}")
+    return mu
+
+
+def beta_shift(n: int, k: int, dim: int) -> Fraction:
+    """The radial Jacobi parameter beta_k = n - 2k + (d-2)/2."""
+    return Fraction(2 * (n - 2 * k) + dim - 2, 2)
+
+
+def mass_parameter(dim: int, lam) -> Fraction:
+    """The point-mass coupling M = d / (2 lam) paired with the sphere coupling lam."""
+    lam = as_fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"the sphere coupling must be positive, got {lam}")
+    return Fraction(dim) / (2 * lam)
+
+
+def sphere_coupling(dim: int, mass) -> Fraction:
+    """Inverse of mass_parameter: lam = d / (2 M)."""
+    mass = as_fraction(mass)
+    if mass <= 0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    return Fraction(dim) / (2 * mass)
+
+
+def _couplings(dim: int, lam=None, mass=None) -> tuple[Fraction, Fraction]:
+    """(lam, M) from at most one of the sphere coupling lam and the point mass M; lam = 1/4 by default."""
+    if lam is not None and mass is not None:
+        raise ValueError("give exactly one of the sphere coupling and the point mass")
+    if mass is not None:
+        mass = as_fraction(mass)
+        return sphere_coupling(dim, mass), mass
+    lam = Fraction(1, 4) if lam is None else as_fraction(lam)
+    return lam, mass_parameter(dim, lam)
 
 
 def _laplacian_nums(p: MultiPoly) -> dict[int, int]:

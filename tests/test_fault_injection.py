@@ -230,7 +230,7 @@ MUTANTS = [
     # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
     Mutant(
         "beta-shift",
-        "bases.py",
+        "polynomials.py",
         "    return Fraction(2 * (n - 2 * k) + dim - 2, 2)\n",
         "    return Fraction(2 * (n - 2 * k) + dim, 2)\n",
         ["--dim", "2", "--max-degree", "2"],
@@ -243,8 +243,8 @@ MUTANTS = [
     Mutant(
         "mass-coefficient",
         "jacobi.py",
-        "    return gamma_part / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)\n",
-        "    return gamma_part / lam + Fraction(k) * (k + alpha + beta + 2) / (alpha + 1)\n",
+        "    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)\n",
+        "    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 2) / (alpha + 1)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
@@ -406,9 +406,9 @@ MUTANTS = [
     Mutant(
         "pointmass-drops-derivative",
         "jacobi.py",
-        "    return _shift(jacobi_polynomial(k, alpha, beta), mass_coefficient(k, alpha, beta, lam, dim))\n",
-        "    p = jacobi_polynomial(k, alpha, beta); "
-        "return mass_coefficient(k, alpha, beta, lam, dim) * p - UniPoly([1, 1]) * p\n",
+        "    return _shift(_jacobi(k, alpha, beta), _mass_coefficient(k, alpha, beta, lam, dim))\n",
+        "    p = _jacobi(k, alpha, beta); "
+        "return _mass_coefficient(k, alpha, beta, lam, dim) * p - UniPoly([1, 1]) * p\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
@@ -439,13 +439,14 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "jacobi-ode", "parts-identity"},
     ),
-    # The shift a_k's k! / (a+1)_k at k! / (a+2)_k: at a = 1 every q_k with k >= 1 is wrong, but
-    # of degree k and with a positive norm.
+    # The shift a_k's k! / (a+1)_k at k! / (a+2)_k, through the running product's step factor
+    # a + k at a + k + 1 (on integers, A + j r at A + r + j r): at a = 1 every q_k with k >= 1 is
+    # wrong, but of degree k and with a positive norm.
     Mutant(
         "mass-coefficient-binomial",
         "jacobi.py",
-        "                  * factorial(k) / rising_factorial(alpha + 1, k))\n",
-        "                  * factorial(k) / rising_factorial(alpha + 2, k))\n",
+        "                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))\n",
+        "                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + r + j * r)))\n",
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),

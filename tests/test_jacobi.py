@@ -394,6 +394,51 @@ class TestIntegerPaths:
                             want = gamma_part / lam + Q(k) * (k + alpha + beta + 1) / (alpha + 1)
                             assert mass_coefficient(k, alpha, beta, lam, d) == want
 
+    @pytest.mark.parametrize("high_first", [False, True])
+    def test_gamma_part_running_product_matches_the_direct_form(self, monkeypatch, high_first):
+        # The running product in k against G(d/2+a+1) G(b+k+1) / (G(d/2) G(a+b+k+1)) k! / (a+1)_k
+        # read from gamma_ratio at each k, from an empty cache whether the first call asks for
+        # k = 14 or for k = 0.  At a = b = -1/2, d = 3 the value at k = 0 is 0 and the step to
+        # k = 1 would divide by a + b + 1 = 0, so the product restarts there.
+        monkeypatch.setattr(jacobi, "_GAMMA_PARTS", {})
+        cases = [(Q(a), b, d) for a in MASS_ALPHAS for b in SIGNED_PARAMS + (Q(0), Q(1), Q(7, 2))
+                 for d in (2, 3, 4)]
+        cases.append((Q(-1, 2), Q(-1, 2), 3))
+        ks = range(14, -1, -1) if high_first else range(15)
+        for a, b, d in cases:
+            for k in ks:
+                try:
+                    want = (gamma_ratio((Q(d, 2) + a + 1, b + k + 1), (Q(d, 2), a + b + k + 1))
+                            * factorial(k) / rising_factorial(a + 1, k))
+                except ExactnessError:
+                    with pytest.raises(ExactnessError):
+                        jacobi._gamma_part(k, d, a, b)
+                    continue
+                assert jacobi._gamma_part(k, d, a, b) == want
+        assert jacobi._gamma_part(0, 3, Q(-1, 2), Q(-1, 2)) == 0
+        assert jacobi._gamma_part(1, 3, Q(-1, 2), Q(-1, 2)) == 2
+
+    # Each public entry point that builds P_n checks a > -1 and b > -1 once, then reads the
+    # cached recurrence; jacobi_type_poly has a = 0 built in.
+    ENTRY_POINTS = {
+        "jacobi_polynomial": lambda a, b: jacobi_polynomial(2, a, b),
+        "jacobi_derivative_residual": lambda a, b: jacobi_derivative_residual(2, a, b),
+        "jacobi_ode_residual": lambda a, b: jacobi_ode_residual(2, a, b),
+        "mass_orthogonal_poly": lambda a, b: mass_orthogonal_poly(2, a, b, Q(1, 2), 2),
+        "jacobi_type_poly": lambda a, b: jacobi_type_poly(2, b, Q(3)),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_entry_point_rejects_parameters_at_or_below_minus_one(self, name):
+        call = self.ENTRY_POINTS[name]
+        bad = [(Q(0), Q(-1)), (Q(1, 2), Q(-5, 4))]
+        if name != "jacobi_type_poly":
+            bad += [(Q(-1), Q(0)), (Q(-3, 2), Q(1, 2))]
+        for a, b in bad:
+            with pytest.raises(ValueError, match="Jacobi parameters must exceed -1"):
+                call(a, b)
+        call(Q(0), Q(-1, 2))  # inside the range: no error
+
 
 class TestRadialWeightOracle:
     def test_monomial_pairs(self):

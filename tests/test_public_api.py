@@ -1,10 +1,11 @@
 """The README's "Public API" section lists exactly what the package exports.
 
-``src/orthoball/__init__.py`` is parsed with ``ast``: every name bound by a
-``from .module import ...`` is an export.  The README section lists one name per
-bullet (``- `name`: ...``) under a heading naming its module
-(``### `orthoball.module` ``).  A name exported but not listed, listed but not
-exported, listed twice or listed under another module fails.
+``src/orthoball/__init__.py`` is parsed with ``ast``: its exports are the entries
+of the ``_EXPORTS`` table, each a public name and the module it is read from.
+The README section lists one name per bullet (``- `name`: ...``) under a heading
+naming its module (``### `orthoball.module` ``).  A name exported but not listed,
+listed but not exported, listed twice or listed under another module fails, and
+so does a name that the table itself holds twice.
 """
 
 import ast
@@ -19,13 +20,13 @@ ITEM = re.compile(r"^- `(\w+)`")
 
 
 def _exports() -> list[tuple[str, str]]:
+    """(module, name) for each entry of the ``_EXPORTS`` table, in source order."""
     tree = ast.parse(INIT.read_text(), filename=str(INIT))
-    return [
-        (node.module, alias.asname or alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]
     ]
+    return [(module.value, name.value) for name, module in zip(table.keys, table.values)]
 
 
 def _documented() -> list[tuple[str, str]]:
@@ -43,7 +44,10 @@ def _documented() -> list[tuple[str, str]]:
 
 
 def test_exports_found():
-    assert ("operators", "fourth_order_op") in _exports()
+    exports = _exports()
+    assert ("operators", "fourth_order_op") in exports
+    names = [name for _, name in exports]
+    assert len(names) == len(set(names)), "the table holds a name twice"
 
 
 def test_readme_lists_each_export_once_under_its_module():

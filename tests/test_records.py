@@ -3,11 +3,14 @@
 The immutable records (``BasisIndex``, ``BallBasisElement``, ``HarmonicBasis``,
 ``CheckRecord``) are ``typing.NamedTuple``s and ``SuiteConfig`` is a plain class,
 so ``import orthoball.cli`` loads neither ``dataclasses`` nor the ``inspect``,
-``ast``, ``dis`` and ``tokenize`` modules it pulls in.  The CLI imports the
-verifier only for a verifier run or its help, so neither the import nor a basis
-export loads ``orthoball.verify``.  The tests below pin the imports and the
-record behaviour that callers read: field names and order, equality, hashing,
-immutability, ``repr`` and ``SuiteConfig``'s normalization.
+``ast``, ``dis`` and ``tokenize`` modules it pulls in.  Every layer loads on
+first use: the package resolves its public names through one table, so neither
+``import orthoball`` nor ``import orthoball.cli`` loads a layer; the CLI imports
+the verifier only for a verifier run or its help and the bases only for an
+export; and the verifier loads only the layers that the selected suites read.
+The tests below pin the imports and the record behaviour that callers read:
+field names and order, equality, hashing, immutability, ``repr`` and
+``SuiteConfig``'s normalization.
 """
 
 import inspect
@@ -54,6 +57,11 @@ def _main_call(*argv: str) -> str:
     return f"from orthoball.cli import main; assert main({[*argv, '--out', os.devnull]!r}) == 0"
 
 
+def _package_modules(code: str) -> set[str]:
+    """The ``orthoball`` modules that running ``code`` in a fresh interpreter loads."""
+    return {name for name in _modules_added(code) if name.split(".")[0] == "orthoball"}
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     added = _modules_added("import orthoball.cli")
     assert "orthoball.cli" in added
@@ -62,19 +70,64 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_cli_import_loads_no_verifier():
     added = _modules_added("import orthoball.cli")
-    assert {"orthoball.cli", "orthoball.bases"} <= added
+    assert "orthoball.cli" in added
+    assert "orthoball.bases" not in added
     assert "orthoball.verify" not in added
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import orthoball", {"orthoball"}),
+    ("import orthoball.cli", {"orthoball", "orthoball.cli"}),
+])
+def test_imports_load_no_layer(code, loaded):
+    assert _package_modules(code) == loaded
+
+
+def test_univariate_run_loads_only_the_univariate_layer():
+    loaded = _package_modules(_main_call("--dim", "2", "--max-degree", "3",
+                                         "--suites", "jacobi,krall1d"))
+    assert loaded == {"orthoball", "orthoball.cli", "orthoball.verify", "orthoball.jacobi",
+                      "orthoball.exact_gamma", "orthoball.polynomials"}
+
+
+def test_harmonics_run_loads_neither_bases_nor_operators():
+    loaded = _package_modules(_main_call("--dim", "3", "--max-degree", "2", "--suites", "harmonics"))
+    assert {"orthoball.harmonics", "orthoball.ball_suites"} <= loaded
+    assert not loaded & {"orthoball.bases", "orthoball.operators"}
 
 
 def test_export_loads_no_verifier():
     added = _modules_added(_main_call("--dim", "2", "--export-basis", "2,lambda"))
     assert "orthoball.bases" in added
     assert "orthoball.verify" not in added
+    assert "orthoball.operators" not in added
 
 
 def test_suite_run_loads_the_verifier():
     added = _modules_added(_main_call("--dim", "2", "--max-degree", "1", "--suites", "jacobi"))
     assert "orthoball.verify" in added
+
+
+def test_each_public_name_resolves_to_its_module():
+    # In a fresh interpreter, so that no other test's monkeypatch is cached by the package.
+    script = """
+import importlib, orthoball
+for name, module in orthoball._EXPORTS.items():
+    assert getattr(orthoball, name) is getattr(importlib.import_module("orthoball." + module), name), name
+    assert name in dir(orthoball), name
+namespace = {}
+exec("from orthoball import *", namespace)
+assert set(orthoball._EXPORTS) <= set(namespace)
+try:
+    orthoball.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_help_lists_every_suite(capsys, monkeypatch):

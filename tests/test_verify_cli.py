@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoball import MultiPoly, bases, harmonics, jacobi, measures, operators, verify
+from orthoball import MultiPoly, ball_suites, bases, harmonics, jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -103,7 +103,7 @@ class TestRunSuites:
     def test_exps_upto_yields_every_exponent_through_the_total(self):
         for d in (1, 2, 3, 5):
             for total in range(7):
-                exps = list(verify._exps_upto(d, total))
+                exps = list(ball_suites._exps_upto(d, total))
                 assert len(exps) == len(set(exps)) == comb(total + d, d)
                 assert all(len(e) == d and sum(e) <= total for e in exps)
 
@@ -428,8 +428,8 @@ class TestCli:
                   if r.get("status") == STATUS_FAIL}
         cfg = SuiteConfig(dim=3, max_degree=2)
         elements = {
-            "classical-gram-offdiagonal": verify._elements(cfg, bases.classical_basis, cfg.mu),
-            "mass-gram-offdiagonal": verify._elements(cfg, bases.mass_basis, cfg.mu, cfg.lam),
+            "classical-gram-offdiagonal": ball_suites._elements(cfg, bases.classical_basis, cfg.mu),
+            "mass-gram-offdiagonal": ball_suites._elements(cfg, bases.mass_basis, cfg.mu, cfg.lam),
         }
         assert len(planted) == len(identities)
         for identity, entries in zip(identities, planted):
@@ -437,7 +437,7 @@ class TestCli:
             i, j = next((i, j) for i, j in combinations(range(len(entries)), 2) if entries[i][j])
             assert (i, j) == (0, 3)
             els = elements.get(identity)
-            tag = [i, j] if els is None else [*verify._key(els[i]), *verify._key(els[j])]
+            tag = [i, j] if els is None else [*ball_suites._key(els[i]), *ball_suites._key(els[j])]
             assert failed[identity]["params"]["first_failure"] == tag
             assert failed[identity]["witness"] == "-2/3"
 
