@@ -18,6 +18,8 @@ _EXPORTS = {
     "UniPoly": "polynomials",
     "as_fraction": "polynomials",
     "beta_shift": "polynomials",
+    "euler_op": "polynomials",
+    "laplacian": "polynomials",
     "mass_parameter": "polynomials",
     "radius_squared": "polynomials",
     "sphere_coupling": "polynomials",
@@ -66,10 +68,8 @@ _EXPORTS = {
     "ball_connection_op": "operators",
     "ball_conjugate_op": "operators",
     "classical_ball_op": "operators",
-    "euler_op": "operators",
     "fourth_order_eigenvalue": "operators",
     "fourth_order_op": "operators",
-    "laplacian": "operators",
     "radial_connection_residuals": "operators",
 }
 

@@ -2,24 +2,30 @@
 
 ``verify.run_suites`` imports this module only for the suites that read the
 ball: ``harmonics``, ``moments``, ``classical-orthogonality``,
-``lambda-orthogonality``, ``d-mu-eigen``, ``connection`` and ``fourth-order``.
-A run of the univariate suites alone therefore loads none of it.  Each runner
-imports the layers it reads when it runs, so ``harmonics`` loads neither the
-ball bases nor the operators.  The checks, their identities and the report
-records are declared in ``verify``, as for the univariate suites.
+``lambda-orthogonality``, ``d-mu-eigen``, ``connection`` and ``fourth-order``,
+each the generator ``_suite_<name>``.  A run of the univariate suites alone
+therefore loads none of it.  Each suite imports the layers it reads when it
+starts, so ``harmonics`` loads neither the ball bases nor the operators.
+
+A suite yields one ``(identity, params, items)`` triple per check, and
+``verify._run_suite`` times each check from resuming the suite to reading the
+check's last item.  So each basis, Gram matrix and list of eigenvalues is built
+in the suite body just before the yield of the first check that reads it, and
+is charged to that check alone; items that draw from the seeded ``_rng`` stay
+lazy, so a check that fails stops drawing at its first failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from math import comb
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterator
 
 # The polynomial layer is loaded by every verifier run before this module is.
 from .polynomials import MultiPoly, UniPoly, beta_shift, laplacian, pack, substitute_radial
-from .verify import _HALF, SuiteConfig, _beta_values, _Collector, _nonzero_above_diagonal, _params
+from .verify import _HALF, SuiteConfig, _beta_values, _nonzero_above_diagonal, _params
 
 if TYPE_CHECKING:
     from .bases import BallBasisElement
@@ -50,43 +56,28 @@ def _random_homogeneous(rng: random.Random, dim: int, degree: int) -> MultiPoly:
     return MultiPoly(dim, {e: rng.randint(-4, 4) for e in monos})
 
 
-def _suite_harmonics(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_harmonics(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import harmonics, measures
 
     rng = _rng(cfg, "harmonics")
     d = cfg.dim
     for m in range(cfg.max_degree + 1):
         p = {"dim": d, "degree": m}
-        basis = partial(harmonics.harmonic_basis, d, m)
-
-        def each(residual, *args):
-            return lambda: ((i, residual(Y, *args)) for i, Y in enumerate(basis().elements))
-
-        out.check(
-            "harmonic-dimension",
-            p,
-            lambda: [(m, len(basis().elements), harmonics.harmonic_space_dim(d, m))],
+        basis = harmonics.harmonic_basis(d, m)
+        els = basis.elements
+        yield "harmonic-dimension", p, [(m, len(els), harmonics.harmonic_space_dim(d, m))]
+        yield "harmonic-laplace", p, ((i, laplacian(Y)) for i, Y in enumerate(els))
+        yield "harmonic-sphere-orthogonality", p, _nonzero_above_diagonal(measures.sphere_gram(els))
+        yield "harmonic-norm-positive", p, (
+            (i, norm > 0, True) for i, norm in enumerate(basis.sphere_norms)
         )
-        out.check("harmonic-laplace", p, each(laplacian))
-        out.check(
-            "harmonic-sphere-orthogonality",
-            p,
-            lambda: _nonzero_above_diagonal(measures.sphere_gram(basis().elements)),
+        yield "euler-identity", p, ((i, harmonics.euler_residual(Y, m)) for i, Y in enumerate(els))
+        yield "laplace-beltrami-eigen", p, (
+            (i, harmonics.laplace_beltrami_residual(Y, m)) for i, Y in enumerate(els)
         )
-        out.check(
-            "harmonic-norm-positive",
-            p,
-            lambda: ((i, norm > 0, True) for i, norm in enumerate(basis().sphere_norms)),
-        )
-        out.check("euler-identity", p, each(harmonics.euler_residual, m))
-        out.check("laplace-beltrami-eigen", p, each(harmonics.laplace_beltrami_residual, m))
-        out.check(
-            "polar-decomposition",
-            p,
-            lambda: (
-                (trial, harmonics.polar_decomposition_residual(_random_homogeneous(rng, d, m), m))
-                for trial in range(3)
-            ),
+        yield "polar-decomposition", p, (
+            (trial, harmonics.polar_decomposition_residual(_random_homogeneous(rng, d, m), m))
+            for trial in range(3)
         )
 
 
@@ -102,7 +93,7 @@ def _bumps(e):
     return [e[:i] + (e[i] + 2,) + e[i + 1:] for i in range(len(e))]
 
 
-def _suite_moments(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_moments(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import measures
 
     rng = _rng(cfg, "moments")
@@ -122,45 +113,27 @@ def _suite_moments(cfg: SuiteConfig, out: _Collector) -> None:
             yield ("symmetry", i), mass(f, g) - mass(g, f)
             yield ("bilinearity", i), mass(f + g, h) - mass(f, h) - mass(g, h)
 
-    out.check(
-        "sphere-moment-consistency",
-        {"dim": d, "max_total_degree": cap},
-        lambda: (
-            (e, sum(map(measures.sphere_moment, _bumps(e))) - measures.sphere_moment(e))
-            for e in _exps_upto(d, cap)
-        ),
+    yield "sphere-moment-consistency", {"dim": d, "max_total_degree": cap}, (
+        (e, sum(map(measures.sphere_moment, _bumps(e))) - measures.sphere_moment(e))
+        for e in _exps_upto(d, cap)
     )
-    out.check(
-        "ball-weight-recurrence",
-        {"dim": d, "mu": mu, "max_total_degree": cap},
-        lambda: (
-            (e, ball(e) - sum(map(ball, _bumps(e))) - ratio * measures.ball_moment(e, mu + 1))
-            for e in _exps_upto(d, cap)
-        ),
+    yield "ball-weight-recurrence", {"dim": d, "mu": mu, "max_total_degree": cap}, (
+        (e, ball(e) - sum(map(ball, _bumps(e))) - ratio * measures.ball_moment(e, mu + 1))
+        for e in _exps_upto(d, cap)
     )
-    out.check(
-        "sphere-ball-ratio",
-        {"dims": [2, 3, 4, 5, 6]},
-        lambda: ((dd, measures.sphere_ball_ratio(dd, _HALF), Fraction(dd)) for dd in range(2, 7)),
+    yield "sphere-ball-ratio", {"dims": [2, 3, 4, 5, 6]}, (
+        (dd, measures.sphere_ball_ratio(dd, _HALF), Fraction(dd)) for dd in range(2, 7)
     )
-    out.check(
-        "unit-mass",
-        p,
-        lambda: [
-            ("ball", measures.inner_ball(one, one, mu), Fraction(1)),
-            ("sphere", measures.inner_sphere(one, one), Fraction(1)),
-            ("mass", mass(one, one), 1 + cfg.lam),
-        ],
-    )
-    out.check("product-symmetry", dict(p, trials=3), symmetry)
-    out.check(
-        "product-positivity",
-        p,
-        lambda: (
-            (e, mass(mono, mono) > 0, True)
-            for e in _exps_upto(d, min(4, cap))
-            for mono in [MultiPoly(d, {e: 1})]
-        ),
+    yield "unit-mass", p, [
+        ("ball", measures.inner_ball(one, one, mu), Fraction(1)),
+        ("sphere", measures.inner_sphere(one, one), Fraction(1)),
+        ("mass", mass(one, one), 1 + cfg.lam),
+    ]
+    yield "product-symmetry", dict(p, trials=3), symmetry()
+    yield "product-positivity", p, (
+        (e, mass(mono, mono) > 0, True)
+        for e in _exps_upto(d, min(4, cap))
+        for mono in [MultiPoly(d, {e: 1})]
     )
 
 
@@ -185,23 +158,11 @@ def _elements(cfg: SuiteConfig, basis, *args) -> list[BallBasisElement]:
     return [el for n in range(cfg.max_degree + 1) for el in basis(n, cfg.dim, *args)]
 
 
-def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_classical_orthogonality(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import bases, measures
 
     d, mu = cfg.dim, cfg.mu
     p = _params(cfg, "dim", "mu", "max_degree")
-    els = partial(_elements, cfg, bases.classical_basis, mu)
-    gram = cache(lambda: measures.mass_gram([el.poly for el in els()], mu))
-    out.check("classical-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
-    out.check("classical-gram-diagonal", p, lambda: _diagonal(els(), gram()))
-    out.check(
-        "classical-dimension",
-        p,
-        lambda: (
-            (n, len(bases.classical_basis(n, d, mu)), comb(n + d - 1, d - 1))
-            for n in range(cfg.max_degree + 1)
-        ),
-    )
 
     def lower_degree():
         # <P, x^e> = W_P[e] / (den_P D), read from one moment image of each degree-n element
@@ -216,44 +177,34 @@ def _suite_classical_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
                     if image[key]:
                         yield _key(el) + (e,), Fraction(image[key], el.poly.den * den)
 
-    out.check("classical-lower-degree", p, lower_degree)
-
-
-def _per_element(residual, *degree_bases):
-    """A producer of ``residual(*elements)`` tagged (k, nu), element by element, over the bases
-    that the ``degree_bases`` thunks build; all have one degree, so they share the (k, nu) order."""
-    return lambda: (
-        ((els[0].index.k, els[0].index.nu), residual(*els))
-        for els in zip(*(build() for build in degree_bases))
+    els = _elements(cfg, bases.classical_basis, mu)
+    gram = measures.mass_gram([el.poly for el in els], mu)
+    yield "classical-gram-offdiagonal", p, _offdiagonal(els, gram)
+    yield "classical-gram-diagonal", p, _diagonal(els, gram)
+    yield "classical-dimension", p, (
+        (n, len(bases.classical_basis(n, d, mu)), comb(n + d - 1, d - 1))
+        for n in range(cfg.max_degree + 1)
     )
+    yield "classical-lower-degree", p, lower_degree()
 
 
-def _lambda_n(n: int, dim: int, mass: Fraction) -> Callable[[], list[Fraction]]:
-    from . import operators
-
-    # [Lambda(n, k) for k = 0..n//2], built on the first call, inside a producer and its timer.
-    return cache(lambda: [operators.fourth_order_eigenvalue(n, k, dim, mass)
-                          for k in range(n // 2 + 1)])
-
-
-def _suite_d_mu_eigen(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_d_mu_eigen(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import bases, operators
 
     for n in range(cfg.max_degree + 1):
         eig = -(n + cfg.dim) * (n + 2 * cfg.mu - 1)
-        eigen = _per_element(lambda P: operators.classical_ball_op(P.poly, cfg.mu) - eig * P.poly,
-                             partial(bases.classical_basis, n, cfg.dim, cfg.mu))
+        els = bases.classical_basis(n, cfg.dim, cfg.mu)
         params = {"dim": cfg.dim, "mu": cfg.mu, "n": n, "eigenvalue": eig}
-        out.check("classical-second-order-eigen", params, eigen)
+        yield "classical-second-order-eigen", params, (
+            (_key(P)[1:], operators.classical_ball_op(P.poly, cfg.mu) - eig * P.poly) for P in els
+        )
 
 
-def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_lambda_orthogonality(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import bases, jacobi, measures
 
     alpha = cfg.mu - _HALF
     p = _params(cfg, "dim", "mu", "lambda", "max_degree")
-    els = partial(_elements, cfg, bases.mass_basis, cfg.mu, cfg.lam)
-    gram = cache(lambda: measures.mass_gram([el.poly for el in els()], cfg.mu, cfg.lam))
 
     def harmonic(el):
         return (el.index.n - 2 * el.index.k, el.index.nu)
@@ -261,66 +212,65 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig, out: _Collector) -> None:
     def factorization():
         # Only pairs that share a harmonic: every entry across two harmonics is one that
         # mass-gram-offdiagonal checks to be zero.
-        elements, entries = els(), gram()
         blocks = {}
-        for i, el in enumerate(elements):
+        for i, el in enumerate(els):
             blocks.setdefault(harmonic(el), []).append(i)
-        for i, a in enumerate(elements):
+        for i, a in enumerate(els):
             block = blocks[harmonic(a)]
             for j in block[block.index(i):]:
-                b = elements[j]
+                b = els[j]
                 product = jacobi.inner_jacobi_mass(
                     a.radial, b.radial, alpha, a.index.beta_k, cfg.lam, cfg.dim
                 )
-                yield _key(a) + _key(b), entries[i][j] - product * a.harmonic_sq_norm
+                yield _key(a) + _key(b), gram[i][j] - product * a.harmonic_sq_norm
 
-    out.check("mass-gram-offdiagonal", p, lambda: _offdiagonal(els(), gram()))
-    out.check("mass-gram-diagonal", p, lambda: _diagonal(els(), gram()))
-    out.check("mass-product-factorization", p, factorization)
+    els = _elements(cfg, bases.mass_basis, cfg.mu, cfg.lam)
+    gram = measures.mass_gram([el.poly for el in els], cfg.mu, cfg.lam)
+    yield "mass-gram-offdiagonal", p, _offdiagonal(els, gram)
+    yield "mass-gram-diagonal", p, _diagonal(els, gram)
+    yield "mass-product-factorization", p, factorization()
 
 
-def _suite_connection(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_connection(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import bases, jacobi, operators
 
     rng = _rng(cfg, "connection")
     d, M, lam, mu = cfg.dim, cfg.mass, cfg.lam, jacobi.FOURTH_ORDER_MU
     p = _params(cfg, "dim", "mass", "lambda")
+
+    def univariate(beta):
+        for k in range(max(cfg.max_degree, 2) + 1):
+            pk, qk = jacobi.jacobi_polynomial(k, 0, beta), jacobi.jacobi_type_poly(k, beta, M)
+            eig = jacobi.type_eigenvalue(k, beta, M)
+            conjugate = jacobi.conjugate_connection_op(qk, beta, M)
+            yield (k, "forward"), jacobi.connection_op(pk, beta, M) - qk
+            yield (k, "backward"), conjugate - eig * pk
+            yield (k, "fourth-order"), jacobi.connection_op(conjugate, beta, M) - eig * qk
+
+    def parts(beta):
+        for trial in range(3):
+            f, g = _random_unipoly(rng, 5), _random_unipoly(rng, 5)
+            yield trial, jacobi.parts_residual(f, g, beta, M)
+
     for n in range(cfg.max_degree + 1):
-        both = partial(bases.classical_basis, n, d, mu), partial(bases.mass_basis, n, d, mu, lam)
-        lambdas = _lambda_n(n, d, M)
-        forward = _per_element(lambda P, Q: operators.ball_connection_op(P.poly, M) - Q.poly, *both)
-        backward = _per_element(
-            lambda P, Q: operators.ball_conjugate_op(Q.poly, M) - lambdas()[P.index.k] * P.poly, *both
+        pairs = list(zip(bases.classical_basis(n, d, mu), bases.mass_basis(n, d, mu, lam)))
+        yield "connection-forward", dict(p, n=n), (
+            (_key(P)[1:], operators.ball_connection_op(P.poly, M) - Q.poly) for P, Q in pairs
         )
-
-        def radial():
-            for k in range(n // 2 + 1):
-                first, second = operators.radial_connection_residuals(n, k, d, M)
-                yield (n, k, "forward"), first
-                yield (n, k, "backward"), second
-
-        out.check("connection-forward", dict(p, n=n), forward)
-        out.check("connection-backward", dict(p, n=n), backward)
-        out.check("connection-radial", dict(p, n=n), radial)
+        lambdas = [operators.fourth_order_eigenvalue(n, k, d, M) for k in range(n // 2 + 1)]
+        yield "connection-backward", dict(p, n=n), (
+            (_key(P)[1:], operators.ball_conjugate_op(Q.poly, M) - lambdas[P.index.k] * P.poly)
+            for P, Q in pairs
+        )
+        yield "connection-radial", dict(p, n=n), (
+            ((n, k, kind), residual) for k in range(n // 2 + 1)
+            for kind, residual in zip(("forward", "backward"),
+                                      operators.radial_connection_residuals(n, k, d, M))
+        )
     for beta in _beta_values(cfg):
-
-        def univariate():
-            for k in range(max(cfg.max_degree, 2) + 1):
-                pk, qk = jacobi.jacobi_polynomial(k, 0, beta), jacobi.jacobi_type_poly(k, beta, M)
-                eig = jacobi.type_eigenvalue(k, beta, M)
-                conjugate = jacobi.conjugate_connection_op(qk, beta, M)
-                yield (k, "forward"), jacobi.connection_op(pk, beta, M) - qk
-                yield (k, "backward"), conjugate - eig * pk
-                yield (k, "fourth-order"), jacobi.connection_op(conjugate, beta, M) - eig * qk
-
-        def parts():
-            for trial in range(3):
-                f, g = _random_unipoly(rng, 5), _random_unipoly(rng, 5)
-                yield trial, jacobi.parts_residual(f, g, beta, M)
-
-        out.check("connection-univariate", dict(p, beta=beta), univariate)
-        out.check("parts-identity", dict(p, beta=beta), parts)
-    out.check("connection-lift", p, lambda: _lift_pairs(cfg, rng))
+        yield "connection-univariate", dict(p, beta=beta), univariate(beta)
+        yield "parts-identity", dict(p, beta=beta), parts(beta)
+    yield "connection-lift", p, _lift_pairs(cfg, rng)
 
 
 def _lift_pairs(cfg: SuiteConfig, rng: random.Random):
@@ -340,19 +290,20 @@ def _lift_pairs(cfg: SuiteConfig, rng: random.Random):
         yield (("backward", m), cartesian2 - lifted2)
 
 
-def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_fourth_order(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import bases, jacobi, operators
 
     d, M, lam = cfg.dim, cfg.mass, cfg.lam
     offset = Fraction(1) if cfg.corrupt_eigenvalue else Fraction(0)
     p = _params(cfg, "dim", "mass", "lambda")
     for n in range(cfg.max_degree + 1):
-        lambdas = _lambda_n(n, d, M)
-        eigen = _per_element(
-            lambda Q: operators.fourth_order_op(Q.poly, M) - (lambdas()[Q.index.k] + offset) * Q.poly,
-            partial(bases.mass_basis, n, d, jacobi.FOURTH_ORDER_MU, lam),
+        els = bases.mass_basis(n, d, jacobi.FOURTH_ORDER_MU, lam)
+        lambdas = [operators.fourth_order_eigenvalue(n, k, d, M) + offset
+                   for k in range(n // 2 + 1)]
+        yield "fourth-order-eigen", dict(p, n=n), (
+            (_key(Q)[1:], operators.fourth_order_op(Q.poly, M) - lambdas[Q.index.k] * Q.poly)
+            for Q in els
         )
-        out.check("fourth-order-eigen", dict(p, n=n), eigen)
 
     def forms():
         for n in range(max(cfg.max_degree, 10) + 1):
@@ -360,7 +311,7 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
                 product = jacobi.type_eigenvalue(k, beta_shift(n, k, d), M)
                 yield (n, k), product, operators.fourth_order_eigenvalue(n, k, d, M)
 
-    out.check("eigenvalue-forms", p, forms)
+    yield "eigenvalue-forms", p, forms()
     control_params = dict(p, control=None, residual=None)
 
     def negative_control():
@@ -371,4 +322,4 @@ def _suite_fourth_order(cfg: SuiteConfig, out: _Collector) -> None:
         control_params["residual"] = residual.canonical()
         yield "nonzero", residual.is_zero(), False
 
-    out.check("fourth-order-negative-control", control_params, negative_control)
+    yield "fourth-order-negative-control", control_params, negative_control()

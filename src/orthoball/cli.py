@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every check passes (skips allowed), 1 when any check
 fails, 2 on a configuration error, when every selected suite is skipped (a
-report with nothing checked cannot pass), or when the output cannot be written.
+report with nothing checked cannot pass), or when the output cannot be written,
+and 3 on an internal error: an exception that escapes the verifier or the
+export prints its traceback to stderr, and no report or export is written.
 """
 
 from __future__ import annotations
@@ -123,15 +125,8 @@ def _run_export(args) -> int:
     return 0 if _write(text, args.out) else 2
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
-        return exc.code
-    if args.export_basis is not None:
-        return _run_export(args)
-
+def _run_verifier(args) -> int:
+    """Run the selected suites and write their report; reads every option but --export-basis."""
     from .verify import STATUS_FAIL, STATUS_SKIP, SuiteConfig, report_lines, run_suites
 
     try:
@@ -157,6 +152,21 @@ def main(argv=None) -> int:
     if not _write("\n".join(report_lines(cfg, records)) + "\n", args.out):
         return 2
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
+    try:
+        return _run_export(args) if args.export_basis is not None else _run_verifier(args)
+    except Exception:  # an internal error, not a failed check: it must not read as exit 1
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

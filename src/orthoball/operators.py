@@ -27,9 +27,8 @@ from fractions import Fraction
 from math import lcm
 
 from .jacobi import jacobi_polynomial, jacobi_type_poly
-# euler_op and laplacian are imported for the package's operator API.
 from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, beta_shift,
-                          euler_op, laplacian, radius_squared)
+                          radius_squared)
 
 
 def _second_order(p: MultiPoly, diagonal, damped: bool) -> MultiPoly:

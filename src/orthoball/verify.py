@@ -1,31 +1,36 @@
 """Parameterized verification suites producing structured, deterministic reports.
 
 Each suite re-derives a family of identities and checks them in exact
-arithmetic.  Two tables declare the verifier:
+arithmetic.  ``_IDENTITIES`` declares each identity's kind and statement.  An
+"exact-zero" check passes when every item (tag, residual) is the literal zero,
+an "exact-match" check when every item (tag, got, want) has got == want.
 
-* ``_IDENTITIES``: each identity's kind and statement.  An "exact-zero" check
-  passes when every item (tag, residual) is the literal zero, an "exact-match"
-  check when every item (tag, got, want) has got == want.
-* ``_SUITES``: each suite's runner and the parameter range its exact
-  construction needs; outside that range the suite emits one skipped record.
+A suite is a generator over the run's ``SuiteConfig`` that yields one
+``(identity, params, items)`` triple per check, and ``_run_suite`` records
+them all in one loop.  A check's timer starts when the loop resumes the suite
+and stops after the check's last item is read, so ``elapsed_ms`` covers what
+the suite does just before the yield (a basis, a Gram matrix, the eigenvalues
+of a degree; for its first check, the layer imports) as well as the items; a
+build that several checks read is made before the first of them and charged to
+it alone.  The loop stops at the first item that fails and serializes it as
+the witness, so items that draw random trials are lazy: a failing check draws
+no more.  The items are read before the suite resumes, so they may read the
+variables of the loop that yields them, and ``params`` is read after them, so
+an item may fill in a parameter that it computes.  Orthogonality suites read
+every check from one Gram matrix per basis, and ``krall1d`` from one Gram
+matrix of the point-mass family per beta.  Their exact-zero items are only the
+nonzero entries, in row-major order, so a passing scan builds no tag and no
+witness and a failing one reports the same first entry that an item per entry
+would.
 
-A runner declares each check as an identity, its params and a producer: a thunk
-that builds the items.  The one check primitive, ``_Collector.check``, runs the
-producer inside the check's timer, so ``elapsed_ms`` covers building the items,
-and serializes a witness of the first item that fails.  The producer runs before
-``check`` returns, so it may read the variables of the loop that declares it.
-Orthogonality suites read every check from one Gram matrix per basis, and
-``krall1d`` from one Gram matrix of the point-mass family per beta.  Their
-exact-zero producers yield only the nonzero entries, in row-major order, so a
-passing scan builds no tag and no witness and a failing one reports the same
-first entry that an item per entry would.
-
-This module holds the framework, both tables and the two univariate suites,
-``jacobi`` and ``krall1d``, and imports only ``polynomials`` at module level.
-The seven ball and sphere suites live in ``ball_suites``, which ``run_suites``
-imports the first time one of them runs, and each runner imports the other
-layers it reads, so a univariate run loads only ``jacobi``, ``exact_gamma`` and
-``polynomials``.
+This module holds the framework and the two univariate suites, ``jacobi`` and
+``krall1d``, and imports only ``polynomials`` at module level.  The seven ball
+and sphere suites live in ``ball_suites`` as ``_suite_<name>``, which
+``run_suites`` imports the first time one of them runs; each suite imports the
+other layers it reads when it starts, so a univariate run loads only
+``jacobi``, ``exact_gamma`` and ``polynomials``.  The ``connection`` and
+``fourth-order`` suites hold at mu = 1/2 only; elsewhere each emits the one
+skipped record that ``_FOURTH_ORDER_SUITES`` declares.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from functools import cache
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 # Every verifier run reads the polynomial layer (the configuration's checks, the report's
 # fraction text), so it is the one layer imported here: a function-level import in _fmt
@@ -189,36 +193,27 @@ def _witness(kind: str, values) -> str | None:
     return None if got == want else f"got {_serialize(got)}, expected {_serialize(want)}"
 
 
-class _Collector:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.records: list[CheckRecord] = []
+def _run_suite(suite: str, checks: Iterator[tuple]) -> list[CheckRecord]:
+    """Record each check that the suite ``checks`` yields as an (identity, params, items) triple.
 
-    def check(self, identity: str, params: dict, producer) -> None:
-        """Run ``producer()`` inside the timer and record the first item that fails.
-
-        ``params`` is read after the producer has run, so a producer may fill
-        in a parameter that it computes as part of the check's work.
-        """
+    A check's time runs from resuming the suite to reading its last item, or its first
+    failing one, which is recorded with its tag as the witness.
+    """
+    records: list[CheckRecord] = []
+    start = time.perf_counter()
+    for identity, params, items in checks:
         kind, statement = _IDENTITIES[identity]
-        t0 = time.perf_counter()
         witness = None
-        for tag, *values in producer():
+        for tag, *values in items:
             witness = _witness(kind, values)
             if witness is not None:
                 break
-        elapsed = (time.perf_counter() - t0) * 1000
+        elapsed = (time.perf_counter() - start) * 1000
         p = dict(params) if witness is None else dict(params, first_failure=tag)
         status = kind if witness is None else STATUS_FAIL
-        self.records.append(
-            CheckRecord(self.suite, identity, statement, _fmt(p), status, witness, elapsed)
-        )
-
-    def skip(self, identity: str, statement: str, params: dict, reason: str) -> None:
-        p = dict(params, reason=reason)
-        self.records.append(
-            CheckRecord(self.suite, identity, statement, _fmt(p), STATUS_SKIP, None, 0.0)
-        )
+        records.append(CheckRecord(suite, identity, statement, _fmt(p), status, witness, elapsed))
+        start = time.perf_counter()
+    return records
 
 
 def _params(cfg: SuiteConfig, *names: str) -> dict:
@@ -227,32 +222,24 @@ def _params(cfg: SuiteConfig, *names: str) -> dict:
     return {name: fields[name] for name in names}
 
 
-def _suite_jacobi(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_jacobi(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import jacobi
     from .exact_gamma import rising_factorial
 
     grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
     pairs = [(a, b) for a in grid for b in grid]
     for n in range(cfg.max_degree + 1):
-        out.check(
-            "jacobi-normalization",
-            {"n": n, "grid": pairs},
-            lambda: (
-                ((a, b), jacobi.jacobi_polynomial(n, a, b).evaluate(1),
-                 rising_factorial(a + 1, n) / factorial(n))
-                for a, b in pairs
-            ),
+        yield "jacobi-normalization", {"n": n, "grid": pairs}, (
+            ((a, b), jacobi.jacobi_polynomial(n, a, b).evaluate(1),
+             rising_factorial(a + 1, n) / factorial(n))
+            for a, b in pairs
         )
         if n >= 1:
-            out.check(
-                "jacobi-derivative",
-                {"n": n},
-                lambda: (((a, b), jacobi.jacobi_derivative_residual(n, a, b)) for a, b in pairs),
+            yield "jacobi-derivative", {"n": n}, (
+                ((a, b), jacobi.jacobi_derivative_residual(n, a, b)) for a, b in pairs
             )
-        out.check(
-            "jacobi-ode",
-            {"n": n},
-            lambda: (((a, b), jacobi.jacobi_ode_residual(n, a, b)) for a, b in pairs),
+        yield "jacobi-ode", {"n": n}, (
+            ((a, b), jacobi.jacobi_ode_residual(n, a, b)) for a, b in pairs
         )
 
 
@@ -261,7 +248,7 @@ def _beta_values(cfg: SuiteConfig) -> list[Fraction]:
     return sorted({beta_shift(n, k, cfg.dim) for n in degrees for k in range(n // 2 + 1)})
 
 
-def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
+def _suite_krall1d(cfg: SuiteConfig) -> Iterator[tuple]:
     from . import jacobi
     from .exact_gamma import gamma_ratio
 
@@ -270,93 +257,55 @@ def _suite_krall1d(cfg: SuiteConfig, out: _Collector) -> None:
     ks = range(max(cfg.max_degree, 2) + 1)
     for beta in _beta_values(cfg):
         p = dict(_params(cfg, "dim", "mu", "lambda"), beta=beta)
-        qs = cache(lambda: [
-            jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim) for k in ks
-        ])
-        gram = cache(lambda: jacobi.gram_jacobi_mass(qs(), alpha, beta, cfg.lam, cfg.dim))
-
-        def gram_schmidt():
-            gs, q = jacobi.gram_schmidt_jacobi_mass(len(ks), alpha, beta, cfg.lam, cfg.dim), qs()
-            return ((k, gs[k] * q[k].leading_coeff() - q[k] * gs[k].leading_coeff()) for k in ks)
-
-        out.check("pointmass-orthogonality", p, lambda: _nonzero_above_diagonal(gram()))
-        out.check(
-            "pointmass-normalization",
-            p,
-            lambda: (
-                (k, qs()[k].evaluate(1),
-                 gamma_ratio((top, beta + k + 1), (half_dim, alpha + beta + k + 1)) / cfg.lam)
-                for k in ks
-            ),
+        qs = [jacobi.mass_orthogonal_poly(k, alpha, beta, cfg.lam, cfg.dim) for k in ks]
+        gram = jacobi.gram_jacobi_mass(qs, alpha, beta, cfg.lam, cfg.dim)
+        yield "pointmass-orthogonality", p, _nonzero_above_diagonal(gram)
+        yield "pointmass-normalization", p, (
+            (k, qs[k].evaluate(1),
+             gamma_ratio((top, beta + k + 1), (half_dim, alpha + beta + k + 1)) / cfg.lam)
+            for k in ks
         )
-        out.check(
-            "pointmass-degree",
-            p,
-            lambda: ((k, (qs()[k].degree, gram()[k][k] > 0), (k, True)) for k in ks),
+        yield "pointmass-degree", p, ((k, (qs[k].degree, gram[k][k] > 0), (k, True)) for k in ks)
+        gs = jacobi.gram_schmidt_jacobi_mass(len(ks), alpha, beta, cfg.lam, cfg.dim)
+        yield "pointmass-gram-schmidt", p, (
+            (k, gs[k] * qs[k].leading_coeff() - qs[k] * gs[k].leading_coeff()) for k in ks
         )
-        out.check("pointmass-gram-schmidt", p, gram_schmidt)
         if cfg.mu == jacobi.FOURTH_ORDER_MU:
-            out.check(
-                "pointmass-type-agreement",
-                p,
-                lambda: ((k, qs()[k], jacobi.jacobi_type_poly(k, beta, cfg.mass)) for k in ks),
+            yield "pointmass-type-agreement", p, (
+                (k, qs[k], jacobi.jacobi_type_poly(k, beta, cfg.mass)) for k in ks
             )
 
 
-class _Requirement(NamedTuple):
-    """A parameter range that an exact construction needs, and the reason to skip outside it."""
-
-    holds: Callable[[SuiteConfig], bool]
-    reason: str
-
-
-def _at_fourth_order_mu(cfg: SuiteConfig) -> bool:
-    from .jacobi import FOURTH_ORDER_MU
-
-    return cfg.mu == FOURTH_ORDER_MU
-
-
-_AT_HALF = _Requirement(_at_fourth_order_mu, "the fourth-order theory lives at mu = 1/2")
-
-# name -> (runner, requirement or None, then the identity, statement and params that the
-# skipped record carries when the configuration falls outside the requirement).  A runner
-# given by name is that function of ``ball_suites``.
-_SUITES = {
-    "jacobi": (_suite_jacobi, None),
-    "krall1d": (_suite_krall1d, None),
-    "harmonics": ("_suite_harmonics", None),
-    "moments": ("_suite_moments", None),
-    "classical-orthogonality": ("_suite_classical_orthogonality", None),
-    "lambda-orthogonality": ("_suite_lambda_orthogonality", None),
-    "d-mu-eigen": ("_suite_d_mu_eigen", None),
-    "connection": (
-        "_suite_connection", _AT_HALF, "connection-forward",
-        "connection identities between the two bases", ("dim", "mu"),
-    ),
-    "fourth-order": (
-        "_suite_fourth_order", _AT_HALF, "fourth-order-eigen",
-        "the fourth-order eigen-equation", ("dim", "mu"),
-    ),
+# suite -> the identity and statement of the one skipped record that it emits away from
+# mu = 1/2, where the fourth-order theory lives
+_FOURTH_ORDER_SUITES = {
+    "connection": ("connection-forward", "connection identities between the two bases"),
+    "fourth-order": ("fourth-order-eigen", "the fourth-order eigen-equation"),
 }
 
-SUITE_NAMES = tuple(_SUITES)
+SUITE_NAMES = ("jacobi", "krall1d", "harmonics", "moments", "classical-orthogonality",
+               "lambda-orthogonality", "d-mu-eigen", *_FOURTH_ORDER_SUITES)
 
 
 def run_suites(cfg: SuiteConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     for name in cfg.suites:
-        runner, needs, *skipped = _SUITES[name]
-        collector = _Collector(name)
-        if needs is None or needs.holds(cfg):
-            if isinstance(runner, str):  # a ball or sphere suite, loaded on first use
-                from . import ball_suites
+        if name in _FOURTH_ORDER_SUITES:
+            from .jacobi import FOURTH_ORDER_MU
 
-                runner = getattr(ball_suites, runner)
-            runner(cfg, collector)
-        else:
-            identity, statement, params = skipped
-            collector.skip(identity, statement, _params(cfg, *params), needs.reason)
-        records.extend(collector.records)
+            if cfg.mu != FOURTH_ORDER_MU:
+                identity, statement = _FOURTH_ORDER_SUITES[name]
+                reason = "the fourth-order theory lives at mu = 1/2"
+                p = _fmt(dict(_params(cfg, "dim", "mu"), reason=reason))
+                records.append(CheckRecord(name, identity, statement, p, STATUS_SKIP, None, 0.0))
+                continue
+        runner = "_suite_" + name.replace("-", "_")
+        suite = globals().get(runner)
+        if suite is None:  # a ball or sphere suite, loaded on first use
+            from . import ball_suites
+
+            suite = getattr(ball_suites, runner)
+        records.extend(_run_suite(name, suite(cfg)))
     return records
 
 

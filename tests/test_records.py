@@ -83,6 +83,12 @@ def test_imports_load_no_layer(code, loaded):
     assert _package_modules(code) == loaded
 
 
+def test_polynomial_operators_load_only_the_polynomial_layer():
+    # laplacian and euler_op live in polynomials, so reading them loads no operator layer.
+    loaded = _package_modules("import orthoball; orthoball.laplacian; orthoball.euler_op")
+    assert loaded == {"orthoball", "orthoball.polynomials"}
+
+
 def test_univariate_run_loads_only_the_univariate_layer():
     loaded = _package_modules(_main_call("--dim", "2", "--max-degree", "3",
                                          "--suites", "jacobi,krall1d"))

@@ -165,40 +165,37 @@ class TestRunSuites:
         assert inner_in_gram == []
 
     def test_product_factorization_reads_the_harmonic_blocks_only(self, monkeypatch):
-        real_inner, real_check = jacobi.inner_jacobi_mass, verify._Collector.check
-        calls, items, in_check = [], [], []
+        real_inner, real_witness = jacobi.inner_jacobi_mass, verify._witness
+        calls, items, reads = [], [], []
 
         def inner(*args, **kwargs):
             calls.append(args)
             return real_inner(*args, **kwargs)
 
-        def check(self, identity, params, producer):
-            if identity != "mass-product-factorization":
-                return real_check(self, identity, params, producer)
-
-            def counted():
-                for item in producer():
-                    items.append(item)
-                    yield item
-
-            before = len(calls)
-            real_check(self, identity, params, counted)
-            in_check.append(len(calls) - before)
+        def witness(kind, values):
+            items.append(values)
+            return real_witness(kind, values)
 
         monkeypatch.setattr(jacobi, "inner_jacobi_mass", inner)
-        monkeypatch.setattr(verify._Collector, "check", check)
+        monkeypatch.setattr(verify, "_witness", witness)
+        # The verifier reads the clock when it resumes a suite and after a check's last item,
+        # so what happens between a check's two reads is that check's work.
+        monkeypatch.setattr(verify.time, "perf_counter",
+                            lambda: reads.append((len(calls), len(items))) or 0.0)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
         assert records and all(r.status != STATUS_FAIL for r in records)
+        assert len(reads) == 2 * len(records) + 1  # the last read finds the suite done
+        (i,) = [i for i, r in enumerate(records) if r.identity == "mass-product-factorization"]
+        (calls_before, items_before), (calls_after, items_after) = reads[2 * i:2 * i + 2]
         # N = 6 elements through degree 2 in d = 2 in five harmonic blocks: (m, nu) = (0, 0)
         # holds degrees 0 and 2, so 3 pairs, and the other four one element each. Entries
         # across blocks are mass-gram-offdiagonal's.
-        assert len(items) == 7
-        assert in_check == [len(items)]
+        assert items_after - items_before == 7
+        assert calls_after - calls_before == items_after - items_before
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
         real_image, real_inner, real_moment = measures._image, measures._inner, measures._moment
-        real_check = verify._Collector.check
-        imaged, products, per_check = [], [], []
+        imaged, products, reads = [], [], []
 
         def image(p, *args):
             imaged.append(p.canonical())
@@ -212,16 +209,10 @@ class TestRunSuites:
             products.append(args)
             return real_moment(*args)
 
-        def check(self, identity, params, producer):
-            before = len(imaged)
-            real_check(self, identity, params, producer)
-            per_check.append((identity, params["degree"], imaged[before:]))
-
         monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "_moment", moment)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
-        monkeypatch.setattr(verify._Collector, "check", check)
         # A cleared cache: every basis is built inside the run.
         build = cache(harmonics.harmonic_basis.__wrapped__)
         monkeypatch.setattr(harmonics, "harmonic_basis", build)
@@ -229,10 +220,16 @@ class TestRunSuites:
         basis = harmonics.harmonic_basis(4, 4)
         assert sorted(imaged) == sorted(Y.canonical() for Y in basis.elements)
         imaged.clear()
+        # The verifier reads the clock when it resumes a suite and after a check's last item,
+        # so the images between a check's two reads are that check's work.
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: reads.append(len(imaged)) or 0.0)
         cfg = SuiteConfig(suites=("harmonics",), **dict(SMALL, dim=3, max_degree=4))
         records = run_suites(cfg)
         assert records and all(r.status != STATUS_FAIL for r in records)
         assert products == []
+        assert len(reads) == 2 * len(records) + 1  # the last read finds the suite done
+        per_check = [(r.identity, r.params["degree"], imaged[reads[2 * i]:reads[2 * i + 1]])
+                     for i, r in enumerate(records)]
         # Degree m: Gram-Schmidt, inside the first check, images each element once, and so
         # does the one sphere Gram that the orthogonality check reads.
         for m in range(cfg.max_degree + 1):
@@ -264,6 +261,42 @@ class TestRunSuites:
         # 35 elements of each kind through degree 4 in d = 3, each norm from the product form.
         assert len(classical) == len(mass) == 35
         assert products == []
+
+    def test_one_build_per_basis_and_degree_per_run(self, monkeypatch):
+        builds, grams = [], []
+
+        def counted(calls, key, fn):
+            def counting(*args):
+                calls.append((key, args))
+                return fn(*args)
+            return counting
+
+        # A fresh cache in front of each build: a cleared cache that sees every build.
+        harmonic = cache(counted(builds, "harmonic", harmonics.harmonic_basis.__wrapped__))
+        monkeypatch.setattr(harmonics, "harmonic_basis", harmonic)
+        monkeypatch.setattr(bases, "harmonic_basis", harmonic)
+        for kind in ("classical", "mass"):
+            build = getattr(bases, f"_{kind}_basis").__wrapped__
+            monkeypatch.setattr(bases, f"_{kind}_basis", cache(counted(builds, kind, build)))
+        for module, name in [(measures, "mass_gram"), (measures, "sphere_gram"),
+                             (jacobi, "gram_jacobi_mass")]:
+            monkeypatch.setattr(module, name, counted(grams, name, getattr(module, name)))
+        cfg = SuiteConfig(dim=3, max_degree=4)
+        records = run_suites(cfg)
+        assert records and all(r.status in (STATUS_ZERO, STATUS_MATCH) for r in records)
+        # Every suite runs at mu = 1/2 and one lambda, so each basis is built once per degree.
+        half, degrees = Q(1, 2), range(cfg.max_degree + 1)
+        assert sorted(builds) == sorted(
+            [("harmonic", (3, m)) for m in degrees]
+            + [("classical", (n, 3, half)) for n in degrees]
+            + [("mass", (n, 3, half, cfg.lam)) for n in degrees]
+        )
+        assert len(builds) == 15
+        # One Gram matrix per basis, one sphere Gram per harmonic degree, one radial Gram per beta.
+        assert len(verify._beta_values(cfg)) == 5
+        assert sorted(name for name, _ in grams) == sorted(
+            ["mass_gram"] * 2 + ["sphere_gram"] * 5 + ["gram_jacobi_mass"] * 5
+        )
 
     def test_krall1d_reads_one_gram_and_one_elimination_per_beta(self, monkeypatch):
         real_gram, real_inner = jacobi._gram, jacobi.inner_jacobi_mass
@@ -456,6 +489,27 @@ class TestCli:
         err = captured.err.strip().split("\n")
         assert len(err) == 7
         assert all(line.startswith("configuration error") for line in err)
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (measures, "mass_gram", ["--dim", "2", "--max-degree", "2", "--suites", "classical-orthogonality"]),
+        (bases, "basis_export_text", ["--dim", "2", "--export-basis", "2,lambda"]),
+    ])
+    def test_internal_error_exits_three_with_no_report(self, monkeypatch, tmp_path, capsys,
+                                                        module, name, argv):
+        def broken(*args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(module, name, broken)
+        out = tmp_path / "report"
+        # An exception is neither a failed check (1) nor a configuration error (2).
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        tracebacks = captured.err.split("Traceback (most recent call last):")
+        assert tracebacks[0] == "" and len(tracebacks) == 3
+        assert all(t.rstrip().endswith("ZeroDivisionError: planted") for t in tracebacks[1:])
 
     @pytest.mark.parametrize("argv", [
         ["--dim", "x"],
