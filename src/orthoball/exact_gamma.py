@@ -36,11 +36,20 @@ def gamma_ratio(tops, bottoms) -> Fraction:
     ExactnessError when neither has integer gaps.
     """
     (p1, p2), (q1, q2) = map(as_fraction, tops), map(as_fraction, bottoms)
-    for r1, r2 in ((q1, q2), (q2, q1)):
-        if (p1 - r1).denominator == (p2 - r2).denominator == 1:
-            value = Fraction(1)
-            for top, bottom in ((p1, r1), (p2, r2)):  # Gamma(top) / Gamma(bottom)
-                gap = int(top - bottom)
-                value *= rising_factorial(bottom, gap) if gap >= 0 else 1 / rising_factorial(top, -gap)
-            return value
+    for pairs in (((p1, q1), (p2, q2)), ((p1, q2), (p2, q1))):
+        # p - q is an integer exactly when both have one reduced denominator c and c divides
+        # the difference of the numerators.
+        if all(p.denominator == q.denominator and not (p.numerator - q.numerator) % q.denominator
+               for p, q in pairs):
+            num = den = 1
+            for top, bottom in pairs:  # Gamma(top) / Gamma(bottom), on integers over c^|gap|
+                c = top.denominator
+                gap = (top.numerator - bottom.numerator) // c
+                if gap >= 0:
+                    start = bottom.numerator
+                    num, den = num * prod(range(start, start + gap * c, c)), den * c ** gap
+                else:
+                    start = top.numerator
+                    num, den = num * c ** -gap, den * prod(range(start, start - gap * c, c))
+            return Fraction(num, den)
     raise ExactnessError(f"Gamma({p1}) Gamma({p2}) / (Gamma({q1}) Gamma({q2})) has no Pochhammer form")

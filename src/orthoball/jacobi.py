@@ -26,11 +26,13 @@ which is inner_jacobi_mass at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer
 Hankel form over one cached table of moment numerators N / D, built from running
 integer products of the Pochhammer factors with one gcd.  Every product runs
 through one Gram kernel: it images each polynomial f = F / Df once,
-W_f[j] = sum_i F_i N[i+j], and builds one Fraction per entry, so a single product
-is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
-gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... by fraction-free (Bareiss)
-elimination on the integer Hankel matrix of the same table, and the three-term
-recurrence builds each P_n on integer numerators in one pass, with no Fraction.
+W_f[j] = sum_i F_i N[i+j], and builds one Fraction per nonzero entry, so a single
+product is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
+gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... by classical Gram-Schmidt
+on the integer Hankel matrix of the same table, each row kept primitive (integer
+coefficients with content 1 and a positive leading coefficient), as
+harmonics.harmonic_basis does on the sphere.  The three-term recurrence builds each
+P_n on integer numerators in one pass, with no Fraction.
 The point-mass construction holds for every a > -1; its two Gamma ratios, the
 total mass and the one in the shift a_k, are rational when a or b - d/2 is an
 integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
@@ -153,29 +155,39 @@ def _weights(den: int, scale, lam) -> tuple[int, int, int]:
             scale.denominator * lam.denominator * den)
 
 
+def _image(nums, moments: list[int], size: int) -> list[int]:
+    # W[j] = sum_i F_i N[i+j] for j < size: the integer Hankel form applied to F, each entry
+    # over its own window of the moment table.
+    width = len(nums)
+    return [sum(map(mul, nums, moments[j:j + width])) for j in range(size)]
+
+
 def _gram(fs, alpha: Fraction, beta: Fraction, scale=1, lam=0, gs=None) -> list[list[Fraction]]:
     # [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] for f in fs and g in gs, read from the stored forms
     # f = F/Df and g = G/Dg; without gs, the symmetric Gram matrix of fs, each entry j >= i built
     # once.  With moments N/D each f is imaged once, W_f[j] = sum_i F_i N[i+j], so L_J(f g) is the
     # integer Hankel form W_f . G over Df Dg D and f(1) g(1) is sum(F) sum(G) over Df Dg: an
-    # entry is one Fraction (s_n l_d W_f . G + l_n s_d D sum(F) sum(G)) / (s_d l_d D Df Dg).
+    # entry is (s_n l_d W_f . G + l_n s_d D sum(F) sum(G)) / (s_d l_d D Df Dg), one Fraction
+    # where it is nonzero.
     symmetric = gs is None
     if symmetric:
         gs = fs
     size = max((len(g.nums) for g in gs), default=0)
     den, moments = _moment_table(alpha, beta, max((len(f.nums) for f in fs), default=0) + size - 1)
     hankel, point, base = _weights(den, scale, lam)
-    gram = [[None] * len(gs) for _ in fs]
+    sums = [sum(g.nums) for g in gs]
+    zero = Fraction(0)
+    gram = [[zero] * len(gs) for _ in fs]
     for i, f in enumerate(fs):
-        image = [sum(map(mul, f.nums, moments[j:])) for j in range(size)]
+        image = _image(f.nums, moments, size)
         value = point * sum(f.nums)
         for j in range(i if symmetric else 0, len(gs)):
             g = gs[j]
-            entry = Fraction(hankel * sum(map(mul, image, g.nums)) + value * sum(g.nums),
-                             base * f.den * g.den)
-            gram[i][j] = entry
-            if symmetric:
-                gram[j][i] = entry
+            top = hankel * sum(map(mul, image, g.nums)) + value * sums[j]
+            if top:
+                gram[i][j] = Fraction(top, base * f.den * g.den)
+                if symmetric:
+                    gram[j][i] = gram[i][j]
     return gram
 
 
@@ -252,31 +264,41 @@ def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> list[list[Fraction]]:
 def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniPoly]:
     """Gram-Schmidt on 1, t, ..., t^(size-1) under inner_jacobi_mass, in coefficient form.
 
-    Entry k is the k-th orthogonal polynomial times a positive integer: row k of
-    the right block after fraction-free (Bareiss) elimination of [H | I], where
-    H_ij = s_n l_d N[i+j] + l_n s_d D is the product of t^i and t^j over one
-    common denominator.  Elimination is the LDL^T factorization of H, so row k
-    is t^k minus its projection on the lower degrees, times the leading
-    principal minor of order k.  A zero pivot before the last row raises
-    ZeroDivisionError, as Gram-Schmidt's division by a zero norm does.
+    Entry k is the k-th orthogonal polynomial in primitive integer form: denominator 1,
+    integer coefficients with content 1 and a positive leading coefficient.  Over one
+    common denominator the product of t^i and t^j is H_ij = s_n l_d N[i+j] + l_n s_d D,
+    an integer Hankel matrix.  Each row U_j is imaged once, W_j = H U_j, with norm
+    N_j = U_j . W_j, and row k is the primitive part of
+
+        L t^k - sum_j (L / N_j) W_j[k] U_j,    L = lcm of the N_j with W_j[k] != 0,
+
+    the classical Gram-Schmidt that harmonics.harmonic_basis runs.  A zero norm before
+    the last row raises ZeroDivisionError, as Gram-Schmidt's division by it does.
     """
     alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
     den, moments = _moment_table(alpha, beta, 2 * size - 1)
     hankel, point, _ = _weights(den, scale, lam)
-    rows = [[hankel * moments[i + j] + point for j in range(size)]
-            + [int(i == j) for j in range(size)] for i in range(size)]
-    prev = 1
-    for k in range(size - 1):
-        top = rows[k]
-        pivot = top[k]
-        if not pivot:
-            raise ZeroDivisionError(f"zero pivot: the degree-{k} Gram-Schmidt vector has norm zero")
-        for i in range(k + 1, size):
-            row = rows[i]
-            c = row[k]
-            rows[i] = [(pivot * u - c * v) // prev for u, v in zip(row, top)]
-        prev = pivot
-    return [UniPoly._make(1, row[size:]) for row in rows]
+    rows: list[UniPoly] = []
+    done: list[tuple[list[int], list[int], int]] = []  # (U_j, W_j, N_j)
+    for k in range(size):
+        dots = [(image[k], sq, nums) for nums, image, sq in done if image[k]]
+        common = lcm(*(sq for _, sq, _ in dots))
+        v = [0] * k + [common]
+        for dot, sq, nums in dots:
+            f = common // sq * dot
+            for i, c in enumerate(nums):
+                v[i] -= f * c
+        content = gcd(*v)
+        u = [c // content for c in v]
+        rows.append(UniPoly._make(1, u))
+        if k < size - 1:
+            total = point * sum(u)
+            image = [hankel * w + total for w in _image(u, moments, size)]
+            sq = sum(map(mul, u, image))
+            if not sq:
+                raise ZeroDivisionError(f"the degree-{k} Gram-Schmidt vector has norm zero")
+            done.append((u, image, sq))
+    return rows
 
 
 _GAMMA_PARTS: dict[tuple[int, Fraction, Fraction], list[Fraction]] = {}  # (d, a, b) -> parts

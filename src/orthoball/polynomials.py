@@ -40,7 +40,12 @@ _DEGREE_LIMIT = 1 << (_FIELD - 1)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, or 'p/q' strings to Fraction; reject floats."""
+    """Coerce ints, Fractions, or 'p/q' strings to Fraction; reject floats.
+
+    A Fraction comes back as the same object.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "float input would silently break exactness; "

@@ -295,8 +295,8 @@ MUTANTS = [
          "pointmass-normalization", "pointmass-orthogonality"},
     ),
     # The radial Gram kernel without its point mass lam * f(1) g(1): the q_k are no longer
-    # orthogonal, but every squared norm stays positive, and the elimination builds its own
-    # Hankel matrix, so only the off-diagonal check sees it.
+    # orthogonal, but every squared norm stays positive, and the Gram-Schmidt adds the point
+    # mass to its own images, so only the off-diagonal check sees it.
     Mutant(
         "radial-gram-drops-point-mass",
         "jacobi.py",
@@ -305,14 +305,25 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality"},
     ),
-    # The fraction-free elimination step adding the pivot row instead of subtracting it: the
-    # rows stop being orthogonal to the lower degrees.  Dropping the exact division by the
-    # previous pivot instead only rescales each row, which the check allows.
+    # The radial Gram-Schmidt update adding the projections instead of subtracting them: the
+    # rows stop being orthogonal to the lower degrees, but each keeps its degree and a
+    # positive leading coefficient.
     Mutant(
         "radial-elimination-sign",
         "jacobi.py",
-        "            rows[i] = [(pivot * u - c * v) // prev for u, v in zip(row, top)]\n",
-        "            rows[i] = [(pivot * u + c * v) // prev for u, v in zip(row, top)]\n",
+        "                v[i] -= f * c\n",
+        "                v[i] += f * c\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt"},
+    ),
+    # The radial Gram-Schmidt projection coefficient L / N_j * <t^k, u_j> without the division
+    # by the norm N_j: every projection is scaled by N_j, so the rows are no longer orthogonal.
+    # Only the Gram-Schmidt check builds them.
+    Mutant(
+        "radial-gram-schmidt-drops-norm",
+        "jacobi.py",
+        "            f = common // sq * dot\n",
+        "            f = common * dot\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt"},
     ),
@@ -336,6 +347,18 @@ MUTANTS = [
         "    return 2 * gamma_ratio((half_dim + shifted + 1, 1), (half_dim, shifted))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"sphere-ball-ratio"},
+    ),
+    # Gamma(top) / Gamma(bottom) at a negative gap as (top)_(-gap) in place of its inverse.  At
+    # mu = 3/2 (a = 1) in d = 2 the total mass G(b+1) / G(b+3), the start of the shift's Gamma
+    # part and the normalization's G(b+k+1) / G(b+k+2) all have a negative gap, so the q_k
+    # are neither orthogonal nor normalized.
+    Mutant(
+        "gamma-ratio-negative-gap",
+        "exact_gamma.py",
+        "                    num, den = num * c ** -gap, den * prod(range(start, start - gap * c, c))\n",
+        "                    num, den = num * prod(range(start, start - gap * c, c)), den * c ** -gap\n",
+        ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),
     # The subtracted binomial C(m+d-3, d-1) of dim H_m at d-2: only the count of the built
     # basis is compared with the formula.

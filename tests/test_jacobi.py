@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as Q
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from oracles import (beta_step, gram_schmidt, jacobi_explicit_sum, point_mass_total,
@@ -234,10 +234,34 @@ class TestGammaRatio:
                     assert got == beta_step(Q(d, 2), a + 1, m)
 
     def test_no_integer_pairing_raises(self):
-        # G(2) G(3/2) / (G(1) G(1)) would be sqrt(pi) / 2.
-        for tops, bottoms in [((2, Q(3, 2)), (1, 1)), ((Q(3, 2), Q(5, 3)), (Q(1, 3), Q(1, 4)))]:
+        # G(2) G(3/2) / (G(1) G(1)) would be sqrt(pi) / 2.  In the last case 2/3 and 1/3 share
+        # their reduced denominator, but their gap 1/3 is no integer.
+        for tops, bottoms in [((2, Q(3, 2)), (1, 1)), ((Q(3, 2), Q(5, 3)), (Q(1, 3), Q(1, 4))),
+                              ((Q(2, 3), 1), (Q(1, 3), 1))]:
             with pytest.raises(ExactnessError):
                 gamma_ratio(tops, bottoms)
+
+    def test_matches_a_product_of_fractions(self):
+        # Every gap from -4 to 4 on both factors, at integer, negative and coprime-denominator
+        # bottoms, in the direct and the crossed pairing, against
+        # G(q + g) / G(q) = q (q+1) ... (q+g-1) and its inverse for g < 0, built as Fractions.
+        def ratio(top, bottom):
+            value, gap = Q(1), int(top - bottom)
+            for j in range(abs(gap)):
+                value *= bottom + j if gap > 0 else 1 / (top + j)
+            return value
+
+        bottoms = (Q(1), Q(3), Q(1, 2), Q(7, 3), Q(-5, 4), Q(-1, 6))
+        for q1 in bottoms:
+            for q2 in bottoms:
+                for g1 in range(-4, 5):
+                    for g2 in range(-4, 5):
+                        p1, p2 = q1 + g1, q2 + g2
+                        if p1 <= 0 and p1 == int(p1) or p2 <= 0 and p2 == int(p2):
+                            continue  # a pole of Gamma on top
+                        want = ratio(p1, q1) * ratio(p2, q2)
+                        assert gamma_ratio((p1, p2), (q1, q2)) == want
+                        assert gamma_ratio((p2, p1), (q1, q2)) == want
 
 
 def _monomials(count):
@@ -260,8 +284,8 @@ class TestRadialKernels:
                     assert gram_jacobi_mass(polys, alpha, beta, lam, d) == want
 
     def test_elimination_matches_gram_schmidt(self):
-        # Each eliminated row is the monic Gram-Schmidt vector times a positive scalar, and
-        # rows do not depend on how many follow.
+        # Each row is the Gram-Schmidt vector times a positive scalar, in primitive integer
+        # form, and rows do not depend on how many follow.
         cases = [(0, 2, Q(1, 2), Q(0)), (1, 3, Q(1, 4), Q(3, 2)), (2, 4, Q(2, 5), Q(1, 2)),
                  (3, 5, Q(7, 3), Q(5))]
         for alpha, d, lam, beta in cases:
@@ -270,13 +294,14 @@ class TestRadialKernels:
                 rows = gram_schmidt_jacobi_mass(size, alpha, beta, lam, d)
                 assert len(rows) == size
                 for row, w in zip(rows, monic):
+                    assert row.den == 1 and gcd(*row.nums) == 1
                     assert row.leading_coeff() > 0
                     assert row == row.leading_coeff() * w
 
     def test_zero_pivot_raises_where_a_zero_norm_does(self, monkeypatch):
         # With every Jacobi moment zero the product is lam f(1) g(1), of rank one: t - 1 has
         # norm zero, so Gram-Schmidt divides by zero at its third vector, and so must the
-        # elimination; with two vectors neither divides by that norm.
+        # integer form; with two vectors neither divides by that norm.
         monkeypatch.setattr(jacobi, "_moment_table", lambda alpha, beta, size: (1, [0] * max(size, 1)))
         inner = lambda f, g: inner_jacobi_mass(f, g, 0, 0, 1, 2)
         for size in (1, 2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoball import MultiPoly, UniPoly, laplacian, radius_squared, substitute_radial
-from orthoball.polynomials import fraction_text, pack
+from orthoball.polynomials import as_fraction, fraction_text, pack
 
 
 def P(dim, terms):
@@ -157,6 +157,15 @@ def test_laplacian_is_sum_of_second_partials(p):
 def test_int_scaling_matches_fraction_scaling(p, c):
     assert c * p == p * c == Q(c) * p
     assert_multi_stored_form(c * p)
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    q = Q(3, 7)
+    assert as_fraction(q) is q
+    for value in (3, "3/7", Q(6, 14)):
+        assert type(as_fraction(value)) is Q and as_fraction(value) == Q(value)
+    with pytest.raises(TypeError):
+        as_fraction(0.5)
 
 
 def test_radius_squared_is_shared_per_dimension():

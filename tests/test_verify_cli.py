@@ -326,7 +326,7 @@ class TestRunSuites:
         assert len(betas) > 1
         assert products == []
         # K = 5 per beta: one symmetric Gram matrix of q_0..q_4, which images each of them
-        # once, and one elimination of the monomials 1, t, ..., t^4.
+        # once, and one Gram-Schmidt of the monomials 1, t, ..., t^4.
         assert [beta for beta, _, _ in grams] == betas
         for beta, polys, gs in grams:
             qs = [jacobi.mass_orthogonal_poly(k, Q(0), beta, cfg.lam, cfg.dim) for k in range(5)]
