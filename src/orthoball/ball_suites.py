@@ -52,8 +52,9 @@ def _random_multipoly(rng: random.Random, dim: int, degree: int) -> MultiPoly:
 def _random_homogeneous(rng: random.Random, dim: int, degree: int) -> MultiPoly:
     from . import harmonics
 
+    # Integer coefficients, so the stored form is the draws over the denominator 1.
     monos = harmonics._monomials(dim, degree)
-    return MultiPoly(dim, {e: rng.randint(-4, 4) for e in monos})
+    return MultiPoly._make(dim, 1, {pack(e): rng.randint(-4, 4) for e in monos})
 
 
 def _suite_harmonics(cfg: SuiteConfig) -> Iterator[tuple]:

@@ -10,28 +10,41 @@ one harmonic, x^e plus terms of higher x_d-exponent, in closed form:
 with Delta' the Laplacian in x_1..x_(d-1) and x'^e' the monomial x^e without
 its x_d factor: integer numerators over the one denominator (a + 2I)!, with I
 the largest i.  These harmonics are then orthogonalized with Gram-Schmidt
-under the normalized sphere inner product.  The basis is kept orthogonal
+for the normalized sphere inner product.  The basis is kept orthogonal
 rather than orthonormal (normalizing would introduce square roots); the
 squared sphere norms are recorded instead.
 
-The Gram-Schmidt is the classical form, u_k = h_k - sum_j <h_k, u_j> / <u_j, u_j> u_j,
+The Gram-Schmidt runs under the Fischer product [p, q] = sum_e e! p_e q_e, with
+e! = e_1! ... e_d!, which is diagonal in the monomials.  On homogeneous
+polynomials of degree m, one of them harmonic, it is the sphere product up to
+one constant (Axler, Bourdon & Ramey, ch. 5):
+
+    <p, q>_sphere = [p, q] / (d (d+2) ... (d+2m-2)).
+
+So both products have the same orthogonal complements on the degree-m
+harmonics, and Gram-Schmidt under either gives the same basis; only the
+recorded norms carry the denominator.
+
+The Gram-Schmidt is the classical form, u_k = h_k - sum_j [h_k, u_j] / [u_j, u_j] u_j,
 with every coefficient read from the original h_k.  The modified form reads
 them from the partly reduced vector instead, w - sum_(i<j) c_i u_i, and
-<w, u_j> = <h_k, u_j> because the earlier u_i are already orthogonal to u_j.
+[w, u_j] = [h_k, u_j] because the earlier u_i are already orthogonal to u_j.
 The two differ only in rounding (Bjorck, "Solving linear least squares
 problems by Gram-Schmidt orthogonalization", BIT 7, 1967), and this
 arithmetic is exact, so they give the same basis.  The classical form runs
 on integers.  Each u_j is kept primitive: integer coefficients U_j with
-content 1 and a positive coefficient at its largest key.  It is imaged once
-over the block's monomials with the sphere moment table (``measures._image``),
-W_j, and N_j = U_j . W_j is an integer, so <u_j, u_j> = N_j / D.  For
-h_k = H / Dh the coefficient <h_k, u_j> / <u_j, u_j> is (H . W_j) / (Dh N_j).
-u_k is fixed up to scale and primitivity fixes the scale, so u_k is the
-primitive part of
+content 1 and a positive coefficient at its largest key.  Its image under the
+Fischer product is W_j = {e: U_e e!}, one product per term, and
+N_j = U_j . W_j = [u_j, u_j] is an integer.  For h_k = H / Dh the coefficient
+[h_k, u_j] / [u_j, u_j] is (H . W_j) / (Dh N_j), a sum over the keys the two
+share.  u_k is fixed up to scale and primitivity fixes the scale, so u_k is
+the primitive part of
 
     L H - sum_j (L / N_j) (H . W_j) U_j,    L = lcm of the N_j with H . W_j != 0,
 
-and its recorded squared norm N_k / D is the one Fraction it builds.
+and its recorded squared sphere norm N_k / (d (d+2) ... (d+2m-2)) is the one
+Fraction it builds.  No sphere moment is read: the moment table serves only
+the verifier's check of the basis against the sphere product.
 
 Three structural facts keep the computation small and exact:
 
@@ -41,8 +54,9 @@ Three structural facts keep the computation small and exact:
   with e_d <= 1 are all the free columns.  So no elimination is needed.
 * The Laplacian preserves the componentwise parity of a monomial's exponent
   vector, so h_e lies in the parity block of e and Gram-Schmidt splits into
-  independent parity blocks.  Sphere moments of mixed-parity products vanish,
-  which makes polynomials from different blocks automatically orthogonal.
+  independent parity blocks.  Polynomials from different blocks share no
+  monomial, so they are orthogonal under the Fischer product, and under the
+  sphere product too, whose moments of mixed-parity products vanish.
 * On a homogeneous polynomial of degree m the radial derivative is realized
   by the Euler operator, giving the angular Laplacian a purely polynomial
   form: Delta_0 f = ||x||^2 Delta f - (E^2 + (d-2) E) f with E = sum x_i d/dx_i.
@@ -56,13 +70,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from . import measures
-from .polynomials import (_FIELD, Exponents, MultiPoly, angular_laplacian, euler_op, laplacian,
-                          pack, radius_squared)
+from .polynomials import (_FIELD, Exponents, MultiPoly, _unpack, angular_laplacian, euler_op,
+                          laplacian, pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -106,18 +118,31 @@ def _cauchy_harmonic(e: Exponents) -> MultiPoly:
     """
     *head, a = e
     dim = len(e)
-    last = a + 2 * sum(k // 2 for k in head)
-    base = pack(e)
-    shifts = [_FIELD * (dim - 1 - axis) for axis in range(dim - 1)]
-    nums = {}
-    for j in product(*(range(k // 2 + 1) for k in head)):
-        i = sum(j)
-        weight = prod(factorial(k) // (factorial(k - 2 * t) * factorial(t)) for k, t in zip(head, j))
-        # x'^(e' - 2j) x_d^(a + 2i): the same total degree, 2 j_l less in each head field and
-        # 2i more in the last one.
-        key = base + 2 * i - sum(t << (shift + 1) for t, shift in zip(j, shifts))
-        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 1, last + 1))
+    top = sum(k // 2 for k in head)
+    last = a + 2 * top
+    # (prod of the axis weights so far, i so far, key) for each j, one head axis at a time.
+    # The weight e'_l! / ((e'_l - 2t)! t!) is the running product
+    # w_(t+1) = w_t (e'_l - 2t)(e'_l - 2t - 1) / (t + 1), and the key step takes 2t off the
+    # axis field and puts it on the last one, so the total degree stays.
+    terms = [(1, 0, pack(e))]
+    for axis, k in enumerate(head):
+        shift = _FIELD * (dim - 1 - axis) + 1
+        w, steps = 1, []
+        for t in range(k // 2 + 1):
+            steps.append((w, t, (t << shift) - 2 * t))
+            w = w * (k - 2 * t) * (k - 2 * t - 1) // (t + 1)
+        terms = [(v * w, i + t, key - step) for v, i, key in terms for w, t, step in steps]
+    # The x_d factor (-1)^i i! (a + 2I)! / (a + 2i)! of every term with |j| = i.
+    last_factor = [(-1) ** i * factorial(i) * prod(range(a + 2 * i + 1, last + 1))
+                   for i in range(top + 1)]
+    nums = {key: last_factor[i] * v for v, i, key in terms}
     return MultiPoly._make(dim, factorial(last), nums)
+
+
+@cache
+def _fischer_weight(packed: int, dim: int) -> int:
+    """e! = prod_i e_i!, the Fischer product's weight [x^e, x^e] of the packed monomial x^e."""
+    return prod(factorial(e) for e in _unpack(packed, dim))
 
 
 @cache
@@ -132,24 +157,22 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     for e in _monomials(dim, degree):
         if e[-1] < 2:
             blocks.setdefault(tuple(v & 1 for v in e), []).append(e)
+    # <f, g>_sphere = [f, g] / (d (d+2) ... (d+2m-2)) on degree-m harmonics.
+    sphere_den = prod(range(dim, dim + 2 * degree, 2))
 
     ortho: list[MultiPoly] = []
     norms: list[Fraction] = []
     for parity in sorted(blocks):
         # Classical Gram-Schmidt within the block; pairs from different blocks are orthogonal
-        # already because their products have only odd-exponent monomials.  Every monomial of
-        # the block has its parity, so one list of keys serves every image.
-        block = [_cauchy_harmonic(e) for e in blocks[parity]]
-        keys = sorted(set().union(*(h.nums for h in block)))
-        table = measures._moment_table(dim, measures._SPHERE_MU, 0, 2 * keys[-1])
-        by_parity = {keys[0] & measures._low_bits(dim): keys}
+        # already because they share no monomial.
         done: list[tuple[dict[int, int], dict[int, int], int]] = []  # (U_j, W_j, N_j)
-        for h in block:
-            # <h, u_j> / <u_j, u_j> = (H . W_j) / (Dh N_j), so Dh L (h - sum_j c_j u_j) is
+        for e in blocks[parity]:
+            h = _cauchy_harmonic(e)
+            # [h, u_j] / [u_j, u_j] = (H . W_j) / (Dh N_j), so Dh L (h - sum_j c_j u_j) is
             # L H - sum_j (L / N_j)(H . W_j) U_j on integers, with L the lcm of the N_j it reads.
             dots = []
             for nums, image, sq in done:
-                dot = sum([c * image[b] for b, c in h.nums.items()])
+                dot = sum([c * image[b] for b, c in h.nums.items() if b in image])
                 if dot:
                     dots.append((dot, sq, nums))
             scale = lcm(*(sq for _, sq, _ in dots))
@@ -164,11 +187,11 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
             if out[max(out)] < 0:
                 content = -content
             u = MultiPoly._make(dim, 1, {k: n // content for k, n in out.items()})
-            image = measures._image(u, by_parity, table)
+            image = {k: n * _fischer_weight(k, dim) for k, n in u.nums.items()}
             sq = sum([c * image[b] for b, c in u.nums.items()])
             done.append((u.nums, image, sq))
             ortho.append(u)
-            norms.append(Fraction(sq, table.den))
+            norms.append(Fraction(sq, sphere_den))
 
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 

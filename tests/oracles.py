@@ -5,14 +5,19 @@ library: the explicit hypergeometric sum instead of the recurrence, the
 Wallis double-factorial formula instead of Gamma splitting, an iterated
 one-dimensional integral recurrence instead of the polar factorization, and
 each second-order operator composed from whole polynomials (derivatives,
-products and sums) instead of the one-pass integer kernels.
-They share no code with the implementations they check.
+products and sums) instead of the one-pass integer kernels, and the harmonic
+Gram-Schmidt under the sphere moment table instead of the Fischer product.
+They share no code with the implementations they check, apart from the
+harmonic start vectors and the moment table that the last one reads.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from orthoball import UniPoly, euler_op, laplacian, radius_squared
+from orthoball import (HarmonicBasis, MultiPoly, UniPoly, euler_op, laplacian, measures,
+                       radius_squared)
 from orthoball.exact_gamma import rising_factorial
+from orthoball.harmonics import _cauchy_harmonic, _monomials
 
 
 def jacobi_explicit_sum(n: int, alpha, beta) -> UniPoly:
@@ -217,6 +222,48 @@ def gram_schmidt(vectors, inner):
             w = w - (inner(w, u) / inner(u, u)) * u
         ortho.append(w)
     return ortho
+
+
+def sphere_table_harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
+    """The harmonic basis by integer Gram-Schmidt under the sphere product itself.
+
+    The same start vectors, blocks, primitive update and scale as ``harmonic_basis``,
+    but each u_j is imaged over its block's monomials through the sphere moment table,
+    W_j[b] = sum_a U_a M[a + b], so N_j = U_j . W_j and each norm is N_j / D.
+    """
+    blocks: dict[tuple[int, ...], list[MultiPoly]] = {}
+    for e in _monomials(dim, degree):
+        if e[-1] < 2:
+            blocks.setdefault(tuple(v & 1 for v in e), []).append(_cauchy_harmonic(e))
+    ortho, norms = [], []
+    for parity in sorted(blocks):
+        block = blocks[parity]
+        keys = sorted(set().union(*(h.nums for h in block)))
+        table = measures._moment_table(dim, measures._SPHERE_MU, 0, 2 * keys[-1])
+        by_parity = {keys[0] & measures._low_bits(dim): keys}
+        done = []  # (U_j, W_j, N_j)
+        for h in block:
+            dots = []
+            for nums, image, sq in done:
+                dot = sum(c * image[b] for b, c in h.nums.items())
+                if dot:
+                    dots.append((dot, sq, nums))
+            scale = lcm(*(sq for _, sq, _ in dots))
+            out = {k: scale * n for k, n in h.nums.items()}
+            for dot, sq, nums in dots:
+                for k, v in nums.items():
+                    out[k] = out.get(k, 0) - scale // sq * dot * v
+            out = {k: n for k, n in out.items() if n}
+            content = gcd(*out.values())
+            if out[max(out)] < 0:
+                content = -content
+            u = MultiPoly._make(dim, 1, {k: n // content for k, n in out.items()})
+            image = measures._image(u, by_parity, table)
+            sq = sum(c * image[b] for b, c in u.nums.items())
+            done.append((u.nums, image, sq))
+            ortho.append(u)
+            norms.append(Fraction(sq, table.den))
+    return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 
 
 def damped_laplacian(p):

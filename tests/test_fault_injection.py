@@ -149,16 +149,18 @@ MUTANTS = [
     # the common denominator (a+2I)!: the numerator factor (a+2I)!/(a+2i)! at
     # (a+2I+1)!/(a+2i+1)!, that fault times the constant a+2I+1.  From degree 2 on h_e is
     # not harmonic: both harmonic identities fail, and with them most checks on the ball
-    # bases built from it.
+    # bases built from it.  The Fischer product equals the sphere product only on harmonics,
+    # so the recorded norms disagree with the moment table and both Gram diagonals fail.
     Mutant(
         "cauchy-harmonic-denominator",
         "harmonics.py",
-        "        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 1, last + 1))\n",
-        "        nums[key] = (-1) ** i * factorial(i) * weight * prod(range(a + 2 * i + 2, last + 2))\n",
+        "    last_factor = [(-1) ** i * factorial(i) * prod(range(a + 2 * i + 1, last + 1))\n",
+        "    last_factor = [(-1) ** i * factorial(i) * prod(range(a + 2 * i + 2, last + 2))\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"classical-gram-offdiagonal", "classical-lower-degree", "classical-second-order-eigen",
-         "connection-backward", "connection-forward", "fourth-order-eigen", "harmonic-laplace",
-         "laplace-beltrami-eigen", "mass-gram-offdiagonal"},
+        {"classical-gram-diagonal", "classical-gram-offdiagonal", "classical-lower-degree",
+         "classical-second-order-eigen", "connection-backward", "connection-forward",
+         "fourth-order-eigen", "harmonic-laplace", "laplace-beltrami-eigen", "mass-gram-diagonal",
+         "mass-gram-offdiagonal", "mass-product-factorization"},
     ),
     # N(a) = prod_i (2 a_i - 1)!! with (2 a_i + 1)!! per axis: every ball and sphere moment.
     Mutant(
@@ -375,11 +377,34 @@ MUTANTS = [
     Mutant(
         "harmonic-norm-sign",
         "harmonics.py",
-        "            norms.append(Fraction(sq, table.den))\n",
-        "            norms.append(Fraction(-sq, table.den))\n",
+        "            norms.append(Fraction(sq, sphere_den))\n",
+        "            norms.append(Fraction(-sq, sphere_den))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-diagonal", "harmonic-norm-positive", "mass-gram-diagonal",
          "mass-product-factorization"},
+    ),
+    # The Fischer weight e! at prod_i (e_i + 1)!: the product is still diagonal and positive,
+    # but no longer the sphere product over one constant, so from degree 2 in d = 3 the
+    # Gram-Schmidt leaves sphere-orthogonality behind and every ball Gram sees the norms.
+    Mutant(
+        "fischer-weight-shift",
+        "harmonics.py",
+        "    return prod(factorial(e) for e in _unpack(packed, dim))\n",
+        "    return prod(factorial(e + 1) for e in _unpack(packed, dim))\n",
+        ["--dim", "3", "--max-degree", "3"],
+        {"classical-gram-diagonal", "classical-gram-offdiagonal", "harmonic-sphere-orthogonality",
+         "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization"},
+    ),
+    # The sphere norm's denominator d (d+2) ... (d+2m-2) with one factor d + 2m too many: the
+    # harmonics are right and their norms positive, but every ball norm that reads
+    # <Y, Y>_sphere is off by that factor against the moment table.
+    Mutant(
+        "fischer-norm-denominator",
+        "harmonics.py",
+        "    sphere_den = prod(range(dim, dim + 2 * degree, 2))\n",
+        "    sphere_den = prod(range(dim, dim + 2 * degree + 2, 2))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
     ),
     # The sphere part of R(s) subtracted: the mass product is no longer positive on the
     # monomials of degree 4, and the ball and sphere products alone are unchanged.

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction as Q
 from functools import cache
 from itertools import product
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import pytest
-from oracles import gamma_sphere_moment, termwise_inner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import gamma_sphere_moment, sphere_table_harmonic_basis, termwise_inner
 
 from orthoball import (
     MultiPoly,
@@ -155,6 +157,38 @@ class TestIntegerGramSchmidt:
             got = harmonic_basis(d, m).elements
             want = reference_basis(d, m)
             assert [(Y.den, Y.nums) for Y in got] == [(Y.den, Y.nums) for Y in want]
+
+    def test_matches_sphere_table_gram_schmidt(self):
+        # The build reads the Fischer product; the oracle images each u_j through the sphere
+        # moment table.  Equal elements and equal norms, as Fractions, at every (d, m).
+        for d in range(2, 7):
+            for m in range(7):
+                got, want = harmonic_basis(d, m), sphere_table_harmonic_basis(d, m)
+                assert [(Y.den, Y.nums) for Y in got.elements] == \
+                    [(Y.den, Y.nums) for Y in want.elements]
+                assert got.sphere_norms == want.sphere_norms
+
+
+def fischer(f: MultiPoly, g: MultiPoly) -> Q:
+    """[f, g] = sum_e e! f_e g_e over the exponent tuples the two share."""
+    g_terms = g.terms
+    shared = [(e, c) for e, c in f.terms.items() if e in g_terms]
+    return sum((c * g_terms[e] * prod(map(factorial, e)) for e, c in shared), Q(0))
+
+
+class TestFischerProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 5), st.data())
+    def test_sphere_product_is_fischer_over_the_denominator(self, d, m, data):
+        # <f, Y>_sphere = [f, Y] / (d (d+2) ... (d+2m-2)) for every homogeneous f of degree m and
+        # every harmonic Y of degree m (Axler, Bourdon & Ramey, ch. 5), f not harmonic in general.
+        monos = _monomials(d, m)
+        coeffs = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                                    min_size=len(monos), max_size=len(monos)))
+        f = MultiPoly(d, dict(zip(monos, coeffs)))
+        els = harmonic_basis(d, m).elements
+        Y = els[data.draw(st.integers(0, len(els) - 1))]
+        assert inner_sphere(f, Y) * prod(range(d, d + 2 * m, 2)) == fischer(f, Y)
 
 
 class TestGoldenBases:

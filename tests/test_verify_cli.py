@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -107,6 +108,19 @@ class TestRunSuites:
                 assert len(exps) == len(set(exps)) == comb(total + d, d)
                 assert all(len(e) == d and sum(e) <= total for e in exps)
 
+    def test_random_homogeneous_matches_the_public_constructor(self):
+        # The same draws from the same seed, and a polynomial equal to the one that the public
+        # constructor builds from them, zero draws dropped.
+        for d in (1, 2, 3, 5):
+            for m in range(6):
+                rng, twin = random.Random(f"7:{d}:{m}"), random.Random(f"7:{d}:{m}")
+                for _ in range(4):
+                    got = ball_suites._random_homogeneous(rng, d, m)
+                    monos = harmonics._monomials(d, m)
+                    want = MultiPoly(d, {e: twin.randint(-4, 4) for e in monos})
+                    assert got == want and got.den == want.den and got.nums == want.nums
+                assert rng.random() == twin.random()
+
     def test_product_positivity_fails_on_a_zero_norm(self, monkeypatch):
         real = measures.inner_mass
         mono = MultiPoly(2, {(1, 1): 1})
@@ -194,12 +208,17 @@ class TestRunSuites:
         assert calls_after - calls_before == items_after - items_before
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
-        real_image, real_inner, real_moment = measures._image, measures._inner, measures._moment
-        imaged, products, reads = [], [], []
+        real_image, real_table = measures._image, measures._moment_table
+        real_inner, real_moment = measures._inner, measures._moment
+        imaged, tables, products, reads = [], [], [], []
 
         def image(p, *args):
             imaged.append(p.canonical())
             return real_image(p, *args)
+
+        def table(*args):
+            tables.append(args)
+            return real_table(*args)
 
         def inner(*args):
             products.append(args)
@@ -210,6 +229,7 @@ class TestRunSuites:
             return real_moment(*args)
 
         monkeypatch.setattr(measures, "_image", image)
+        monkeypatch.setattr(measures, "_moment_table", table)
         monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "_moment", moment)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
@@ -217,27 +237,29 @@ class TestRunSuites:
         build = cache(harmonics.harmonic_basis.__wrapped__)
         monkeypatch.setattr(harmonics, "harmonic_basis", build)
 
+        # The build runs under the Fischer product and reads no sphere moment.
         basis = harmonics.harmonic_basis(4, 4)
-        assert sorted(imaged) == sorted(Y.canonical() for Y in basis.elements)
-        imaged.clear()
+        assert len(basis.elements) == harmonics.harmonic_space_dim(4, 4)
+        assert imaged == [] and tables == []
         # The verifier reads the clock when it resumes a suite and after a check's last item,
         # so the images between a check's two reads are that check's work.
-        monkeypatch.setattr(verify.time, "perf_counter", lambda: reads.append(len(imaged)) or 0.0)
+        monkeypatch.setattr(verify.time, "perf_counter",
+                            lambda: reads.append((len(imaged), len(tables))) or 0.0)
         cfg = SuiteConfig(suites=("harmonics",), **dict(SMALL, dim=3, max_degree=4))
         records = run_suites(cfg)
         assert records and all(r.status != STATUS_FAIL for r in records)
         assert products == []
         assert len(reads) == 2 * len(records) + 1  # the last read finds the suite done
-        per_check = [(r.identity, r.params["degree"], imaged[reads[2 * i]:reads[2 * i + 1]])
-                     for i, r in enumerate(records)]
-        # Degree m: Gram-Schmidt, inside the first check, images each element once, and so
-        # does the one sphere Gram that the orthogonality check reads.
+        per_check = [(r.identity, r.params["degree"], imaged[reads[2 * i][0]:reads[2 * i + 1][0]],
+                      reads[2 * i + 1][1] - reads[2 * i][1]) for i, r in enumerate(records)]
+        # Degree m: the build, inside the first check, images nothing; the one sphere Gram that
+        # the orthogonality check reads images each element once, from one moment table.
         for m in range(cfg.max_degree + 1):
             elements = sorted(Y.canonical() for Y in harmonics.harmonic_basis(3, m).elements)
-            images = {identity: sorted(ims) for identity, degree, ims in per_check if degree == m}
-            assert images.pop("harmonic-dimension") == elements
-            assert images.pop("harmonic-sphere-orthogonality") == elements
-            assert all(ims == [] for ims in images.values())
+            work = {identity: (sorted(ims), n_tables)
+                    for identity, degree, ims, n_tables in per_check if degree == m}
+            assert work.pop("harmonic-sphere-orthogonality") == (elements, 1)
+            assert all(w == ([], 0) for w in work.values())
 
     def test_basis_builds_make_no_ball_product(self, monkeypatch):
         real_inner, real_moment = measures._inner, measures._moment
