@@ -23,8 +23,13 @@ Every inner product here is a moment functional applied to the product,
 inner_jacobi_mass is G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) * L_J^(a,b) + lam * delta_1
 with G the Gamma function, and inner_jacobi_type is L_J^(0,b) / (b+1) + delta_1 / M,
 which is inner_jacobi_mass at a = 0, d = 2, lam = 1/M.  L_J^(a,b) is an integer
-Hankel form over one cached table of moment numerators N / D, built from running
-integer products of the Pochhammer factors with one gcd.  Every product runs
+Hankel form over one cached table of moment numerators N / D.  The moments mu_m
+follow the Pearson recurrence of the weight, (m+a+b+2) mu_(m+1) = (b-a) mu_m + m mu_(m-1),
+run on integers.  D is the reduced common denominator of r_i = (a+1)_i / (a+b+2)_i,
+from running integer products of the Pochhammer factors with one gcd: every
+mu_m = sum_i C(m,i) (-2)^i r_i is an integer combination of the r_i, so N = mu_m D
+divides out exactly, and D, a divisor of the recurrence's own last denominator, keeps
+N small.  Every product runs
 through one Gram kernel: it images each polynomial f = F / Df once,
 W_f[j] = sum_i F_i N[i+j], and builds one Fraction per nonzero entry, so a single
 product is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
@@ -32,14 +37,17 @@ gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... by classical Gram-Schmidt
 on the integer Hankel matrix of the same table, each row kept primitive (integer
 coefficients with content 1 and a positive leading coefficient), as
 harmonics.harmonic_basis does on the sphere.  The three-term recurrence builds each
-P_n on integer numerators in one pass, with no Fraction.
+P_n on integer numerators in one pass, with no Fraction, into one list per parameter
+pair, grown on demand.
 The point-mass construction holds for every a > -1; its two Gamma ratios, the
 total mass and the one in the shift a_k, are rational when a or b - d/2 is an
 integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
 alone decides that.  The shift's Gamma part is one running product in k per
-(d, a, b), which reads gamma_ratio only where the product starts or restarts.  The
-public entry points check a > -1 and b > -1 once each and read the cached
-recurrence directly.
+(d, a, b), which reads gamma_ratio only where the product starts or restarts.
+The layer runs on the integer triple (r, A, B) with a = A/r and b = B/r: every cache
+is keyed by integers, the public entry points check a > -1 and b > -1 as two integer
+comparisons, and each radial constant (the shift a_k, the Jacobi-type shift, the ODE
+coefficients) is one Fraction built from integers.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -48,20 +56,12 @@ basis export's eigenvalue field, reads it here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
 from .polynomials import UniPoly, as_fraction
-
-
-def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> None:
-    if alpha <= -1 or beta <= -1:
-        raise ValueError(
-            f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
-        )
 
 
 def _integer_params(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
@@ -70,22 +70,44 @@ def _integer_params(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
     return r, alpha.numerator * (r // alpha.denominator), beta.numerator * (r // beta.denominator)
 
 
-@cache
-def _jacobi(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
+def _jacobi_params(alpha, beta) -> tuple[int, int, int]:
+    """(r, A, B) of alpha and beta: ValueError unless both exceed -1, that is A > -r and B > -r."""
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    r, a, b = params = _integer_params(alpha, beta)
+    if a <= -r or b <= -r:
+        raise ValueError(
+            f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
+        )
+    return params
+
+
+_JACOBI: dict[tuple[int, int, int], list[UniPoly]] = {}  # (r, A, B) -> [P_0, P_1, ...]
+
+
+def _jacobi(n: int, r: int, a: int, b: int) -> UniPoly:
+    # P_n^(a,b) at a = A/r, b = B/r, from its family's list, grown on demand.
+    family = _JACOBI.setdefault((r, a, b), [])
+    while len(family) <= n:
+        family.append(_next_jacobi(family, r, a, b))
+    return family[n]
+
+
+def _next_jacobi(family: list[UniPoly], r: int, a: int, b: int) -> UniPoly:
+    # P_n for n = len(family), from the two before it.
+    n = len(family)
     if n == 0:
         return UniPoly.constant(1)
-    if n == 1:
-        return UniPoly([(alpha - beta) / 2, (alpha + beta + 2) / 2])
-    # P_n = (x P_(n-1) + y t P_(n-1) + z P_(n-2)) / lead on integers: with (r, A, B) from
-    # _integer_params and S = (2n + a + b) r, x = (S-r)(A^2-B^2), y = (S-r) S (S-2r),
-    # z = -2 ((n-1)r+A) ((n-1)r+B) S and lead = 2n r (nr+A+B) (S-2r), positive for n >= 2.
-    r, a, b = _integer_params(alpha, beta)
+    if n == 1:  # ((a - b) + (a + b + 2) t) / 2
+        return UniPoly._make(2 * r, [a - b, a + b + 2 * r])
+    # P_n = (x P_(n-1) + y t P_(n-1) + z P_(n-2)) / lead on integers: with S = (2n + a + b) r,
+    # x = (S-r)(A^2-B^2), y = (S-r) S (S-2r), z = -2 ((n-1)r+A) ((n-1)r+B) S and
+    # lead = 2n r (nr+A+B) (S-2r), positive for n >= 2.
     s = 2 * n * r + a + b
     lead = 2 * n * r * (n * r + a + b) * (s - 2 * r)
     x = (s - r) * (a * a - b * b)
     y = (s - r) * s * (s - 2 * r)
     z = -2 * ((n - 1) * r + a) * ((n - 1) * r + b) * s
-    p, q = _jacobi(n - 1, alpha, beta), _jacobi(n - 2, alpha, beta)
+    p, q = family[-1], family[-2]
     den = lcm(p.den, q.den)
     x, y, z = x * (den // p.den), y * (den // p.den), z * (den // q.den)
     nums = [x * c + y * d + z * e
@@ -97,54 +119,57 @@ def jacobi_polynomial(n: int, alpha, beta) -> UniPoly:
     """P_n^(alpha,beta), normalized so the value at t=1 is (alpha+1)_n / n!."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
-    return _jacobi(n, alpha, beta)
+    return _jacobi(n, *_jacobi_params(alpha, beta))
 
 
 def jacobi_derivative_residual(n: int, alpha, beta) -> UniPoly:
     """d/dt P_n^(a,b) - ((n+a+b+1)/2) * P_(n-1)^(a+1,b+1); identically zero."""
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
-    lhs = _jacobi(n, alpha, beta).derivative()
-    rhs = Fraction(n + alpha + beta + 1, 2) * _jacobi(n - 1, alpha + 1, beta + 1)
+    r, a, b = _jacobi_params(alpha, beta)
+    lhs = _jacobi(n, r, a, b).derivative()
+    rhs = Fraction(n * r + a + b + r, 2 * r) * _jacobi(n - 1, r, a + r, b + r)
     return lhs - rhs
 
 
 def jacobi_ode_residual(n: int, alpha, beta) -> UniPoly:
     """(1-t^2)y'' + [b-a-(a+b+2)t]y' + n(n+a+b+1)y with y = P_n^(a,b); identically zero."""
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    _check_jacobi_params(alpha, beta)
-    y = _jacobi(n, alpha, beta)
-    return _shift(y, n * (n + alpha + beta + 1), beta - alpha, -(alpha + beta + 2), 1)
+    r, a, b = _jacobi_params(alpha, beta)
+    # n(n+a+b+1), b-a and -(a+b+2), each over r.
+    return _shift(_jacobi(n, r, a, b), Fraction(n * (n * r + a + b + r), r), Fraction(b - a, r),
+                  Fraction(-(a + b + 2 * r), r), 1)
 
 
-_MOMENTS: dict[tuple[Fraction, Fraction], tuple[int, list[int]]] = {}  # (a, b) -> (D, N)
+_MOMENTS: dict[tuple[int, int, int], tuple[int, list[int]]] = {}  # (r, A, B) -> (D, N)
 
 
 def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list[int]]:
-    # N[m] / D is the normalized moment of t^m against (1-t)^a (1+t)^b, m below a power of two
-    # >= size: sum_i C(m,i) (-2)^i r_i, r_i = (a+1)_i / (a+b+2)_i.  With (r, A, B) from
-    # _integer_params, r_i is the running product of the A + j r over that of the A + B + r + j r,
-    # j = 1..i; over the last denominator, one gcd reduces them.
-    table = _MOMENTS.get((alpha, beta))
+    # N[m] / D is the normalized moment mu_m of t^m against (1-t)^a (1+t)^b, m below a power of
+    # two >= size.  The integral of d/dt [t^m (1-t)^(a+1) (1+t)^(b+1)] over [-1, 1] is zero, so
+    # (m + a + b + 2) mu_(m+1) = (b - a) mu_m + m mu_(m-1) with mu_0 = 1.  With (r, A, B) from
+    # _integer_params and c_m = m r + A + B + 2r, mu_m = P_m / Q_m on integers, where
+    # P_(m+1) = (B - A) P_m + m r c_(m-1) P_(m-1) and Q_(m+1) = Q_m c_m, the running product of
+    # the A + B + r + i r.  D is the reduced common denominator of r_i = (a+1)_i / (a+b+2)_i,
+    # the running product of the A + i r over Q_i: mu_m = sum_i C(m,i) (-2)^i r_i, so
+    # N[m] = P_m D / Q_m divides exactly.  D divides the last Q, so it keeps the N small, and
+    # the pairs (D, N) are those of the binomial sums.
+    key = _integer_params(alpha, beta)
+    table = _MOMENTS.get(key)
     if table is None or len(table[1]) < size:
-        r, a, b = _integer_params(alpha, beta)
+        r, a, b = key
         tops, bottoms = [1], [1]
         for i in range(1, 1 << (size - 1).bit_length()):
             tops.append(tops[-1] * (a + i * r))
             bottoms.append(bottoms[-1] * (a + b + r + i * r))
         den = bottoms[-1]
-        scaled = [top * (den // bottom) for top, bottom in zip(tops, bottoms)]
-        g = gcd(den, *scaled)
-        den, scaled = den // g, [n // g for n in scaled]
-        moments = [sum(comb(m, i) * (-2) ** i * n for i, n in enumerate(scaled[: m + 1]))
-                   for m in range(len(scaled))]
-        table = _MOMENTS[alpha, beta] = den, moments
+        den //= gcd(den, *(top * (den // bottom) for top, bottom in zip(tops, bottoms)))
+        moments, low, top = [], 0, 1  # P_(m-1) and P_m
+        for m, bottom in enumerate(bottoms):
+            moments.append(top * den // bottom)
+            low, top = top, (b - a) * top + m * r * (m * r + a + b + r) * low
+        table = _MOMENTS[key] = den, moments
     return table
 
 
@@ -200,7 +225,7 @@ def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction,
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
     """Jacobi-weight inner product of f and g, normalized so (1,1) = 1."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
+    _jacobi_params(alpha, beta)
     return _functional(f, g, alpha, beta)
 
 
@@ -212,7 +237,7 @@ FOURTH_ORDER_MU = Fraction(1, 2)
 def _point_mass(lam) -> Fraction:
     """The point-mass construction's coupling lam: ValueError unless lam > 0."""
     lam = as_fraction(lam)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise ValueError(f"the coupling lam must be positive, got {lam}")
     return lam
 
@@ -232,15 +257,20 @@ def _mass_gamma(dim: int, alpha: Fraction, beta: Fraction, top, bottom) -> Fract
 def _mass_form(alpha, beta, lam, dim: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(alpha, beta, scale, lam) of inner_jacobi_mass, checked; scale is its weight's total mass."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
+    _jacobi_params(alpha, beta)
     lam = _point_mass(lam)
     return alpha, beta, _total_mass(dim, alpha, beta), lam
 
 
-@cache
+_TOTAL_MASSES: dict[tuple[int, int, int, int], Fraction] = {}  # (d, r, A, B) -> total mass
+
+
 def _total_mass(dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
     """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)); (d/2)_m / (d/2+a+1)_m on the ball."""
-    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)
+    key = (dim, *_integer_params(alpha, beta))
+    if key not in _TOTAL_MASSES:
+        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)
+    return _TOTAL_MASSES[key]
 
 
 def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fraction:
@@ -301,7 +331,7 @@ def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniP
     return rows
 
 
-_GAMMA_PARTS: dict[tuple[int, Fraction, Fraction], list[Fraction]] = {}  # (d, a, b) -> parts
+_GAMMA_PARTS: dict[tuple[int, int, int, int], list[Fraction]] = {}  # (d, r, A, B) -> parts
 
 
 def _gamma_part(k: int, dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
@@ -312,9 +342,9 @@ def _gamma_part(k: int, dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
     a + b + k = 0 the step is undefined (the value at k - 1 is 0), and the product
     restarts from _mass_gamma, as it starts at k = 0.
     """
-    parts = _GAMMA_PARTS.setdefault((dim, alpha, beta), [])
+    r, a, b = _integer_params(alpha, beta)
+    parts = _GAMMA_PARTS.setdefault((dim, r, a, b), [])
     if len(parts) <= k:
-        r, a, b = _integer_params(alpha, beta)
         for j in range(len(parts), k + 1):
             if j and a + b + j * r:
                 parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))
@@ -325,8 +355,13 @@ def _gamma_part(k: int, dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
 
 
 def _mass_coefficient(k: int, alpha: Fraction, beta: Fraction, lam: Fraction, dim: int) -> Fraction:
-    # mass_coefficient on parameters that are already checked.
-    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)
+    # mass_coefficient on parameters that are already checked, as one Fraction: with g the Gamma
+    # part, g / lam = top / bottom and (r, A, B) from _integer_params,
+    # a_k = g / lam + k (k r + A + B + r) / (A + r).
+    r, a, b = _integer_params(alpha, beta)
+    g = _gamma_part(k, dim, alpha, beta)
+    top, bottom = g.numerator * lam.denominator, g.denominator * lam.numerator
+    return Fraction(top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r))
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
@@ -334,7 +369,7 @@ def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
+    _jacobi_params(alpha, beta)
     return _mass_coefficient(k, alpha, beta, _point_mass(lam), dim)
 
 
@@ -361,9 +396,9 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _check_jacobi_params(alpha, beta)
+    params = _jacobi_params(alpha, beta)
     lam = _point_mass(lam)
-    return _shift(_jacobi(k, alpha, beta), _mass_coefficient(k, alpha, beta, lam, dim))
+    return _shift(_jacobi(k, *params), _mass_coefficient(k, alpha, beta, lam, dim))
 
 
 def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
@@ -371,11 +406,12 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
     beta, mass = as_fraction(beta), as_fraction(mass)
-    if mass <= 0:
+    if mass.numerator <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    alpha = Fraction(0)
-    _check_jacobi_params(alpha, beta)
-    return _shift(_jacobi(k, alpha, beta), mass + k * (k + beta + 1))
+    r, a, b = _jacobi_params(0, beta)
+    # M + k(k+b+1) over the denominator of M times r.
+    shift = Fraction(mass.numerator * r + k * (k * r + b + r) * mass.denominator, mass.denominator * r)
+    return _shift(_jacobi(k, r, a, b), shift)
 
 
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
@@ -385,7 +421,7 @@ def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
     a = 0, d = 2, lam = 1/M.
     """
     mass = as_fraction(mass)
-    if mass <= 0:
+    if mass.numerator <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     return inner_jacobi_mass(f, g, 0, beta, 1 / mass, 2)
 

@@ -46,8 +46,9 @@ MUTANTS = [
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
     # An off-by-one in the running numerator product of r_i = (a+1)_i / (a+b+2)_i, the factor
-    # (A + i r) = r (a + i) at r (a + i + 1), in the Jacobi moment table: every radial product
-    # is wrong, but still positive on q_k.
+    # (A + i r) = r (a + i) at r (a + i + 1), in the Jacobi moment table: the products fix only
+    # the table's denominator D, and where the wrong D misses a factor of a moment's denominator,
+    # N = P_m D / Q_m rounds down.  Radial products are wrong, but still positive on q_k.
     Mutant(
         "jacobi-moment-pochhammer-step",
         "jacobi.py",
@@ -56,14 +57,24 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
+    # The m r c_(m-1) P_(m-1) term of the moments' Pearson recurrence at (m+1) r c_(m-1) P_(m-1):
+    # every moment from t^2 on is wrong, so no q_k is orthogonal, but every norm stays positive.
+    Mutant(
+        "jacobi-moment-recurrence",
+        "jacobi.py",
+        "            low, top = top, (b - a) * top + m * r * (m * r + a + b + r) * low\n",
+        "            low, top = top, (b - a) * top + (m + 1) * r * (m * r + a + b + r) * low\n",
+        ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt", "pointmass-orthogonality"},
+    ),
     # A wrong cached total mass G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) of the point-mass weight,
     # at G(a+b+3) (G the Gamma function), which unbalances the Jacobi part against lam * delta_1.
     # The classical norms read the same constant, but this run builds no ball basis.
     Mutant(
         "pointmass-total-mass",
         "jacobi.py",
-        "    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)\n",
-        "    return _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 3)\n",
+        "        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)\n",
+        "        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 3)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality", "pointmass-gram-schmidt"},
     ),
@@ -241,12 +252,13 @@ MUTANTS = [
          "connection-radial", "eigenvalue-forms", "fourth-order-eigen", "mass-gram-diagonal",
          "mass-gram-offdiagonal", "mass-product-factorization"},
     ),
-    # The point-mass shift a_k with k (k + alpha + beta + 2) for k (k + alpha + beta + 1).
+    # The point-mass shift a_k with k (k + alpha + beta + 2) for k (k + alpha + beta + 1), on
+    # integers k (k r + A + B + 2r) for k (k r + A + B + r).
     Mutant(
         "mass-coefficient",
         "jacobi.py",
-        "    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 1) / (alpha + 1)\n",
-        "    return _gamma_part(k, dim, alpha, beta) / lam + Fraction(k) * (k + alpha + beta + 2) / (alpha + 1)\n",
+        "    return Fraction(top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r))\n",
+        "    return Fraction(top * (a + r) + k * (k * r + a + b + 2 * r) * bottom, bottom * (a + r))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
@@ -454,13 +466,23 @@ MUTANTS = [
     Mutant(
         "pointmass-drops-derivative",
         "jacobi.py",
-        "    return _shift(_jacobi(k, alpha, beta), _mass_coefficient(k, alpha, beta, lam, dim))\n",
-        "    p = _jacobi(k, alpha, beta); "
+        "    return _shift(_jacobi(k, *params), _mass_coefficient(k, alpha, beta, lam, dim))\n",
+        "    p = _jacobi(k, *params); "
         "return _mass_coefficient(k, alpha, beta, lam, dim) * p - UniPoly([1, 1]) * p\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
          "pointmass-orthogonality", "pointmass-type-agreement"},
+    ),
+    # The Jacobi-type shift M + k(k + b + 1) at M + k(k + b), on integers k (k r + B) for
+    # k (k r + B + r): the type family leaves the mass family at a = 0 and its connection.
+    Mutant(
+        "jacobi-type-shift",
+        "jacobi.py",
+        "    shift = Fraction(mass.numerator * r + k * (k * r + b + r) * mass.denominator, mass.denominator * r)\n",
+        "    shift = Fraction(mass.numerator * r + k * (k * r + b) * mass.denominator, mass.denominator * r)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"connection-radial", "connection-univariate", "pointmass-type-agreement"},
     ),
     # The line kernel c f + (p0 + p1 t) f' + s (1-t^2) f'' without its p1 t f' term: both q_k
     # families, both connection operators and the Jacobi ODE read the kernel.  The q_k still

@@ -346,12 +346,13 @@ class TestIntegerPaths:
     """Each integer path of the radial layer equals the Fraction form it replaces, under ==."""
 
     def test_moment_table(self, monkeypatch):
-        # Grown in steps, each table equals the Fraction table of its own size.
+        # Grown in steps to 64 entries, each table equals the Fraction table of its own size;
+        # the grid holds a = b = -3/4, where the recurrence's c_0 = a + b + 2 is smallest.
         monkeypatch.setattr(jacobi, "_MOMENTS", {})
         params = SIGNED_PARAMS + (Q(0), Q(1))
         for alpha in params:
             for beta in params:
-                for size in (1, 2, 5, 9, 23):
+                for size in (1, 2, 5, 9, 23, 33, 64):
                     den, moments = jacobi._moment_table(alpha, beta, size)
                     assert (den, moments) == _fraction_moment_table(alpha, beta, size)
                     assert len(moments) >= size
@@ -361,6 +362,53 @@ class TestIntegerPaths:
             for beta in SIGNED_PARAMS:
                 for n in range(9):
                     assert jacobi_polynomial(n, alpha, beta) == _fraction_jacobi(n, alpha, beta)
+
+    @pytest.mark.parametrize("high_first", [False, True], ids=["low-first", "high-first"])
+    def test_recurrence_grows_in_either_order(self, monkeypatch, high_first):
+        # One family list per (r, A, B), from an empty cache whether the first call asks for
+        # n = 12 or for n = 0.
+        monkeypatch.setattr(jacobi, "_JACOBI", {})
+        alpha, beta = (Q(-1, 3), Q(9, 2)) if high_first else (Q(2, 3), Q(-3, 4))
+        want = [_fraction_jacobi(n, alpha, beta) for n in range(13)]
+        for n in [12, *range(12)] if high_first else range(13):
+            assert jacobi_polynomial(n, alpha, beta) == want[n]
+        assert list(jacobi._JACOBI) == [jacobi._integer_params(alpha, beta)]
+
+    def test_radial_cache_keys_are_integers(self, monkeypatch):
+        # Every radial cache is a module-level dict keyed by integers, filled from empty by a
+        # run of the univariate suites and the connection suite; none is a functools cache.
+        from orthoball.verify import SuiteConfig, run_suites
+
+        caches = [name for name, value in vars(jacobi).items() if isinstance(value, dict) and name.isupper()]
+        assert sorted(caches) == ["_GAMMA_PARTS", "_JACOBI", "_MOMENTS", "_TOTAL_MASSES"]
+        for name in caches:
+            monkeypatch.setattr(jacobi, name, {})
+        run_suites(SuiteConfig(dim=3, max_degree=4, suites=("jacobi", "krall1d", "connection")))
+        for name in caches:
+            keys = getattr(jacobi, name)
+            assert keys and all(type(x) is int for key in keys for x in key), name
+        assert not any(hasattr(value, "cache_info") for value in vars(jacobi).values())
+
+    def test_radial_constants_match_their_fraction_forms(self, monkeypatch):
+        # The Jacobi-type shift M + k(k+b+1) and the ODE's n(n+a+b+1), b-a and -(a+b+2), each
+        # built as one Fraction from (r, A, B), as _shift receives them.
+        calls = []
+        real_shift = jacobi._shift
+
+        def shift(p, *coefficients):
+            calls.append(coefficients)
+            return real_shift(p, *coefficients)
+
+        monkeypatch.setattr(jacobi, "_shift", shift)
+        for beta in SIGNED_PARAMS:
+            for mass in (Q(1, 3), Q(7, 2), Q(5)):
+                for k in range(7):
+                    jacobi_type_poly(k, beta, mass)
+                    assert calls.pop() == (mass + k * (k + beta + 1),)
+            for alpha in SIGNED_PARAMS:
+                for n in range(7):
+                    jacobi_ode_residual(n, alpha, beta)
+                    assert calls.pop() == (n * (n + alpha + beta + 1), beta - alpha, -(alpha + beta + 2), 1)
 
     def test_shift_kernel(self):
         # [c - (1+t) d/dt] p against its composed form, including a c that cancels the top
