@@ -25,26 +25,16 @@ So both products have the same orthogonal complements on the degree-m
 harmonics, and Gram-Schmidt under either gives the same basis; only the
 recorded norms carry the denominator.
 
-The Gram-Schmidt is the classical form, u_k = h_k - sum_j [h_k, u_j] / [u_j, u_j] u_j,
-with every coefficient read from the original h_k.  The modified form reads
-them from the partly reduced vector instead, w - sum_(i<j) c_i u_i, and
-[w, u_j] = [h_k, u_j] because the earlier u_i are already orthogonal to u_j.
-The two differ only in rounding (Bjorck, "Solving linear least squares
-problems by Gram-Schmidt orthogonalization", BIT 7, 1967), and this
-arithmetic is exact, so they give the same basis.  The classical form runs
-on integers.  Each u_j is kept primitive: integer coefficients U_j with
-content 1 and a positive coefficient at its largest key.  Its image under the
-Fischer product is W_j = {e: U_e e!}, one product per term, and
-N_j = U_j . W_j = [u_j, u_j] is an integer.  For h_k = H / Dh the coefficient
-[h_k, u_j] / [u_j, u_j] is (H . W_j) / (Dh N_j), a sum over the keys the two
-share.  u_k is fixed up to scale and primitivity fixes the scale, so u_k is
-the primitive part of
-
-    L H - sum_j (L / N_j) (H . W_j) U_j,    L = lcm of the N_j with H . W_j != 0,
-
-and its recorded squared sphere norm N_k / (d (d+2) ... (d+2m-2)) is the one
-Fraction it builds.  No sphere moment is read: the moment table serves only
-the verifier's check of the basis against the sphere product.
+The Gram-Schmidt is polynomials._gram_schmidt, the classical form on primitive
+integer rows.  Its starts are the numerators H of the h_e = H / Dh, as dense
+rows over the parity block's monomials in grlex order (the blocks are below):
+x^e is the largest key of h_e, with a positive coefficient, and the x^e
+increase, so each start ends past every earlier row.  The Fischer product's
+image of a row U is W = {e: U_e e!}, one product per entry, so each norm
+N = U . W = [u, u] is an integer, and the recorded squared sphere norm
+N / (d (d+2) ... (d+2m-2)) is the one Fraction each element builds.  No sphere
+moment is read: the moment table serves only the verifier's check of the
+basis against the sphere product.
 
 Three structural facts keep the computation small and exact:
 
@@ -70,11 +60,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, prod
+from operator import mul
 from typing import NamedTuple
 
-from .polynomials import (_FIELD, Exponents, MultiPoly, _unpack, angular_laplacian, euler_op,
-                          laplacian, pack, radius_squared)
+from .polynomials import (_FIELD, Exponents, MultiPoly, _gram_schmidt, _unpack, angular_laplacian,
+                          euler_op, laplacian, pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -163,34 +154,20 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     ortho: list[MultiPoly] = []
     norms: list[Fraction] = []
     for parity in sorted(blocks):
-        # Classical Gram-Schmidt within the block; pairs from different blocks are orthogonal
-        # already because they share no monomial.
-        done: list[tuple[dict[int, int], dict[int, int], int]] = []  # (U_j, W_j, N_j)
-        for e in blocks[parity]:
-            h = _cauchy_harmonic(e)
-            # [h, u_j] / [u_j, u_j] = (H . W_j) / (Dh N_j), so Dh L (h - sum_j c_j u_j) is
-            # L H - sum_j (L / N_j)(H . W_j) U_j on integers, with L the lcm of the N_j it reads.
-            dots = []
-            for nums, image, sq in done:
-                dot = sum([c * image[b] for b, c in h.nums.items() if b in image])
-                if dot:
-                    dots.append((dot, sq, nums))
-            scale = lcm(*(sq for _, sq, _ in dots))
-            out = {k: scale * n for k, n in h.nums.items()}
-            for dot, sq, nums in dots:
-                f = scale // sq * dot
-                for k, v in nums.items():
-                    out[k] = out.get(k, 0) - f * v
-            # u_k is the primitive part, with a positive coefficient at its largest key.
-            out = {k: n for k, n in out.items() if n}
-            content = gcd(*out.values())
-            if out[max(out)] < 0:
-                content = -content
-            u = MultiPoly._make(dim, 1, {k: n // content for k, n in out.items()})
-            image = {k: n * _fischer_weight(k, dim) for k, n in u.nums.items()}
-            sq = sum([c * image[b] for b, c in u.nums.items()])
-            done.append((u.nums, image, sq))
-            ortho.append(u)
+        # Gram-Schmidt within the block; pairs from different blocks are orthogonal already
+        # because they share no monomial.
+        starts = [_cauchy_harmonic(e).nums for e in blocks[parity]]
+        keys = sorted(set().union(*starts))
+        position = {k: i for i, k in enumerate(keys)}
+        rows = []
+        for e, nums in zip(blocks[parity], starts):
+            row = [0] * (position[pack(e)] + 1)
+            for k, n in nums.items():
+                row[position[k]] = n
+            rows.append(row)
+        weights = [_fischer_weight(k, dim) for k in keys]
+        for u, sq in _gram_schmidt(rows, lambda u: list(map(mul, u, weights))):
+            ortho.append(MultiPoly._make(dim, 1, dict(zip(keys, u))))
             norms.append(Fraction(sq, sphere_den))
 
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))

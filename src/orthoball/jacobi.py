@@ -33,10 +33,9 @@ N small.  Every product runs
 through one Gram kernel: it images each polynomial f = F / Df once,
 W_f[j] = sum_i F_i N[i+j], and builds one Fraction per nonzero entry, so a single
 product is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
-gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... by classical Gram-Schmidt
-on the integer Hankel matrix of the same table, each row kept primitive (integer
-coefficients with content 1 and a positive leading coefficient), as
-harmonics.harmonic_basis does on the sphere.  The three-term recurrence builds each
+gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... with the library's one
+integer Gram-Schmidt, polynomials._gram_schmidt, under the integer Hankel matrix
+of the same table.  The three-term recurrence builds each
 P_n on integer numerators in one pass, with no Fraction, into one list per parameter
 pair, grown on demand.
 The point-mass construction holds for every a > -1; its two Gamma ratios, the
@@ -61,7 +60,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
-from .polynomials import UniPoly, as_fraction
+from .polynomials import UniPoly, _gram_schmidt, as_fraction
 
 
 def _integer_params(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
@@ -297,69 +296,50 @@ def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniP
     Entry k is the k-th orthogonal polynomial in primitive integer form: denominator 1,
     integer coefficients with content 1 and a positive leading coefficient.  Over one
     common denominator the product of t^i and t^j is H_ij = s_n l_d N[i+j] + l_n s_d D,
-    an integer Hankel matrix.  Each row U_j is imaged once, W_j = H U_j, with norm
-    N_j = U_j . W_j, and row k is the primitive part of
-
-        L t^k - sum_j (L / N_j) W_j[k] U_j,    L = lcm of the N_j with W_j[k] != 0,
-
-    the classical Gram-Schmidt that harmonics.harmonic_basis runs.  A zero norm before
-    the last row raises ZeroDivisionError, as Gram-Schmidt's division by it does.
+    an integer Hankel matrix, and polynomials._gram_schmidt runs on the unit rows of the
+    t^k with the image H U = s_n l_d (Hankel form of U) + l_n s_d D sum(U).  A zero norm
+    before the last row raises ZeroDivisionError, as Gram-Schmidt's division by it does.
     """
     alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
     den, moments = _moment_table(alpha, beta, 2 * size - 1)
     hankel, point, _ = _weights(den, scale, lam)
-    rows: list[UniPoly] = []
-    done: list[tuple[list[int], list[int], int]] = []  # (U_j, W_j, N_j)
-    for k in range(size):
-        dots = [(image[k], sq, nums) for nums, image, sq in done if image[k]]
-        common = lcm(*(sq for _, sq, _ in dots))
-        v = [0] * k + [common]
-        for dot, sq, nums in dots:
-            f = common // sq * dot
-            for i, c in enumerate(nums):
-                v[i] -= f * c
-        content = gcd(*v)
-        u = [c // content for c in v]
-        rows.append(UniPoly._make(1, u))
-        if k < size - 1:
-            total = point * sum(u)
-            image = [hankel * w + total for w in _image(u, moments, size)]
-            sq = sum(map(mul, u, image))
-            if not sq:
-                raise ZeroDivisionError(f"the degree-{k} Gram-Schmidt vector has norm zero")
-            done.append((u, image, sq))
-    return rows
+
+    def image(u: list[int]) -> list[int]:
+        total = point * sum(u)
+        return [hankel * w + total for w in _image(u, moments, size)]
+
+    starts = [[0] * k + [1] for k in range(size)]
+    return [UniPoly._make(1, u) for u, _ in _gram_schmidt(starts, image)]
 
 
 _GAMMA_PARTS: dict[tuple[int, int, int, int], list[Fraction]] = {}  # (d, r, A, B) -> parts
 
 
-def _gamma_part(k: int, dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
+def _gamma_part(k: int, dim: int, r: int, a: int, b: int) -> Fraction:
     """Gamma(d/2+a+1) Gamma(b+k+1) / (Gamma(d/2) Gamma(a+b+k+1)) times k! / (a+1)_k.
 
-    One running product in k per (d, a, b): the step k-1 -> k multiplies by
-    (b+k) k / ((a+b+k)(a+k)), on integers with (r, A, B) from _integer_params.  Where
-    a + b + k = 0 the step is undefined (the value at k - 1 is 0), and the product
-    restarts from _mass_gamma, as it starts at k = 0.
+    One running product in k per (d, a, b), with a = A/r and b = B/r: the step
+    k-1 -> k multiplies by (b+k) k / ((a+b+k)(a+k)), on integers.  Where a + b + k = 0
+    the step is undefined (the value at k - 1 is 0), and the product restarts from
+    _mass_gamma, as it starts at k = 0.
     """
-    r, a, b = _integer_params(alpha, beta)
     parts = _GAMMA_PARTS.setdefault((dim, r, a, b), [])
     if len(parts) <= k:
         for j in range(len(parts), k + 1):
             if j and a + b + j * r:
                 parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))
             else:
+                alpha, beta = Fraction(a, r), Fraction(b, r)
                 parts.append(_mass_gamma(dim, alpha, beta, beta + j + 1, alpha + beta + j + 1)
                              * factorial(j) / rising_factorial(alpha + 1, j))
     return parts[k]
 
 
-def _mass_coefficient(k: int, alpha: Fraction, beta: Fraction, lam: Fraction, dim: int) -> Fraction:
-    # mass_coefficient on parameters that are already checked, as one Fraction: with g the Gamma
-    # part, g / lam = top / bottom and (r, A, B) from _integer_params,
+def _mass_coefficient(k: int, r: int, a: int, b: int, lam: Fraction, dim: int) -> Fraction:
+    # mass_coefficient on parameters that are already checked, (r, A, B) from _jacobi_params, as
+    # one Fraction: with g the Gamma part and g / lam = top / bottom,
     # a_k = g / lam + k (k r + A + B + r) / (A + r).
-    r, a, b = _integer_params(alpha, beta)
-    g = _gamma_part(k, dim, alpha, beta)
+    g = _gamma_part(k, dim, r, a, b)
     top, bottom = g.numerator * lam.denominator, g.denominator * lam.numerator
     return Fraction(top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r))
 
@@ -368,9 +348,8 @@ def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     """The shift a_k in the point-mass construction q_k = [a_k - (1+t) d/dt] P_k."""
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _jacobi_params(alpha, beta)
-    return _mass_coefficient(k, alpha, beta, _point_mass(lam), dim)
+    params = _jacobi_params(alpha, beta)
+    return _mass_coefficient(k, *params, _point_mass(lam), dim)
 
 
 def _shift(p: UniPoly, c, p0=-1, p1=-1, s=0) -> UniPoly:
@@ -395,10 +374,9 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     params = _jacobi_params(alpha, beta)
     lam = _point_mass(lam)
-    return _shift(_jacobi(k, *params), _mass_coefficient(k, alpha, beta, lam, dim))
+    return _shift(_jacobi(k, *params), _mass_coefficient(k, *params, lam, dim))
 
 
 def jacobi_type_poly(k: int, beta, mass) -> UniPoly:

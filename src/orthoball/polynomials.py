@@ -16,6 +16,10 @@ numerator against ``den`` with one gcd, and ``UniPoly.evaluate`` runs Horner on
 integers and builds one ``Fraction``, its result.  There is no floating point,
 so every identity downstream can be checked for *literal* equality.
 
+``_gram_schmidt`` is the library's one Gram-Schmidt: classical, on dense integer
+rows kept primitive.  The harmonic layer runs it under the diagonal Fischer
+product and the radial layer under its integer Hankel form.
+
 The module also holds the ball families' parameters: the check mu > -1/2, the
 radial parameter beta_k and the two couplings, the sphere's lam and the point
 mass M = d / (2 lam).  Every layer above reads them, and so does every verifier
@@ -29,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -433,6 +437,42 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.canonical()!r})"
+
+
+def _gram_schmidt(starts: Iterable[Sequence[int]],
+                  image: Callable[[list[int]], Sequence[int]]) -> list[tuple[list[int], int]]:
+    """Classical Gram-Schmidt on dense integer rows, each kept primitive: [(U_k, N_k), ...].
+
+    The starts H_k are integer rows of strictly increasing length, each ending in a positive
+    entry, and image(U) is W = G U for one symmetric integer form G; an entry past the end
+    of W reads as zero.  With W_j = image(U_j) and N_j = U_j . W_j, the product of H_k and
+    U_j is H_k . W_j, and row k is the primitive part of
+
+        L H_k - sum_j (L / N_j) (H_k . W_j) U_j,    L = lcm of the N_j with H_k . W_j != 0,
+
+    which is H_k minus its projections up to a positive scale: every U_j is shorter than
+    H_k, so U_k keeps the length and the positive last entry of H_k.  The classical form
+    reads each coefficient from H_k, the modified form from the partly reduced row; they
+    differ only in rounding (Bjorck, BIT 7, 1967), and this arithmetic is exact.  A zero
+    norm before the last start raises ZeroDivisionError, as Gram-Schmidt's division by it
+    does.
+    """
+    done: list[tuple[list[int], Sequence[int], int]] = []  # (U_j, W_j, N_j)
+    for h in starts:
+        if done and not done[-1][2]:
+            raise ZeroDivisionError(f"Gram-Schmidt row {len(done) - 1} has norm zero")
+        dots = [(dot, sq, u) for u, w, sq in done if (dot := sum(map(operator.mul, h, w)))]
+        common = lcm(*(sq for _, sq, _ in dots))
+        v = [common * c for c in h]
+        for dot, sq, row in dots:
+            f = common // sq * dot
+            for i, c in enumerate(row):
+                v[i] -= f * c
+        content = gcd(*v)
+        u = [c // content for c in v]
+        w = image(u)
+        done.append((u, w, sum(map(operator.mul, u, w))))
+    return [(u, sq) for u, _, sq in done]
 
 
 @cache

@@ -209,26 +209,30 @@ MUTANTS = [
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
          "mass-product-factorization", "sphere-moment-consistency", "unit-mass"},
     ),
-    # Gram-Schmidt coefficients (H . W_j) / (Dh N_j) without the division by the norm N_j:
-    # from degree 2 on in d = 3 the harmonics stop being sphere-orthogonal, and the ball
-    # bases built from them stop being orthogonal.
+    # The integer Gram-Schmidt kernel's projection coefficient (L / N_j) (H_k . W_j) without the
+    # division by the norm N_j: from degree 2 on in d = 3 the harmonics stop being
+    # sphere-orthogonal, and the ball bases built from them stop being orthogonal.  The radial
+    # Gram-Schmidt runs on the same kernel.
     Mutant(
         "gram-schmidt-drops-norm",
-        "harmonics.py",
-        "                f = scale // sq * dot\n",
-        "                f = scale * dot\n",
+        "polynomials.py",
+        "            f = common // sq * dot\n",
+        "            f = common * dot\n",
         ["--dim", "3", "--max-degree", "3"],
-        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
+        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal",
+         "pointmass-gram-schmidt"},
     ),
-    # The Gram-Schmidt update h + sum_j c_j u_j instead of h - sum_j c_j u_j: from degree 2 on
-    # in d = 3 the harmonics stop being sphere-orthogonal, and so do the ball bases built on them.
+    # The kernel's update H_k + sum_j c_j U_j instead of H_k - sum_j c_j U_j: from degree 2 on
+    # in d = 3 the harmonics stop being sphere-orthogonal, and so do the ball bases built on
+    # them and the radial Gram-Schmidt rows.
     Mutant(
         "gram-schmidt-update-sign",
-        "harmonics.py",
-        "                    out[k] = out.get(k, 0) - f * v\n",
-        "                    out[k] = out.get(k, 0) + f * v\n",
+        "polynomials.py",
+        "                v[i] -= f * c\n",
+        "                v[i] += f * c\n",
         ["--dim", "3", "--max-degree", "3"],
-        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal"},
+        {"classical-gram-offdiagonal", "harmonic-sphere-orthogonality", "mass-gram-offdiagonal",
+         "pointmass-gram-schmidt"},
     ),
     # A Gram entry over Dj D instead of Di Dj D: the zeros stay zero, but every entry in the
     # row of an element with a denominator is scaled by it, the diagonal too.
@@ -319,23 +323,23 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-orthogonality"},
     ),
-    # The radial Gram-Schmidt update adding the projections instead of subtracting them: the
-    # rows stop being orthogonal to the lower degrees, but each keeps its degree and a
-    # positive leading coefficient.
+    # The kernel's update adding the projections instead of subtracting them, seen from the
+    # radial layer: the rows stop being orthogonal to the lower degrees, but each keeps its
+    # degree and a positive leading coefficient.
     Mutant(
-        "radial-elimination-sign",
-        "jacobi.py",
+        "radial-gram-schmidt-update-sign",
+        "polynomials.py",
         "                v[i] -= f * c\n",
         "                v[i] += f * c\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt"},
     ),
-    # The radial Gram-Schmidt projection coefficient L / N_j * <t^k, u_j> without the division
-    # by the norm N_j: every projection is scaled by N_j, so the rows are no longer orthogonal.
-    # Only the Gram-Schmidt check builds them.
+    # The kernel's projection coefficient L / N_j * <t^k, u_j> without the division by the
+    # norm N_j, seen from the radial layer: every projection is scaled by N_j, so the rows are
+    # no longer orthogonal.  Only the Gram-Schmidt check builds them.
     Mutant(
         "radial-gram-schmidt-drops-norm",
-        "jacobi.py",
+        "polynomials.py",
         "            f = common // sq * dot\n",
         "            f = common * dot\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
@@ -466,9 +470,9 @@ MUTANTS = [
     Mutant(
         "pointmass-drops-derivative",
         "jacobi.py",
-        "    return _shift(_jacobi(k, *params), _mass_coefficient(k, alpha, beta, lam, dim))\n",
+        "    return _shift(_jacobi(k, *params), _mass_coefficient(k, *params, lam, dim))\n",
         "    p = _jacobi(k, *params); "
-        "return _mass_coefficient(k, alpha, beta, lam, dim) * p - UniPoly([1, 1]) * p\n",
+        "return _mass_coefficient(k, *params, lam, dim) * p - UniPoly([1, 1]) * p\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",

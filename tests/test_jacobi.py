@@ -479,17 +479,18 @@ class TestIntegerPaths:
         cases.append((Q(-1, 2), Q(-1, 2), 3))
         ks = range(14, -1, -1) if high_first else range(15)
         for a, b, d in cases:
+            params = jacobi._jacobi_params(a, b)
             for k in ks:
                 try:
                     want = (gamma_ratio((Q(d, 2) + a + 1, b + k + 1), (Q(d, 2), a + b + k + 1))
                             * factorial(k) / rising_factorial(a + 1, k))
                 except ExactnessError:
                     with pytest.raises(ExactnessError):
-                        jacobi._gamma_part(k, d, a, b)
+                        jacobi._gamma_part(k, d, *params)
                     continue
-                assert jacobi._gamma_part(k, d, a, b) == want
-        assert jacobi._gamma_part(0, 3, Q(-1, 2), Q(-1, 2)) == 0
-        assert jacobi._gamma_part(1, 3, Q(-1, 2), Q(-1, 2)) == 2
+                assert jacobi._gamma_part(k, d, *params) == want
+        assert jacobi._gamma_part(0, 3, 2, -1, -1) == 0
+        assert jacobi._gamma_part(1, 3, 2, -1, -1) == 2
 
     # Each public entry point that builds P_n checks a > -1 and b > -1 once, then reads the
     # cached recurrence; jacobi_type_poly has a = 0 built in.

@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gram_schmidt
 
 from orthoball import MultiPoly, UniPoly, laplacian, radius_squared, substitute_radial
-from orthoball.polynomials import as_fraction, fraction_text, pack
+from orthoball.polynomials import _gram_schmidt, as_fraction, fraction_text, pack
 
 
 def P(dim, terms):
@@ -275,3 +276,71 @@ class TestUniPoly:
 
     def test_times_tpow(self):
         assert UniPoly([1, 1]).times_tpow(2) == UniPoly([0, 0, 1, 1])
+
+
+@st.composite
+def gram_schmidt_starts(draw):
+    """Integer rows of strictly increasing length, each ending in a positive entry."""
+    rows, length = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        length += draw(st.integers(1, 3))
+        body = draw(st.lists(st.integers(-9, 9), min_size=length - 1, max_size=length - 1))
+        rows.append(body + [draw(st.integers(1, 9))])
+    return rows
+
+
+def diagonal_form(weights):
+    return lambda u: [c * w for c, w in zip(u, weights)]
+
+
+def hankel_form(moments, size):
+    # W[j] = sum_i U_i m[i+j] for j < size: the Hankel matrix of the moments m.
+    return lambda u: [sum(c * moments[i + j] for i, c in enumerate(u)) for j in range(size)]
+
+
+def discrete_moments(points, weights, count):
+    # m_s = sum_p w_p x_p^s: the Hankel matrix of a positive measure on n distinct points
+    # is positive definite up to size n.
+    return [sum(w * x ** s for x, w in zip(points, weights)) for s in range(count)]
+
+
+class TestGramSchmidtKernel:
+    @staticmethod
+    def check(starts, image):
+        size = len(starts[-1])
+        form = [image([0] * i + [1]) + [0] * size for i in range(size)]  # G, row by row
+        inner = lambda f, g: sum(a * form[i][j] * b for i, a in enumerate(f.coeffs)
+                                 for j, b in enumerate(g.coeffs))
+        want = gram_schmidt([UniPoly(h) for h in starts], inner)
+        rows = _gram_schmidt(starts, image)
+        assert len(rows) == len(starts)
+        for k, ((u, sq), h, w) in enumerate(zip(rows, starts, want)):
+            assert len(u) == len(h) and u[-1] > 0 and gcd(*u) == 1
+            assert sq == sum(a * b for a, b in zip(u, image(u)))
+            # The Fraction Gram-Schmidt row up to a positive scalar.
+            assert UniPoly(u) == Q(u[-1]) / w.leading_coeff() * w
+            for v, _ in rows[:k]:
+                assert sum(a * b for a, b in zip(v, image(u))) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(gram_schmidt_starts(), st.lists(st.integers(1, 12), min_size=18, max_size=18))
+    def test_diagonal_image(self, starts, weights):
+        self.check(starts, diagonal_form(weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gram_schmidt_starts(), st.data())
+    def test_hankel_image(self, starts, data):
+        size = len(starts[-1])
+        points = data.draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size, unique=True))
+        weights = data.draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+        self.check(starts, hankel_form(discrete_moments(points, weights, 2 * size - 1), size))
+
+    def test_zero_norm_raises_at_the_next_start(self):
+        # A measure on two points: the Hankel form has rank two, so the third unit row has
+        # norm zero.  Gram-Schmidt divides by that norm at the fourth start, and not before.
+        starts = [[0] * k + [1] for k in range(4)]
+        image = hankel_form(discrete_moments([0, 1], [1, 1], 7), 4)
+        rows = _gram_schmidt(starts[:3], image)
+        assert [sq for _, sq in rows][-1] == 0 and all(sq for _, sq in rows[:-1])
+        with pytest.raises(ZeroDivisionError):
+            _gram_schmidt(starts, image)
