@@ -30,8 +30,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .harmonics import harmonic_basis
-from .jacobi import (FOURTH_ORDER_MU, _point_mass, _total_mass, inner_jacobi_mass, jacobi_inner,
-                     jacobi_polynomial, mass_orthogonal_poly, type_eigenvalue)
+from .jacobi import (FOURTH_ORDER_MU, _functional, _jacobi, _jacobi_params, _point_mass,
+                     _total_mass, inner_jacobi_mass, mass_orthogonal_poly, type_eigenvalue)
 from .polynomials import (MultiPoly, UniPoly, _check_mu, as_fraction, beta_shift, fraction_text,
                           mass_parameter, substitute_radial)
 
@@ -69,9 +69,9 @@ def _classical_basis(n: int, dim: int, mu: Fraction) -> tuple[BallBasisElement, 
     alpha = mu - Fraction(1, 2)
 
     def radial(k):
-        beta = beta_shift(n, k, dim)
-        p = jacobi_polynomial(k, alpha, beta)
-        return p, _total_mass(dim, alpha, beta) * jacobi_inner(p, p, alpha, beta)
+        key = _jacobi_params(alpha, beta_shift(n, k, dim))
+        p = _jacobi(k, *key)
+        return p, _functional(p, p, key, _total_mass(dim, key))
 
     return _assemble(n, dim, radial)
 

@@ -29,24 +29,27 @@ run on integers.  D is the reduced common denominator of r_i = (a+1)_i / (a+b+2)
 from running integer products of the Pochhammer factors with one gcd: every
 mu_m = sum_i C(m,i) (-2)^i r_i is an integer combination of the r_i, so N = mu_m D
 divides out exactly, and D, a divisor of the recurrence's own last denominator, keeps
-N small.  Every product runs
-through one Gram kernel: it images each polynomial f = F / Df once,
-W_f[j] = sum_i F_i N[i+j], and builds one Fraction per nonzero entry, so a single
-product is its 1 x 1 case and gram_jacobi_mass is its symmetric case.
-gram_schmidt_jacobi_mass orthogonalizes 1, t, t^2, ... with the library's one
-integer Gram-Schmidt, polynomials._gram_schmidt, under the integer Hankel matrix
-of the same table.  The three-term recurrence builds each
-P_n on integer numerators in one pass, with no Fraction, into one list per parameter
-pair, grown on demand.
+N small.  Every radial product reads one integer image of this table, _form: with
+scale = s_n / s_d and lam = l_n / l_d it sends the numerators F of f = F / Df to
+W[j] = s_n l_d sum_i F_i N[i+j] + l_n s_d D sum(F), so the product of f and g = G / Dg
+is W . G over Df Dg times the form's base s_d l_d D.  A single product is one image and
+one dot, gram_jacobi_mass images each polynomial once, and gram_schmidt_jacobi_mass runs
+the library's one integer Gram-Schmidt, polynomials._gram_schmidt, on the unit rows of
+1, t, t^2, ... under the same image.  The three-term recurrence builds each P_n on
+integer numerators in one pass, with no Fraction, into one list per parameter pair,
+grown on demand.
 The point-mass construction holds for every a > -1; its two Gamma ratios, the
 total mass and the one in the shift a_k, are rational when a or b - d/2 is an
 integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
 alone decides that.  The shift's Gamma part is one running product in k per
 (d, a, b), which reads gamma_ratio only where the product starts or restarts.
-The layer runs on the integer triple (r, A, B) with a = A/r and b = B/r: every cache
-is keyed by integers, the public entry points check a > -1 and b > -1 as two integer
-comparisons, and each radial constant (the shift a_k, the Jacobi-type shift, the ODE
-coefficients) is one Fraction built from integers.
+Below the public entry points the layer has one parameter form, the key (r, A, B) with
+a = A/r and b = B/r: each entry point builds it once with _jacobi_params, which checks
+a > -1 and b > -1 as two integer comparisons, and the recurrence, the moment table, the
+total mass, the Gamma part and every cache read the key.  The line kernel takes its
+coefficients as integers over one denominator: the ODE's over r, the shift a_k and the
+Jacobi-type shift over their own, and the connection operators' over the lcm of their
+arguments' denominators.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -60,24 +63,20 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
-from .polynomials import UniPoly, _gram_schmidt, as_fraction
-
-
-def _integer_params(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
-    # (r, A, B): r the lcm of the denominators of alpha and beta, A = alpha r and B = beta r.
-    r = lcm(alpha.denominator, beta.denominator)
-    return r, alpha.numerator * (r // alpha.denominator), beta.numerator * (r // beta.denominator)
+from .polynomials import UniPoly, _gram_schmidt, as_fraction, integer_numerators
 
 
 def _jacobi_params(alpha, beta) -> tuple[int, int, int]:
-    """(r, A, B) of alpha and beta: ValueError unless both exceed -1, that is A > -r and B > -r."""
+    """The key (r, A, B) of alpha and beta: r the lcm of their denominators, A = alpha r and
+    B = beta r.  ValueError unless both exceed -1, that is A > -r and B > -r."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    r, a, b = params = _integer_params(alpha, beta)
+    r = lcm(alpha.denominator, beta.denominator)
+    a, b = alpha.numerator * (r // alpha.denominator), beta.numerator * (r // beta.denominator)
     if a <= -r or b <= -r:
         raise ValueError(
             f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
         )
-    return params
+    return r, a, b
 
 
 _JACOBI: dict[tuple[int, int, int], list[UniPoly]] = {}  # (r, A, B) -> [P_0, P_1, ...]
@@ -136,25 +135,23 @@ def jacobi_ode_residual(n: int, alpha, beta) -> UniPoly:
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     r, a, b = _jacobi_params(alpha, beta)
-    # n(n+a+b+1), b-a and -(a+b+2), each over r.
-    return _shift(_jacobi(n, r, a, b), Fraction(n * (n * r + a + b + r), r), Fraction(b - a, r),
-                  Fraction(-(a + b + 2 * r), r), 1)
+    # n(n+a+b+1), b-a, -(a+b+2) and 1, each over r.
+    return _shift(_jacobi(n, r, a, b), r, n * (n * r + a + b + r), b - a, -(a + b + 2 * r), r)
 
 
 _MOMENTS: dict[tuple[int, int, int], tuple[int, list[int]]] = {}  # (r, A, B) -> (D, N)
 
 
-def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list[int]]:
+def _moment_table(key: tuple[int, int, int], size: int) -> tuple[int, list[int]]:
     # N[m] / D is the normalized moment mu_m of t^m against (1-t)^a (1+t)^b, m below a power of
     # two >= size.  The integral of d/dt [t^m (1-t)^(a+1) (1+t)^(b+1)] over [-1, 1] is zero, so
-    # (m + a + b + 2) mu_(m+1) = (b - a) mu_m + m mu_(m-1) with mu_0 = 1.  With (r, A, B) from
-    # _integer_params and c_m = m r + A + B + 2r, mu_m = P_m / Q_m on integers, where
+    # (m + a + b + 2) mu_(m+1) = (b - a) mu_m + m mu_(m-1) with mu_0 = 1.  With key (r, A, B)
+    # and c_m = m r + A + B + 2r, mu_m = P_m / Q_m on integers, where
     # P_(m+1) = (B - A) P_m + m r c_(m-1) P_(m-1) and Q_(m+1) = Q_m c_m, the running product of
     # the A + B + r + i r.  D is the reduced common denominator of r_i = (a+1)_i / (a+b+2)_i,
     # the running product of the A + i r over Q_i: mu_m = sum_i C(m,i) (-2)^i r_i, so
     # N[m] = P_m D / Q_m divides exactly.  D divides the last Q, so it keeps the N small, and
     # the pairs (D, N) are those of the binomial sums.
-    key = _integer_params(alpha, beta)
     table = _MOMENTS.get(key)
     if table is None or len(table[1]) < size:
         r, a, b = key
@@ -172,60 +169,46 @@ def _moment_table(alpha: Fraction, beta: Fraction, size: int) -> tuple[int, list
     return table
 
 
-def _weights(den: int, scale, lam) -> tuple[int, int, int]:
-    # scale * N/D + lam on integers, with scale = s_n/s_d and lam = l_n/l_d: the weight s_n l_d of
-    # N, the constant l_n s_d D and the common denominator s_d l_d D.
-    return (scale.numerator * lam.denominator, lam.numerator * scale.denominator * den,
-            scale.denominator * lam.denominator * den)
+def _form(key: tuple[int, int, int], scale, lam, size: int):
+    # The integer image of scale * L_J^(a,b) + lam * delta_1 on polynomials of at most size
+    # coefficients, and its base.  With moments N/D, scale = s_n/s_d and lam = l_n/l_d, the
+    # image of F is W[j] = s_n l_d sum_i F_i N[i+j] + l_n s_d D sum(F) for j < size, so the
+    # product of f = F/Df and g = G/Dg is W . G over base Df Dg, base = s_d l_d D.
+    den, moments = _moment_table(key, 2 * size - 1)
+    hankel, point = scale.numerator * lam.denominator, lam.numerator * scale.denominator * den
+
+    def image(nums) -> list[int]:
+        width, total = len(nums), point * sum(nums)
+        return [hankel * sum(map(mul, nums, moments[j:j + width])) + total for j in range(size)]
+
+    return image, scale.denominator * lam.denominator * den
 
 
-def _image(nums, moments: list[int], size: int) -> list[int]:
-    # W[j] = sum_i F_i N[i+j] for j < size: the integer Hankel form applied to F, each entry
-    # over its own window of the moment table.
-    width = len(nums)
-    return [sum(map(mul, nums, moments[j:j + width])) for j in range(size)]
-
-
-def _gram(fs, alpha: Fraction, beta: Fraction, scale=1, lam=0, gs=None) -> list[list[Fraction]]:
-    # [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] for f in fs and g in gs, read from the stored forms
-    # f = F/Df and g = G/Dg; without gs, the symmetric Gram matrix of fs, each entry j >= i built
-    # once.  With moments N/D each f is imaged once, W_f[j] = sum_i F_i N[i+j], so L_J(f g) is the
-    # integer Hankel form W_f . G over Df Dg D and f(1) g(1) is sum(F) sum(G) over Df Dg: an
-    # entry is (s_n l_d W_f . G + l_n s_d D sum(F) sum(G)) / (s_d l_d D Df Dg), one Fraction
-    # where it is nonzero.
-    symmetric = gs is None
-    if symmetric:
-        gs = fs
-    size = max((len(g.nums) for g in gs), default=0)
-    den, moments = _moment_table(alpha, beta, max((len(f.nums) for f in fs), default=0) + size - 1)
-    hankel, point, base = _weights(den, scale, lam)
-    sums = [sum(g.nums) for g in gs]
+def _gram(fs, key: tuple[int, int, int], scale=1, lam=0) -> list[list[Fraction]]:
+    # The symmetric Gram matrix [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] of fs: each f imaged
+    # once, each entry j >= i one Fraction W_f . G over base Df Dg where it is nonzero.
+    image, base = _form(key, scale, lam, max((len(f.nums) for f in fs), default=0))
     zero = Fraction(0)
-    gram = [[zero] * len(gs) for _ in fs]
+    gram = [[zero] * len(fs) for _ in fs]
     for i, f in enumerate(fs):
-        image = _image(f.nums, moments, size)
-        value = point * sum(f.nums)
-        for j in range(i if symmetric else 0, len(gs)):
-            g = gs[j]
-            top = hankel * sum(map(mul, image, g.nums)) + value * sums[j]
+        w = image(f.nums)
+        for j in range(i, len(fs)):
+            g = fs[j]
+            top = sum(map(mul, w, g.nums))
             if top:
-                gram[i][j] = Fraction(top, base * f.den * g.den)
-                if symmetric:
-                    gram[j][i] = gram[i][j]
+                gram[i][j] = gram[j][i] = Fraction(top, base * f.den * g.den)
     return gram
 
 
-def _functional(f: UniPoly, g: UniPoly, alpha: Fraction, beta: Fraction,
-                scale=1, lam=0) -> Fraction:
-    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1): the 1 x 1 case of _gram.
-    return _gram([f], alpha, beta, scale, lam, [g])[0][0]
+def _functional(f: UniPoly, g: UniPoly, key: tuple[int, int, int], scale=1, lam=0) -> Fraction:
+    # The Fraction scale * L_J^(a,b)(f g) + lam * f(1) g(1): one image, one dot.
+    image, base = _form(key, scale, lam, max(len(f.nums), len(g.nums)))
+    return Fraction(sum(map(mul, image(f.nums), g.nums)), base * f.den * g.den)
 
 
 def jacobi_inner(f: UniPoly, g: UniPoly, alpha, beta) -> Fraction:
     """Jacobi-weight inner product of f and g, normalized so (1,1) = 1."""
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _jacobi_params(alpha, beta)
-    return _functional(f, g, alpha, beta)
+    return _functional(f, g, _jacobi_params(alpha, beta))
 
 
 # The one weight parameter at which the connection operators and the fourth-order
@@ -253,21 +236,20 @@ def _mass_gamma(dim: int, alpha: Fraction, beta: Fraction, top, bottom) -> Fract
         ) from None
 
 
-def _mass_form(alpha, beta, lam, dim: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(alpha, beta, scale, lam) of inner_jacobi_mass, checked; scale is its weight's total mass."""
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    _jacobi_params(alpha, beta)
-    lam = _point_mass(lam)
-    return alpha, beta, _total_mass(dim, alpha, beta), lam
+def _mass_form(key: tuple[int, int, int], lam, dim: int) -> tuple[Fraction, Fraction]:
+    """(scale, lam) of inner_jacobi_mass at a checked key: the weight's total mass and lam, checked."""
+    return _total_mass(dim, key), _point_mass(lam)
 
 
 _TOTAL_MASSES: dict[tuple[int, int, int, int], Fraction] = {}  # (d, r, A, B) -> total mass
 
 
-def _total_mass(dim: int, alpha: Fraction, beta: Fraction) -> Fraction:
+def _total_mass(dim: int, key: tuple[int, int, int]) -> Fraction:
     """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)); (d/2)_m / (d/2+a+1)_m on the ball."""
-    key = (dim, *_integer_params(alpha, beta))
+    r, a, b = key
+    key = (dim, r, a, b)
     if key not in _TOTAL_MASSES:
+        alpha, beta = Fraction(a, r), Fraction(b, r)
         _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)
     return _TOTAL_MASSES[key]
 
@@ -280,34 +262,28 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     when a or b - d/2 is an integer (ExactnessError otherwise).  Its orthogonal
     polynomials are mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
-    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
-    return _functional(f, g, alpha, beta, scale, lam)
+    key = _jacobi_params(alpha, beta)
+    return _functional(f, g, key, *_mass_form(key, lam, dim))
 
 
 def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> list[list[Fraction]]:
     """The Gram matrix [inner_jacobi_mass(f, g, ...)] of ``polys``: one image per polynomial."""
-    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
-    return _gram(list(polys), alpha, beta, scale, lam)
+    key = _jacobi_params(alpha, beta)
+    return _gram(list(polys), key, *_mass_form(key, lam, dim))
 
 
 def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniPoly]:
     """Gram-Schmidt on 1, t, ..., t^(size-1) under inner_jacobi_mass, in coefficient form.
 
     Entry k is the k-th orthogonal polynomial in primitive integer form: denominator 1,
-    integer coefficients with content 1 and a positive leading coefficient.  Over one
-    common denominator the product of t^i and t^j is H_ij = s_n l_d N[i+j] + l_n s_d D,
-    an integer Hankel matrix, and polynomials._gram_schmidt runs on the unit rows of the
-    t^k with the image H U = s_n l_d (Hankel form of U) + l_n s_d D sum(U).  A zero norm
-    before the last row raises ZeroDivisionError, as Gram-Schmidt's division by it does.
+    integer coefficients with content 1 and a positive leading coefficient.  Over the base
+    of the radial form the product of t^i and t^j is an integer Hankel matrix plus the point
+    mass, and polynomials._gram_schmidt runs on the unit rows of the t^k with the form's
+    image.  A zero norm before the last row raises ZeroDivisionError, as Gram-Schmidt's
+    division by it does.
     """
-    alpha, beta, scale, lam = _mass_form(alpha, beta, lam, dim)
-    den, moments = _moment_table(alpha, beta, 2 * size - 1)
-    hankel, point, _ = _weights(den, scale, lam)
-
-    def image(u: list[int]) -> list[int]:
-        total = point * sum(u)
-        return [hankel * w + total for w in _image(u, moments, size)]
-
+    key = _jacobi_params(alpha, beta)
+    image, _ = _form(key, *_mass_form(key, lam, dim), size)
     starts = [[0] * k + [1] for k in range(size)]
     return [UniPoly._make(1, u) for u, _ in _gram_schmidt(starts, image)]
 
@@ -335,35 +311,32 @@ def _gamma_part(k: int, dim: int, r: int, a: int, b: int) -> Fraction:
     return parts[k]
 
 
-def _mass_coefficient(k: int, r: int, a: int, b: int, lam: Fraction, dim: int) -> Fraction:
-    # mass_coefficient on parameters that are already checked, (r, A, B) from _jacobi_params, as
-    # one Fraction: with g the Gamma part and g / lam = top / bottom,
-    # a_k = g / lam + k (k r + A + B + r) / (A + r).
+def _mass_coefficient(k: int, r: int, a: int, b: int, lam: Fraction, dim: int) -> tuple[int, int]:
+    # mass_coefficient at the checked key (r, A, B) as integers c / den: with g the Gamma part
+    # and g / lam = top / bottom, a_k = g / lam + k (k r + A + B + r) / (A + r).
     g = _gamma_part(k, dim, r, a, b)
     top, bottom = g.numerator * lam.denominator, g.denominator * lam.numerator
-    return Fraction(top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r))
+    return top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r)
 
 
 def mass_coefficient(k: int, alpha, beta, lam, dim: int) -> Fraction:
     """The shift a_k in the point-mass construction q_k = [a_k - (1+t) d/dt] P_k."""
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    params = _jacobi_params(alpha, beta)
-    return _mass_coefficient(k, *params, _point_mass(lam), dim)
+    key = _jacobi_params(alpha, beta)
+    return Fraction(*_mass_coefficient(k, *key, _point_mass(lam), dim))
 
 
-def _shift(p: UniPoly, c, p0=-1, p1=-1, s=0) -> UniPoly:
-    # c p + (p0 + p1 t) p' + s (1-t^2) p'', by default the shift [c - (1+t) d/dt] p, over the lcm L
-    # of the coefficients' denominators: with C = L c and so on and F the numerators of p, t^i takes
-    # (C + i P1) F_i + (i+1) P0 F_(i+1) + S ((i+1)(i+2) F_(i+2) - i(i-1) F_i) over L p.den.
-    den = lcm(c.denominator, p0.denominator, p1.denominator, s.denominator)
-    cn, q0, q1, sn = [x.numerator * (den // x.denominator) for x in (c, p0, p1, s)]
+def _shift(p: UniPoly, den: int, c: int, p0: int, p1: int, s: int = 0) -> UniPoly:
+    # (c p + (p0 + p1 t) p' + s (1-t^2) p'') / den on integers, den > 0: with F the numerators of
+    # p, t^i takes (c + i p1) F_i + (i+1) p0 F_(i+1) + s ((i+1)(i+2) F_(i+2) - i(i-1) F_i) over
+    # den p.den.  The q_k shift [a - (1+t) d/dt] p is c / den = a with p0 = p1 = -den and s = 0.
     nums = p.nums
-    out = [(cn + i * q1) * u + (i + 1) * q0 * v
+    out = [(c + i * p1) * u + (i + 1) * p0 * v
            for i, (u, v) in enumerate(zip_longest(nums, nums[1:], fillvalue=0))]
-    if sn:  # the second-order term, zero in the q_k shift
+    if s:  # the second-order term, zero in the q_k shift
         for i, (u, w) in enumerate(zip_longest(nums, nums[2:], fillvalue=0)):
-            out[i] += sn * ((i + 1) * (i + 2) * w - i * (i - 1) * u)
+            out[i] += s * ((i + 1) * (i + 2) * w - i * (i - 1) * u)
     return UniPoly._make(den * p.den, out)
 
 
@@ -374,9 +347,9 @@ def mass_orthogonal_poly(k: int, alpha, beta, lam, dim: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    params = _jacobi_params(alpha, beta)
-    lam = _point_mass(lam)
-    return _shift(_jacobi(k, *params), _mass_coefficient(k, *params, lam, dim))
+    key = _jacobi_params(alpha, beta)
+    c, den = _mass_coefficient(k, *key, _point_mass(lam), dim)
+    return _shift(_jacobi(k, *key), den, c, -den, -den)
 
 
 def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
@@ -388,8 +361,9 @@ def jacobi_type_poly(k: int, beta, mass) -> UniPoly:
         raise ValueError(f"mass must be positive, got {mass}")
     r, a, b = _jacobi_params(0, beta)
     # M + k(k+b+1) over the denominator of M times r.
-    shift = Fraction(mass.numerator * r + k * (k * r + b + r) * mass.denominator, mass.denominator * r)
-    return _shift(_jacobi(k, r, a, b), shift)
+    den = mass.denominator * r
+    c = mass.numerator * r + k * (k * r + b + r) * mass.denominator
+    return _shift(_jacobi(k, r, a, b), den, c, -den, -den)
 
 
 def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
@@ -407,7 +381,8 @@ def inner_jacobi_type(f: UniPoly, g: UniPoly, beta, mass) -> Fraction:
 def connection_op(f: UniPoly, beta, mass) -> UniPoly:
     """[M - (1-t^2) d^2/dt^2 - (b+1)(1-t) d/dt] f; sends P_k^(0,b) to the Jacobi-type q_k."""
     beta, mass = as_fraction(beta), as_fraction(mass)
-    return _shift(f, mass, -(beta + 1), beta + 1, -1)
+    den, coefficients = integer_numerators((mass, -(beta + 1), beta + 1, -1))
+    return _shift(f, den, *coefficients)
 
 
 def conjugate_connection_op(f: UniPoly, beta, mass) -> UniPoly:
@@ -417,7 +392,8 @@ def conjugate_connection_op(f: UniPoly, beta, mass) -> UniPoly:
     into this operator; it sends q_k back to a scalar multiple of P_k^(0,b).
     """
     beta, mass = as_fraction(beta), as_fraction(mass)
-    return _shift(f, mass + beta + 1, 1 - beta, beta + 3, -1)
+    den, coefficients = integer_numerators((mass + beta + 1, 1 - beta, beta + 3, -1))
+    return _shift(f, den, *coefficients)
 
 
 def type_eigenvalue(k: int, beta, mass) -> Fraction:

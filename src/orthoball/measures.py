@@ -160,19 +160,12 @@ def _image(p: MultiPoly, keys: dict[int, list[int]], table: _Moments) -> dict[in
     return image
 
 
-def _images(polys, keys, mu: Fraction, lam: int | Fraction) -> tuple[int, list[dict[int, int]]]:
-    polys, keys = list(polys), list(keys)
-    if not polys:
-        return 1, []
-    dim = _batch_dim(polys)
-    top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
-    table = _moment_table(dim, mu, lam, top)
-    low = _low_bits(dim)
-    by_parity: dict[int, list[int]] = {}
+def _by_parity(keys, dim: int) -> dict[int, list[int]]:
+    """The packed monomial ``keys`` grouped by parity, the lowest bit of every exponent field."""
+    low, by_parity = _low_bits(dim), {}
     for b in keys:
         by_parity.setdefault(b & low, []).append(b)
-    zeros = dict.fromkeys(keys, 0)
-    return table.den, [{**zeros, **_image(p, by_parity, table)} for p in polys]
+    return by_parity
 
 
 def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
@@ -181,7 +174,15 @@ def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     over the packed monomial ``keys`` (as in ``MultiPoly.nums``), so that
     inner_mass(p, x^b, mu, lam) = W[b] / (Dp D).  One table serves the whole batch.
     """
-    return _images(polys, keys, _check_mu(mu), _check_lam(lam))
+    mu, lam = _check_mu(mu), _check_lam(lam)
+    polys, keys = list(polys), list(keys)
+    if not polys:
+        return 1, []
+    dim = _batch_dim(polys)
+    top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
+    table = _moment_table(dim, mu, lam, top)
+    by_parity, zeros = _by_parity(keys, dim), dict.fromkeys(keys, 0)
+    return table.den, [{**zeros, **_image(p, by_parity, table)} for p in polys]
 
 
 def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
@@ -229,9 +230,10 @@ def sphere_gram(polys) -> list[list[Fraction]]:
 
 def _inner(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) -> Fraction:
     """L(f g) = (G . W_f) / (Df Dg D): f imaged at the keys of g, dotted with g's numerators."""
-    _batch_dim([f, g])
-    den, (image,) = _images([f], g.nums, mu, lam)
-    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), f.den * g.den * den)
+    dim = _batch_dim((f, g))
+    table = _moment_table(dim, mu, lam, max(f.nums, default=0) + max(g.nums, default=0))
+    image = _image(f, _by_parity(g.nums, dim), table)
+    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), f.den * g.den * table.den)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:

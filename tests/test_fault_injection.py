@@ -261,21 +261,21 @@ MUTANTS = [
     Mutant(
         "mass-coefficient",
         "jacobi.py",
-        "    return Fraction(top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r))\n",
-        "    return Fraction(top * (a + r) + k * (k * r + a + b + 2 * r) * bottom, bottom * (a + r))\n",
+        "    return top * (a + r) + k * (k * r + a + b + r) * bottom, bottom * (a + r)\n",
+        "    return top * (a + r) + k * (k * r + a + b + 2 * r) * bottom, bottom * (a + r)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
          "pointmass-type-agreement"},
     ),
     # The classical norm factor c_m = (d/2)_m / (d/2 + mu + 1/2)_m, the point-mass weight's total
-    # mass at beta_k, read at beta_k + 1, which is c_(m+1): each classical norm is wrong, and only
-    # the Gram diagonal compares it with a product on the ball.
+    # mass at beta_k, read at beta_k + 1 (the key's B + r), which is c_(m+1): each classical norm
+    # is wrong, and only the Gram diagonal compares it with a product on the ball.
     Mutant(
         "classical-norm-factor",
         "bases.py",
-        "        return p, _total_mass(dim, alpha, beta) * jacobi_inner(p, p, alpha, beta)\n",
-        "        return p, _total_mass(dim, alpha, beta + 1) * jacobi_inner(p, p, alpha, beta)\n",
+        "        return p, _functional(p, p, key, _total_mass(dim, key))\n",
+        "        return p, _functional(p, p, key, _total_mass(dim, (key[0], key[1], key[2] + key[0])))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-gram-diagonal"},
     ),
@@ -293,8 +293,8 @@ MUTANTS = [
     Mutant(
         "product-drops-left-denominator",
         "measures.py",
-        "    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), f.den * g.den * den)\n",
-        "    return Fraction(sum([image[b] * c for b, c in g.nums.items()]), g.den * den)\n",
+        "    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), f.den * g.den * table.den)\n",
+        "    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), g.den * table.den)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"product-symmetry"},
     ),
@@ -312,16 +312,16 @@ MUTANTS = [
         {"jacobi-derivative", "jacobi-normalization", "jacobi-ode", "pointmass-gram-schmidt",
          "pointmass-normalization", "pointmass-orthogonality"},
     ),
-    # The radial Gram kernel without its point mass lam * f(1) g(1): the q_k are no longer
-    # orthogonal, but every squared norm stays positive, and the Gram-Schmidt adds the point
-    # mass to its own images, so only the off-diagonal check sees it.
+    # The radial form's image without its point mass lam * f(1) g(1): the q_k are no longer
+    # orthogonal and the Gram-Schmidt, which reads the same image, leaves them behind, but
+    # every squared norm stays positive.
     Mutant(
         "radial-gram-drops-point-mass",
         "jacobi.py",
-        "        value = point * sum(f.nums)\n",
-        "        value = 0\n",
+        "        width, total = len(nums), point * sum(nums)\n",
+        "        width, total = len(nums), 0\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
-        {"pointmass-orthogonality"},
+        {"pointmass-gram-schmidt", "pointmass-orthogonality"},
     ),
     # The kernel's update adding the projections instead of subtracting them, seen from the
     # radial layer: the rows stop being orthogonal to the lower degrees, but each keeps its
@@ -351,8 +351,8 @@ MUTANTS = [
     Mutant(
         "connection-op-first-order",
         "jacobi.py",
-        "    return _shift(f, mass, -(beta + 1), beta + 1, -1)\n",
-        "    return _shift(f, mass, -(beta + 2), beta + 2, -1)\n",
+        "    den, coefficients = integer_numerators((mass, -(beta + 1), beta + 1, -1))\n",
+        "    den, coefficients = integer_numerators((mass, -(beta + 2), beta + 2, -1))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "parts-identity"},
     ),
@@ -470,9 +470,8 @@ MUTANTS = [
     Mutant(
         "pointmass-drops-derivative",
         "jacobi.py",
-        "    return _shift(_jacobi(k, *params), _mass_coefficient(k, *params, lam, dim))\n",
-        "    p = _jacobi(k, *params); "
-        "return _mass_coefficient(k, *params, lam, dim) * p - UniPoly([1, 1]) * p\n",
+        "    return _shift(_jacobi(k, *key), den, c, -den, -den)\n",
+        "    p = _jacobi(k, *key); return Fraction(c, den) * p - UniPoly([1, 1]) * p\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "fourth-order-eigen", "mass-gram-offdiagonal",
          "pointmass-degree", "pointmass-gram-schmidt", "pointmass-normalization",
@@ -483,8 +482,8 @@ MUTANTS = [
     Mutant(
         "jacobi-type-shift",
         "jacobi.py",
-        "    shift = Fraction(mass.numerator * r + k * (k * r + b + r) * mass.denominator, mass.denominator * r)\n",
-        "    shift = Fraction(mass.numerator * r + k * (k * r + b) * mass.denominator, mass.denominator * r)\n",
+        "    c = mass.numerator * r + k * (k * r + b + r) * mass.denominator\n",
+        "    c = mass.numerator * r + k * (k * r + b) * mass.denominator\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-radial", "connection-univariate", "pointmass-type-agreement"},
     ),
@@ -495,8 +494,8 @@ MUTANTS = [
     Mutant(
         "shift-kernel-drops-t-term",
         "jacobi.py",
-        "    out = [(cn + i * q1) * u + (i + 1) * q0 * v\n",
-        "    out = [cn * u + (i + 1) * q0 * v\n",
+        "    out = [(c + i * p1) * u + (i + 1) * p0 * v\n",
+        "    out = [c * u + (i + 1) * p0 * v\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-backward", "connection-forward", "connection-lift", "connection-radial",
          "connection-univariate", "fourth-order-eigen", "jacobi-ode", "mass-gram-offdiagonal",
@@ -508,8 +507,8 @@ MUTANTS = [
     Mutant(
         "line-kernel-second-order",
         "jacobi.py",
-        "            out[i] += sn * ((i + 1) * (i + 2) * w - i * (i - 1) * u)\n",
-        "            out[i] += sn * ((i + 1) * (i + 2) * w - i * i * u)\n",
+        "            out[i] += s * ((i + 1) * (i + 2) * w - i * (i - 1) * u)\n",
+        "            out[i] += s * ((i + 1) * (i + 2) * w - i * i * u)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "jacobi-ode", "parts-identity"},
     ),

@@ -302,7 +302,7 @@ class TestRadialKernels:
         # With every Jacobi moment zero the product is lam f(1) g(1), of rank one: t - 1 has
         # norm zero, so Gram-Schmidt divides by zero at its third vector, and so must the
         # integer form; with two vectors neither divides by that norm.
-        monkeypatch.setattr(jacobi, "_moment_table", lambda alpha, beta, size: (1, [0] * max(size, 1)))
+        monkeypatch.setattr(jacobi, "_moment_table", lambda key, size: (1, [0] * max(size, 1)))
         inner = lambda f, g: inner_jacobi_mass(f, g, 0, 0, 1, 2)
         for size in (1, 2):
             assert len(gram_schmidt(_monomials(size), inner)) == size
@@ -353,7 +353,7 @@ class TestIntegerPaths:
         for alpha in params:
             for beta in params:
                 for size in (1, 2, 5, 9, 23, 33, 64):
-                    den, moments = jacobi._moment_table(alpha, beta, size)
+                    den, moments = jacobi._moment_table(jacobi._jacobi_params(alpha, beta), size)
                     assert (den, moments) == _fraction_moment_table(alpha, beta, size)
                     assert len(moments) >= size
 
@@ -372,7 +372,7 @@ class TestIntegerPaths:
         want = [_fraction_jacobi(n, alpha, beta) for n in range(13)]
         for n in [12, *range(12)] if high_first else range(13):
             assert jacobi_polynomial(n, alpha, beta) == want[n]
-        assert list(jacobi._JACOBI) == [jacobi._integer_params(alpha, beta)]
+        assert list(jacobi._JACOBI) == [jacobi._jacobi_params(alpha, beta)]
 
     def test_radial_cache_keys_are_integers(self, monkeypatch):
         # Every radial cache is a module-level dict keyed by integers, filled from empty by a
@@ -390,8 +390,10 @@ class TestIntegerPaths:
         assert not any(hasattr(value, "cache_info") for value in vars(jacobi).values())
 
     def test_radial_constants_match_their_fraction_forms(self, monkeypatch):
-        # The Jacobi-type shift M + k(k+b+1) and the ODE's n(n+a+b+1), b-a and -(a+b+2), each
-        # built as one Fraction from (r, A, B), as _shift receives them.
+        # Every call of the line kernel gets only ints, (den, c, p0, p1, s) with den > 0, and
+        # c/den, p0/den, p1/den and s/den are the operator's constants: the Jacobi-type shift
+        # M + k(k+b+1), the point-mass shift a_k, the ODE's n(n+a+b+1), b-a, -(a+b+2), 1 and
+        # both connection operators' coefficients.
         calls = []
         real_shift = jacobi._shift
 
@@ -399,27 +401,55 @@ class TestIntegerPaths:
             calls.append(coefficients)
             return real_shift(p, *coefficients)
 
+        def constants():
+            den, *rest = calls.pop()
+            assert all(type(x) is int for x in (den, *rest)) and den > 0
+            return tuple(Q(x, den) for x in rest)
+
         monkeypatch.setattr(jacobi, "_shift", shift)
+        f = UniPoly([1, Q(-2, 3), 0, 5])
         for beta in SIGNED_PARAMS:
             for mass in (Q(1, 3), Q(7, 2), Q(5)):
                 for k in range(7):
                     jacobi_type_poly(k, beta, mass)
-                    assert calls.pop() == (mass + k * (k + beta + 1),)
+                    assert constants() == (mass + k * (k + beta + 1), -1, -1)
+                connection_op(f, beta, mass)
+                assert constants() == (mass, -(beta + 1), beta + 1, -1)
+                conjugate_connection_op(f, beta, mass)
+                assert constants() == (mass + beta + 1, 1 - beta, beta + 3, -1)
             for alpha in SIGNED_PARAMS:
                 for n in range(7):
                     jacobi_ode_residual(n, alpha, beta)
-                    assert calls.pop() == (n * (n + alpha + beta + 1), beta - alpha, -(alpha + beta + 2), 1)
+                    assert constants() == (n * (n + alpha + beta + 1), beta - alpha,
+                                           -(alpha + beta + 2), 1)
+        for alpha in MASS_ALPHAS:
+            for beta in (Q(1, 2), Q(5, 2), Q(7, 2)):
+                for k in range(7):
+                    mass_orthogonal_poly(k, alpha, beta, Q(2, 5), 3)
+                    assert constants() == (mass_coefficient(k, alpha, beta, Q(2, 5), 3), -1, -1)
 
     def test_shift_kernel(self):
-        # [c - (1+t) d/dt] p against its composed form, including a c that cancels the top
-        # term (c = deg p) and the zero polynomial.
+        # [c - (1+t) d/dt] p, and the full kernel c p + (p0 + p1 t) p' + s (1-t^2) p'' with
+        # s != 0 and p0 != p1, against their composed Fraction forms, including a c that
+        # cancels the top term (c = deg p) and the zero polynomial.
         rng = random.Random(18)
         polys = [UniPoly.zero(), UniPoly.constant(Q(-2, 3))]
         polys += [UniPoly([Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 8))])
                   for _ in range(12)]
+        t, line = UniPoly.t(), UniPoly([1, 0, -1])
         for p in polys:
             for c in (Q(0), Q(1), Q(-5, 4), Q(7, 3), Q(p.degree), Q(rng.randint(-20, 20), rng.randint(1, 9))):
-                assert jacobi._shift(p, c) == c * p - UniPoly([1, 1]) * p.derivative()
+                den = c.denominator
+                got = jacobi._shift(p, den, c.numerator, -den, -den)
+                assert got == c * p - UniPoly([1, 1]) * p.derivative()
+            for _ in range(6):
+                den = rng.randint(1, 12)
+                c, p0, p1, s = (rng.randint(-30, 30) for _ in range(4))
+                p0 += p0 == p1
+                s = s or 1
+                want = (Q(c, den) * p + (Q(p0, den) + Q(p1, den) * t) * p.derivative()
+                        + Q(s, den) * line * p.derivative().derivative())
+                assert jacobi._shift(p, den, c, p0, p1, s) == want
 
     @pytest.mark.parametrize("op", [
         lambda: connection_op(UniPoly([1, Q(-2, 3), 0, 5]), Q(3, 2), Q(7, 3)),

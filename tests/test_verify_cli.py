@@ -325,9 +325,9 @@ class TestRunSuites:
         real_elimination = jacobi.gram_schmidt_jacobi_mass
         grams, eliminations, products = [], [], []
 
-        def gram(fs, alpha, beta, scale=1, lam=0, gs=None):
-            grams.append((beta, [f.canonical() for f in fs], gs))
-            return real_gram(fs, alpha, beta, scale, lam, gs)
+        def gram(fs, key, scale=1, lam=0):
+            grams.append((Q(key[2], key[0]), [f.canonical() for f in fs], lam))
+            return real_gram(fs, key, scale, lam)
 
         def elimination(size, *args):
             eliminations.append(size)
@@ -337,7 +337,7 @@ class TestRunSuites:
             products.append(args)
             return real_inner(*args)
 
-        # Every radial product runs through _gram, so it sees each one.
+        # krall1d reads every radial product from _gram, and no single inner_jacobi_mass call.
         monkeypatch.setattr(jacobi, "_gram", gram)
         monkeypatch.setattr(jacobi, "gram_schmidt_jacobi_mass", elimination)
         monkeypatch.setattr(jacobi, "inner_jacobi_mass", inner)
@@ -350,10 +350,10 @@ class TestRunSuites:
         # K = 5 per beta: one symmetric Gram matrix of q_0..q_4, which images each of them
         # once, and one Gram-Schmidt of the monomials 1, t, ..., t^4.
         assert [beta for beta, _, _ in grams] == betas
-        for beta, polys, gs in grams:
+        for beta, polys, lam in grams:
             qs = [jacobi.mass_orthogonal_poly(k, Q(0), beta, cfg.lam, cfg.dim) for k in range(5)]
             assert polys == [q.canonical() for q in qs]
-            assert gs is None
+            assert lam == cfg.lam
         assert eliminations == [5] * len(betas)
 
     def test_connection_forward_times_its_own_residuals(self, monkeypatch):
