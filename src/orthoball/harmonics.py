@@ -54,6 +54,10 @@ Three structural facts keep the computation small and exact:
   in one pass over the packed terms (``polynomials.angular_laplacian``), and
   the polar decomposition checks it against the composed form
   ||x||^2 Delta f - m(m+d-2) f built from the Laplacian.
+
+Each residual is one integer pass: the eigenvalue is folded into the per-grade
+scalar of the operator's kernel (``polynomials._euler`` and
+``polynomials._angular``), which the public operators run at eigenvalue zero.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
 
-from .polynomials import (_FIELD, Exponents, MultiPoly, _gram_schmidt, _unpack, angular_laplacian,
-                          euler_op, laplacian, pack, radius_squared)
+from .polynomials import (_FIELD, Exponents, MultiPoly, _angular, _euler, _gram_schmidt, _unpack,
+                          angular_laplacian, laplacian, pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -179,9 +183,12 @@ def _check_homogeneous(p: MultiPoly, degree: int) -> None:
 
 
 def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """sum_i x_i dp/dx_i - degree * p; zero exactly when p is homogeneous of that degree."""
+    """sum_i x_i dp/dx_i - degree * p; zero exactly when p is homogeneous of that degree.
+
+    One pass of the Euler kernel with the eigenvalue folded in: grade g is scaled by g - m.
+    """
     _check_homogeneous(p, degree)
-    return euler_op(p) - degree * p
+    return _euler(p, degree)
 
 
 def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
@@ -190,16 +197,19 @@ def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
 
 
 def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """Eigen-equation residual Delta_0 p + m(m+d-2) p; zero exactly for harmonic p."""
+    """Eigen-equation residual Delta_0 p + m(m+d-2) p; zero exactly for harmonic p.
+
+    One pass of the angular kernel with the eigenvalue folded in: grade g is scaled by
+    m(m+d-2) - g(g+d-2) where Delta_0 alone scales it by -g(g+d-2).
+    """
     _check_homogeneous(p, degree)
-    return laplace_beltrami_op(p) + degree * (degree + p.dim - 2) * p
+    return _angular(p, degree)
 
 
 def polar_decomposition_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero for every homogeneous p of degree m."""
+    """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero for every homogeneous p of degree m.
+
+    The composed side ||x||^2 Delta p less the folded angular side, in one combine.
+    """
     _check_homogeneous(p, degree)
-    return (
-        radius_squared(p.dim) * laplacian(p)
-        - laplace_beltrami_op(p)
-        - degree * (degree + p.dim - 2) * p
-    )
+    return radius_squared(p.dim) * laplacian(p) - _angular(p, degree)

@@ -37,10 +37,14 @@ Dg, keyed by packed monomials, see ``polynomials``):
   ``moment_images`` is a batch of it, and a single
   product is the image of f at the keys of g dotted with g's numerators G:
   L(f g) = (G . W_f) / (Df Dg D).
-* ``_gram`` is the Gram kernel, G = C W^T as a sparse product.  It indexes
-  the numerators of the polynomials by key, b -> [(j, c_jb)], images each
-  polynomial once, and adds each nonzero W_i[b] c_jb into row i; an entry
-  is one Fraction over Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
+* ``_gram`` is the Gram kernel, on dense parity blocks.  Moments pair only
+  keys of one parity, so G is a sum over the parity classes (the lowest bit
+  of every exponent field) of R M R^T: M[u][v] = M[u + v] the integer moment
+  block over the class's sorted keys, read once, and a row of R the
+  numerators of each member, a polynomial with terms in the class.  Each
+  member's row is imaged once, V_i = M R_i from its nonzero entries, and
+  dotted with the row of every member j >= i; an entry is one Fraction over
+  Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import prod
+from operator import itemgetter, mul
 
 from .exact_gamma import gamma_ratio
 from .polynomials import (_FIELD, _FIELD_MASK, _SPHERE_MU, MultiPoly, _check_mu, as_exponents,
@@ -185,6 +190,19 @@ def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     return table.den, [{**zeros, **_image(p, by_parity, table)} for p in polys]
 
 
+def _picker(positions: list[int]):
+    """A function that reads the entries at ``positions`` of a sequence, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row, at=positions[0]: (row[at],)
+
+
+def _block_image(nums: list[int], pick, block: list[list[int]]) -> list[int]:
+    """V = M R for one member's row R of a parity class: its numerators ``nums`` at the
+    positions that ``pick`` reads, imaged under the class's symmetric moment block M."""
+    return [sum(map(mul, nums, pick(column))) for column in block]
+
+
 def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
     polys = list(polys)
     if not polys:
@@ -193,38 +211,42 @@ def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
     table = _moment_table(dim, mu, lam, 2 * max(max(p.nums, default=0) for p in polys))
     low = _low_bits(dim)
     n, zero = len(polys), Fraction(0)
-    gram = [[zero] * n for _ in range(n)]
-    # G is symmetric, so row i needs only the columns j >= i: the rows run from the last up,
-    # each against the columns indexed so far.
-    columns: dict[int, list[tuple[int, int]]] = {}  # b -> [(j, c_jb)]
-    keys: dict[int, list[int]] = {}  # parity -> the keys of columns
-    for i in reversed(range(n)):
-        p = polys[i]
+    # Moments pair only keys of one parity, so G is a sum of one product R M R^T per parity
+    # class: M the moment block over the class's keys, a row of R each member's numerators.
+    classes: dict[int, dict[int, dict[int, int]]] = {}  # parity -> {i: {b: c_ib}}
+    for i, p in enumerate(polys):
         for b, c in p.nums.items():
-            column = columns.get(b)
-            if column is None:
-                column = columns[b] = []
-                keys.setdefault(b & low, []).append(b)
-            column.append((i, c))
-        row = [0] * n
-        for b, w in _image(p, keys, table).items():
-            if w:
-                for j, c in columns[b]:
-                    row[j] += w * c
-        scale = p.den * table.den
+            classes.setdefault(b & low, {}).setdefault(i, {})[b] = c
+    # The integer sums build up in the upper triangle of gram, then become its entries.
+    gram = [[0] * n for _ in range(n)]
+    for members in classes.values():
+        keys = sorted(set().union(*members.values()))
+        block = [[table[u + v] for v in keys] for u in keys]
+        position = {b: at for at, b in enumerate(keys)}
+        rows = [(i, list(terms.values()), _picker([position[b] for b in terms]))
+                for i, terms in members.items()]
+        # G is symmetric, so member i is dotted only with the members j >= i, which follow it.
+        for at, (i, nums, pick) in enumerate(rows):
+            image, row = _block_image(nums, pick, block), gram[i]
+            for j, other, read in rows[at:]:
+                row[j] += sum(map(mul, other, read(image)))
+    for i, p in enumerate(polys):
+        row = gram[i]
         for j in range(i, n):
-            if row[j]:
-                gram[i][j] = gram[j][i] = Fraction(row[j], scale * polys[j].den)
+            total = row[j]
+            gram[j][i] = row[j] = Fraction(total, p.den * polys[j].den * table.den) if total else zero
     return gram
 
 
 def mass_gram(polys, mu, lam=0) -> list[list[Fraction]]:
-    """The Gram matrix [inner_mass(f, g, mu, lam)] of ``polys``, from one image per polynomial."""
+    """The Gram matrix [inner_mass(f, g, mu, lam)] of ``polys``, from one moment block per
+    parity class and one image per polynomial and class it has terms in."""
     return _gram(polys, _check_mu(mu), _check_lam(lam))
 
 
 def sphere_gram(polys) -> list[list[Fraction]]:
-    """The Gram matrix [inner_sphere(f, g)] of ``polys``, from one image per polynomial."""
+    """The Gram matrix [inner_sphere(f, g)] of ``polys``, from one moment block per parity
+    class and one image per polynomial and class it has terms in."""
     return _gram(polys, _SPHERE_MU, 0)
 
 

@@ -9,12 +9,15 @@ CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
 so int order is graded-lexicographic order and a product adds keys.  The
 differential operators (``laplacian``, ``angular_laplacian``, ``euler_op``)
 read each exponent with one shift and apply themselves in one integer pass
-over the numerators, with one gcd at the end.  Fractions appear only in the
-views ``terms`` and ``coeffs``, built on each read, in ``MultiPoly.evaluate``,
-``UniPoly.canonical()`` and ``str``; ``MultiPoly.canonical()`` reduces each
-numerator against ``den`` with one gcd, and ``UniPoly.evaluate`` runs Horner on
-integers and builds one ``Fraction``, its result.  There is no floating point,
-so every identity downstream can be checked for *literal* equality.
+over the numerators, with one gcd at the end.  The last two are the kernels
+``_angular`` and ``_euler`` at eigenvalue zero; the harmonic residuals run the
+same kernels with the eigenvalue folded into each grade's scalar.  Fractions
+appear only in the views ``terms`` and ``coeffs``, built on each read, in
+``MultiPoly.evaluate``, ``UniPoly.canonical()`` and ``str``;
+``MultiPoly.canonical()`` reduces each numerator against ``den`` with one gcd,
+and ``UniPoly.evaluate`` runs Horner on integers and builds one ``Fraction``,
+its result.  There is no floating point, so every identity downstream can be
+checked for *literal* equality.
 
 ``_gram_schmidt`` is the library's one Gram-Schmidt: classical, on dense integer
 rows kept primitive.  The harmonic layer runs it under the diagonal Fischer
@@ -557,21 +560,23 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     return MultiPoly._make(p.dim, p.den, _laplacian_nums(p))
 
 
-def angular_laplacian(p: MultiPoly) -> MultiPoly:
-    """Delta_0 p = ||x||^2 Delta p - E^2 p - (d-2) E p, with E the Euler operator, in one pass.
+def _angular(p: MultiPoly, degree: int) -> MultiPoly:
+    """Delta_0 p + m(m+d-2) p at m = ``degree``, in one pass: the angular kernel.
 
-    E^2 + (d-2) E scales the grade-g part by g (g + d - 2).  d^2/dx_i^2 takes x^e to
+    Delta_0 = ||x||^2 Delta - E^2 - (d-2) E, and E^2 + (d-2) E scales the grade-g part by
+    g (g + d - 2), so grade g is scaled by m(m+d-2) - g(g+d-2).  d^2/dx_i^2 takes x^e to
     e_i (e_i - 1) x^(e - 2 e_i), kept here in grade g so that a product with ||x||^2 is one
     step of 2 e_j in an exponent field; the Laplacian's own keys are not read.
     """
     dim = p.dim
     top_shift = _FIELD * dim
     shifts = range(0, top_shift, _FIELD)
+    eigen = degree * (degree + dim - 2)
     out: dict[int, int] = {}
     lowered: dict[int, int] = {}
     for k, n in p.nums.items():
         g = k >> top_shift
-        out[k] = -n * g * (g + dim - 2)
+        out[k] = n * (eigen - g * (g + dim - 2))
         for shift in shifts:
             if (e := k >> shift & _FIELD_MASK) > 1:
                 key = k - (2 << shift)
@@ -583,7 +588,17 @@ def angular_laplacian(p: MultiPoly) -> MultiPoly:
     return MultiPoly._make(dim, p.den, out)
 
 
-def euler_op(p: MultiPoly) -> MultiPoly:
-    """The operator sum_i x_i d/dx_i; multiplies each homogeneous grade by its degree."""
+def angular_laplacian(p: MultiPoly) -> MultiPoly:
+    """Delta_0 p = ||x||^2 Delta p - E^2 p - (d-2) E p, with E the Euler operator, in one pass."""
+    return _angular(p, 0)
+
+
+def _euler(p: MultiPoly, degree: int) -> MultiPoly:
+    """E p - m p at m = ``degree``, in one pass: the Euler kernel scales grade g by g - m."""
     shift = _FIELD * p.dim
-    return MultiPoly._make(p.dim, p.den, {k: n * (k >> shift) for k, n in p.nums.items()})
+    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) - degree) for k, n in p.nums.items()})
+
+
+def euler_op(p: MultiPoly) -> MultiPoly:
+    """The operator E = sum_i x_i d/dx_i; multiplies each homogeneous grade by its degree."""
+    return _euler(p, 0)

@@ -91,13 +91,14 @@ MUTANTS = [
         {"classical-second-order-eigen", "connection-backward", "connection-forward",
          "connection-lift", "fourth-order-eigen", "polar-decomposition"},
     ),
-    # The angular Laplacian's grade factor g(g+d-2) at g(g+d-1): Delta_0 is no longer the
-    # composed ||x||^2 Delta - E^2 - (d-2) E, and no harmonic is its eigenfunction.
+    # The angular kernel's grade factor g(g+d-2) at g(g+d-1): Delta_0 is no longer the
+    # composed ||x||^2 Delta - E^2 - (d-2) E, and no harmonic is its eigenfunction.  The
+    # Laplace-Beltrami and polar residuals run the same kernel with m(m+d-2) folded in.
     Mutant(
         "angular-laplacian-grade",
         "polynomials.py",
-        "        out[k] = -n * g * (g + dim - 2)\n",
-        "        out[k] = -n * g * (g + dim - 1)\n",
+        "        out[k] = n * (eigen - g * (g + dim - 2))\n",
+        "        out[k] = n * (eigen - g * (g + dim - 1))\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
         {"laplace-beltrami-eigen", "polar-decomposition"},
     ),
@@ -239,10 +240,23 @@ MUTANTS = [
     Mutant(
         "gram-entry-drops-row-denominator",
         "measures.py",
-        "        scale = p.den * table.den\n",
-        "        scale = table.den\n",
+        "            gram[j][i] = row[j] = Fraction(total, p.den * polys[j].den * table.den) if total else zero\n",
+        "            gram[j][i] = row[j] = Fraction(total, polys[j].den * table.den) if total else zero\n",
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
+    ),
+    # The Gram kernel's moment block read with its rows reversed, M[u'][v] for M[u][v] with u'
+    # the mirror of u among the parity class's keys: every key sum is still one of the class,
+    # but the block is no longer the moment matrix.  From degree 2 in d = 3 a class holds two
+    # harmonics, which stop being sphere-orthogonal under it, and every ball Gram is wrong.
+    Mutant(
+        "gram-block-mirrored-rows",
+        "measures.py",
+        "        block = [[table[u + v] for v in keys] for u in keys]\n",
+        "        block = [[table[u + v] for v in keys] for u in reversed(keys)]\n",
+        ["--dim", "3", "--max-degree", "3"],
+        {"classical-gram-diagonal", "classical-gram-offdiagonal", "harmonic-sphere-orthogonality",
+         "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization"},
     ),
     # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
     Mutant(
@@ -523,14 +537,14 @@ MUTANTS = [
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),
-    # The Euler operator scales each grade by its degree plus one (the last line of its file,
-    # which has no newline).  The angular Laplacian reads grades itself, so among the
-    # harmonic identities only the Euler identity applies E.
+    # The Euler kernel scales each grade g by g + 1 - m instead of g - m, so E scales it by
+    # its degree plus one.  The angular kernel reads grades itself, so among the harmonic
+    # identities only the Euler identity runs this kernel.
     Mutant(
         "euler-op-degree",
         "polynomials.py",
-        "    return MultiPoly._make(p.dim, p.den, {k: n * (k >> shift) for k, n in p.nums.items()})",
-        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) + 1) for k, n in p.nums.items()})",
+        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) - degree) for k, n in p.nums.items()})\n",
+        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) + 1 - degree) for k, n in p.nums.items()})\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
         {"euler-identity"},
     ),

@@ -7,7 +7,7 @@ from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import gamma_sphere_moment, sphere_table_harmonic_basis, termwise_inner
 
@@ -226,6 +226,15 @@ class TestCauchyHarmonic:
                     assert [terms.get(f, 0) for f in free] == [int(f == e) for f in free]
 
 
+@st.composite
+def _homogeneous(draw):
+    """(d, m, p): a random homogeneous rational p of degree m in d variables, zero included."""
+    d, m = draw(st.integers(2, 6)), draw(st.integers(0, 6))
+    terms = draw(st.dictionaries(st.sampled_from(_monomials(d, m)),
+                                 st.fractions(-9, 9, max_denominator=7), max_size=8))
+    return d, m, MultiPoly(d, terms)
+
+
 class TestEulerIdentity:
     def test_monomial(self):
         assert euler_residual(MultiPoly(2, {(1, 1): 1}), 2).is_zero()
@@ -283,6 +292,18 @@ class TestLaplaceBeltrami:
                 e = euler_op(p)
                 composed = r2 * laplacian(p) - euler_op(e) - (d - 2) * e
                 assert laplace_beltrami_op(p) == composed
+
+    @settings(max_examples=150)
+    @given(_homogeneous())
+    @example((3, 2, MultiPoly.zero(3)))
+    def test_folded_residuals_match_composed_forms(self, case):
+        # Each one-pass residual against the operator it folds its eigenvalue into, under ==.
+        d, m, p = case
+        eigen = m * (m + d - 2)
+        assert euler_residual(p, m) == euler_op(p) - m * p
+        assert laplace_beltrami_residual(p, m) == laplace_beltrami_op(p) + eigen * p
+        assert polar_decomposition_residual(p, m) == (
+            radius_squared(d) * laplacian(p) - laplace_beltrami_op(p) - eigen * p)
 
     def test_pointwise_on_circle(self):
         Y = MultiPoly(2, {(2, 0): 1, (0, 2): -1})

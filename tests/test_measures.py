@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from functools import cache
+from itertools import product
 
 import pytest
 from oracles import (
@@ -27,6 +28,7 @@ from orthoball import (
 )
 from orthoball import measures
 from orthoball.harmonics import _monomials
+from orthoball.measures import _low_bits
 
 
 def exps_upto(dim, total):
@@ -224,6 +226,19 @@ def _tall_poly(rng, dim, degree, terms):
     return MultiPoly(dim, out)
 
 
+def _parity_cover(rng, dim):
+    """Two polynomials with one term in every parity class, x^v and x^(v + 2 e_i) for each
+    parity vector v and a random axis i, with coefficients like _tall_poly's."""
+    def coefficient():
+        return Q(rng.randint(-(2 ** 100), 2 ** 100), rng.randint(1, 2 ** 60))
+    low, high = {}, {}
+    for v in product((0, 1), repeat=dim):
+        axis = rng.randrange(dim)
+        low[v] = coefficient()
+        high[v[:axis] + (v[axis] + 2,) + v[axis + 1:]] = coefficient()
+    return MultiPoly(dim, low), MultiPoly(dim, high)
+
+
 class TestTermwiseOracle:
     """Every inner product against sum c_a c_b L(x^(a+b)) with Gamma-form moments."""
 
@@ -296,13 +311,19 @@ class TestTermwiseOracle:
     def test_gram_kernel_entries(self):
         # Mixed parities and different denominators, two polynomials with disjoint supports
         # (one polynomial's terms split between them) and the zero polynomial; every prefix
-        # of that list, the empty one too.
+        # of that list, the empty one too.  A polynomial with two terms in every parity class
+        # and each of its halves (one term per class) put members with different denominators
+        # into every class block.
         rng = random.Random(12)
         for dim in (2, 3, 4, 5):
             f, g, whole = (_tall_poly(rng, dim, 5, 7) for _ in range(3))
             terms = sorted(whole.terms.items())
             left, right = MultiPoly(dim, dict(terms[::2])), MultiPoly(dim, dict(terms[1::2]))
-            polys = [f, left, MultiPoly.zero(dim), right, g]
+            low, high = _parity_cover(rng, dim)
+            cover = low + high
+            assert len({b & _low_bits(dim) for b in cover.nums}) == 2 ** dim
+            assert len({cover.den, low.den, high.den}) == 3
+            polys = [f, left, MultiPoly.zero(dim), cover, right, low, g, high]
             grams = [(lambda n: sphere_gram(polys[:n]), gamma_sphere_moment)]
             for mu in (Q(-1, 4), Q(1, 2), Q(5, 2)):
                 for lam in (Q(0), self.LAM):

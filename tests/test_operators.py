@@ -16,11 +16,13 @@ from orthoball import (
     connection_op,
     conjugate_connection_op,
     euler_op,
+    euler_residual,
     find_element,
     fourth_order_eigenvalue,
     fourth_order_op,
     harmonic_basis,
     laplace_beltrami_op,
+    laplace_beltrami_residual,
     laplacian,
     mass_basis,
     radial_connection_residuals,
@@ -91,6 +93,10 @@ def test_kernels_match_composed_forms(p, f, mu, beta, mass):
     assert conjugate_connection_op(f, beta, mass) == composed_conjugate_connection_op(f, beta, mass)
 
 
+# The residuals accept only homogeneous polynomials of their degree m, so they read a probe
+# of degree 4; the Euler residual is zero on every polynomial it accepts.
+_HOMOGENEOUS_PROBE = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 1, 2): Q(1, 7), (0, 0, 4): 4})
+
 _ONE_PASS = {
     "laplacian": laplacian,
     "laplace_beltrami_op": laplace_beltrami_op,
@@ -98,11 +104,14 @@ _ONE_PASS = {
     "classical_ball_op": lambda p: classical_ball_op(p, Q(1, 3)),
     "ball_connection_op": lambda p: ball_connection_op(p, Q(5, 2)),
     "ball_conjugate_op": lambda p: ball_conjugate_op(p, Q(5, 2)),
+    "euler_residual": lambda p: euler_residual(p, 4),
+    "laplace_beltrami_residual": lambda p: laplace_beltrami_residual(p, 4),
 }
+_PROBES = {"euler_residual": _HOMOGENEOUS_PROBE, "laplace_beltrami_residual": _HOMOGENEOUS_PROBE}
 
 
-def _reductions(op, monkeypatch) -> int:
-    """How many MultiPoly._make calls op(_PROBE) makes; its result must be nonzero."""
+def _reductions(op, monkeypatch, probe=_PROBE) -> tuple[int, MultiPoly]:
+    """How many MultiPoly._make calls op(probe) makes, and its result."""
     calls = []
     make = MultiPoly._make
 
@@ -111,17 +120,20 @@ def _reductions(op, monkeypatch) -> int:
         return make(dim, den, nums)
 
     monkeypatch.setattr(MultiPoly, "_make", staticmethod(counting))
-    assert not op(_PROBE).is_zero()
-    return len(calls)
+    result = op(probe)
+    return len(calls), result
 
 
 @pytest.mark.parametrize("name", list(_ONE_PASS))
 def test_each_operator_reduces_once(name, monkeypatch):
-    assert _reductions(_ONE_PASS[name], monkeypatch) == 1
+    reductions, result = _reductions(_ONE_PASS[name], monkeypatch, _PROBES.get(name, _PROBE))
+    assert reductions == 1
+    assert result.is_zero() == (name == "euler_residual")
 
 
 def test_fourth_order_op_is_two_kernel_passes(monkeypatch):
-    assert _reductions(lambda p: fourth_order_op(p, Q(5, 2)), monkeypatch) == 2
+    reductions, result = _reductions(lambda p: fourth_order_op(p, Q(5, 2)), monkeypatch)
+    assert reductions == 2 and not result.is_zero()
 
 
 class TestClassicalSecondOrder:

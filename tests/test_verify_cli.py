@@ -28,6 +28,14 @@ from orthoball.verify import (
 SMALL = dict(dim=2, mu=Q(1, 2), lam=Q(1, 4), max_degree=2)
 
 
+def _class_rows(polys):
+    """Each polynomial's numerators in each parity class it has terms in, one tuple per pair:
+    the rows that the Gram kernel images, one image each."""
+    low = measures._low_bits(polys[0].dim)
+    return [tuple(c for b, c in p.nums.items() if b & low == parity)
+            for p in polys for parity in {b & low for b in p.nums}]
+
+
 def strip_timing(lines):
     out = []
     for line in lines:
@@ -147,35 +155,45 @@ class TestRunSuites:
         assert records and all(r.status == STATUS_SKIP for r in records)
 
     def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
-        real_image, real_inner, real_gram = measures._image, measures.inner_mass, measures.mass_gram
-        imaged, inner_in_gram, in_gram = [], [], []
+        real_block_image, real_gram = measures._block_image, measures.mass_gram
+        real_inner, real_inner_mass = measures._inner, measures.inner_mass
+        imaged, inner_in_gram, in_gram, grams = [], [], [], []
 
-        def image(p, *args):
+        def block_image(nums, *args):
             if in_gram:
-                imaged.append(p.canonical())
-            return real_image(p, *args)
+                imaged.append(tuple(nums))
+            return real_block_image(nums, *args)
 
         def inner(*args, **kwargs):
             if in_gram:
                 inner_in_gram.append(args)
             return real_inner(*args, **kwargs)
 
-        def gram(*args, **kwargs):
+        def inner_mass(*args, **kwargs):
+            if in_gram:
+                inner_in_gram.append(args)
+            return real_inner_mass(*args, **kwargs)
+
+        def gram(polys, *args, **kwargs):
+            grams.append(list(polys))
             in_gram.append(True)
             try:
-                return real_gram(*args, **kwargs)
+                return real_gram(grams[-1], *args, **kwargs)
             finally:
                 in_gram.pop()
 
-        monkeypatch.setattr(measures, "_image", image)
-        monkeypatch.setattr(measures, "inner_mass", inner)
+        monkeypatch.setattr(measures, "_block_image", block_image)
+        monkeypatch.setattr(measures, "_inner", inner)
+        monkeypatch.setattr(measures, "inner_mass", inner_mass)
         monkeypatch.setattr(measures, "mass_gram", gram)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
         assert all(r.status != STATUS_FAIL for r in records)
-        # N = 6 elements through degree 2 in d = 2: one Gram matrix images each element once
-        # and makes no pairwise product.
+        # N = 6 elements through degree 2 in d = 2, each with terms in one parity class: one
+        # Gram matrix images each element once per class it has terms in and makes no
+        # pairwise product.
+        assert len(grams) == 1 and len(grams[0]) == 6
+        assert sorted(imaged) == sorted(_class_rows(grams[0]))
         assert len(imaged) == 6
-        assert len(set(imaged)) == len(imaged)
         assert inner_in_gram == []
 
     def test_product_factorization_reads_the_harmonic_blocks_only(self, monkeypatch):
@@ -208,13 +226,13 @@ class TestRunSuites:
         assert calls_after - calls_before == items_after - items_before
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
-        real_image, real_table = measures._image, measures._moment_table
-        real_inner, real_moment = measures._inner, measures._moment
+        real_block_image, real_table = measures._block_image, measures._moment_table
+        real_inner, real_moment, real_image = measures._inner, measures._moment, measures._image
         imaged, tables, products, reads = [], [], [], []
 
-        def image(p, *args):
-            imaged.append(p.canonical())
-            return real_image(p, *args)
+        def block_image(nums, *args):
+            imaged.append(tuple(nums))
+            return real_block_image(nums, *args)
 
         def table(*args):
             tables.append(args)
@@ -228,10 +246,15 @@ class TestRunSuites:
             products.append(args)
             return real_moment(*args)
 
-        monkeypatch.setattr(measures, "_image", image)
+        def image(*args):
+            products.append(args)
+            return real_image(*args)
+
+        monkeypatch.setattr(measures, "_block_image", block_image)
         monkeypatch.setattr(measures, "_moment_table", table)
         monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "_moment", moment)
+        monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
         # A cleared cache: every basis is built inside the run.
         build = cache(harmonics.harmonic_basis.__wrapped__)
@@ -253,12 +276,15 @@ class TestRunSuites:
         per_check = [(r.identity, r.params["degree"], imaged[reads[2 * i][0]:reads[2 * i + 1][0]],
                       reads[2 * i + 1][1] - reads[2 * i][1]) for i, r in enumerate(records)]
         # Degree m: the build, inside the first check, images nothing; the one sphere Gram that
-        # the orthogonality check reads images each element once, from one moment table.
+        # the orthogonality check reads images each element once per parity class it has terms
+        # in, one class for a harmonic, from one moment table.
         for m in range(cfg.max_degree + 1):
-            elements = sorted(Y.canonical() for Y in harmonics.harmonic_basis(3, m).elements)
+            elements = harmonics.harmonic_basis(3, m).elements
             work = {identity: (sorted(ims), n_tables)
                     for identity, degree, ims, n_tables in per_check if degree == m}
-            assert work.pop("harmonic-sphere-orthogonality") == (elements, 1)
+            rows = sorted(_class_rows(elements))
+            assert len(rows) == len(elements)
+            assert work.pop("harmonic-sphere-orthogonality") == (rows, 1)
             assert all(w == ([], 0) for w in work.values())
 
     def test_basis_builds_make_no_ball_product(self, monkeypatch):
