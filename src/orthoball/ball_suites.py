@@ -52,9 +52,10 @@ def _random_multipoly(rng: random.Random, dim: int, degree: int) -> MultiPoly:
 def _random_homogeneous(rng: random.Random, dim: int, degree: int) -> MultiPoly:
     from . import harmonics
 
-    # Integer coefficients, so the stored form is the draws over the denominator 1.
+    # Rational coefficients over one drawn denominator, so a kernel that drops a polynomial's
+    # denominator shows; the stored form is the integer draws over it, reduced.
     monos = harmonics._monomials(dim, degree)
-    return MultiPoly._make(dim, 1, {pack(e): rng.randint(-4, 4) for e in monos})
+    return MultiPoly._make(dim, rng.randint(2, 6), {pack(e): rng.randint(-4, 4) for e in monos})
 
 
 def _suite_harmonics(cfg: SuiteConfig) -> Iterator[tuple]:

@@ -27,24 +27,23 @@ denominator D as integers r_s, it maps the packed key of each even monomial
 x^(2a) to M = N(a) r_|a|, so L(x^(2a)) = M / D.  Entries are filled on first
 read; a product of half-degree S or more rebuilds the table, with a new D, at
 the next power of two.  A monomial moment is its table entry over D, or zero
-when an exponent is odd.  Every product reads the table through two kernels,
-on the stored form of f and g (integer numerators over denominators Df and
-Dg, keyed by packed monomials, see ``polynomials``):
+when an exponent is odd.  Every product reads the table through one kernel,
+``_images``, on the stored form of the polynomials (integer numerators over
+a denominator Dp, keyed by packed monomials, see ``polynomials``).  Moments
+pair only keys of one parity, the lowest bit of every exponent field, so the
+kernel groups the terms of its polynomials by parity class.  In each class it
+reads the integer moment block M[v][u] = M[u + v] once, over the class's
+sorted keys u and the keys v that its caller asks for, and images each member
+P once from its nonzero entries: W[v] = sum_u P_u M[u + v], so that
+L(p x^v) = W[v] / (Dp D).  Its three callers ask for:
 
-* ``_image`` is the image kernel: for p = P / Dp it computes the integer
-  W[b] = sum_a P_a M[a + b] at each given key b of a parity that some term of
-  p has, so that L(p x^b) = W[b] / (Dp D); at the other keys W[b] = 0.
-  ``moment_images`` is a batch of it, and a single
-  product is the image of f at the keys of g dotted with g's numerators G:
-  L(f g) = (G . W_f) / (Df Dg D).
-* ``_gram`` is the Gram kernel, on dense parity blocks.  Moments pair only
-  keys of one parity, so G is a sum over the parity classes (the lowest bit
-  of every exponent field) of R M R^T: M[u][v] = M[u + v] the integer moment
-  block over the class's sorted keys, read once, and a row of R the
-  numerators of each member, a polynomial with terms in the class.  Each
-  member's row is imaged once, V_i = M R_i from its nonzero entries, and
+* the class's own keys, in ``_gram``: G is a sum over the classes of
+  R M R^T, a row of R the numerators of a member, and each member's image is
   dotted with the row of every member j >= i; an entry is one Fraction over
   Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
+* the given keys, in ``moment_images``, where W[v] = 0 at a key of a class
+  in which p has no terms.
+* the keys of g, in a single product: L(f g) = (G . W_f) / (Df Dg D).
 """
 
 from __future__ import annotations
@@ -149,28 +148,40 @@ def _batch_dim(polys) -> int:
     return dim
 
 
-def _image(p: MultiPoly, keys: dict[int, list[int]], table: _Moments) -> dict[int, int]:
-    """W[b] = sum_a P_a M[a + b] for p = P / Dp, at each key b in ``keys`` (parity -> keys)
-    of a parity that some term of p has."""
-    # Moments vanish unless exponents match parity componentwise: x^a pairs with x^b iff
-    # their keys agree on the lowest bit of every field.
-    low = _low_bits(p.dim)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for a, c in p.nums.items():
-        buckets.setdefault(a & low, []).append((a, c))
-    image = {}
-    for parity, terms in buckets.items():
-        for b in keys.get(parity, ()):
-            image[b] = sum([c * table[a + b] for a, c in terms])
-    return image
-
-
 def _by_parity(keys, dim: int) -> dict[int, list[int]]:
     """The packed monomial ``keys`` grouped by parity, the lowest bit of every exponent field."""
     low, by_parity = _low_bits(dim), {}
     for b in keys:
         by_parity.setdefault(b & low, []).append(b)
     return by_parity
+
+
+def _picker(positions: list[int]):
+    """A function that reads the entries at ``positions`` of a sequence, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row, at=positions[0]: (row[at],)
+
+
+def _images(polys: list[MultiPoly], columns: dict[int, list[int]], table: _Moments):
+    """The image kernel: parity -> [(i, nums, pick, W)], one entry per member polys[i] of each
+    parity class, with the numerators ``nums`` of its terms in the class, a ``pick`` of their
+    positions among the class's sorted keys, and its image W[k] = sum_u P_u M[u + v_k] at the
+    keys v_k of ``columns[parity]`` (parity -> keys of that class), from one moment block."""
+    low, classes = _low_bits(polys[0].dim), {}  # parity -> {i: {u: c_iu}}
+    for i, p in enumerate(polys):
+        for u, c in p.nums.items():
+            classes.setdefault(u & low, {}).setdefault(i, {})[u] = c
+    out = {}
+    for parity, members in classes.items():
+        keys = sorted(set().union(*members.values()))
+        position = {u: at for at, u in enumerate(keys)}
+        block = [[table[u + v] for u in keys] for v in columns.get(parity, ())]
+        rows = out[parity] = []
+        for i, terms in members.items():
+            nums, pick = list(terms.values()), _picker([position[u] for u in terms])
+            rows.append((i, nums, pick, [sum(map(mul, nums, pick(row))) for row in block]))
+    return out
 
 
 def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
@@ -186,21 +197,11 @@ def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     dim = _batch_dim(polys)
     top = max(max(p.nums, default=0) for p in polys) + max(keys, default=0)
     table = _moment_table(dim, mu, lam, top)
-    by_parity, zeros = _by_parity(keys, dim), dict.fromkeys(keys, 0)
-    return table.den, [{**zeros, **_image(p, by_parity, table)} for p in polys]
-
-
-def _picker(positions: list[int]):
-    """A function that reads the entries at ``positions`` of a sequence, as a tuple."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda row, at=positions[0]: (row[at],)
-
-
-def _block_image(nums: list[int], pick, block: list[list[int]]) -> list[int]:
-    """V = M R for one member's row R of a parity class: its numerators ``nums`` at the
-    positions that ``pick`` reads, imaged under the class's symmetric moment block M."""
-    return [sum(map(mul, nums, pick(column))) for column in block]
+    columns, images = _by_parity(keys, dim), [dict.fromkeys(keys, 0) for _ in polys]
+    for parity, rows in _images(polys, columns, table).items():
+        for i, _, _, image in rows:
+            images[i].update(zip(columns.get(parity, ()), image))
+    return table.den, images
 
 
 def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
@@ -209,26 +210,16 @@ def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
         return []
     dim = _batch_dim(polys)
     table = _moment_table(dim, mu, lam, 2 * max(max(p.nums, default=0) for p in polys))
-    low = _low_bits(dim)
     n, zero = len(polys), Fraction(0)
-    # Moments pair only keys of one parity, so G is a sum of one product R M R^T per parity
-    # class: M the moment block over the class's keys, a row of R each member's numerators.
-    classes: dict[int, dict[int, dict[int, int]]] = {}  # parity -> {i: {b: c_ib}}
-    for i, p in enumerate(polys):
-        for b, c in p.nums.items():
-            classes.setdefault(b & low, {}).setdefault(i, {})[b] = c
+    # Each class is imaged at its own sorted keys, the positions that every member's pick reads.
+    columns = _by_parity(sorted(set().union(*(p.nums for p in polys))), dim)
     # The integer sums build up in the upper triangle of gram, then become its entries.
     gram = [[0] * n for _ in range(n)]
-    for members in classes.values():
-        keys = sorted(set().union(*members.values()))
-        block = [[table[u + v] for v in keys] for u in keys]
-        position = {b: at for at, b in enumerate(keys)}
-        rows = [(i, list(terms.values()), _picker([position[b] for b in terms]))
-                for i, terms in members.items()]
+    for rows in _images(polys, columns, table).values():
         # G is symmetric, so member i is dotted only with the members j >= i, which follow it.
-        for at, (i, nums, pick) in enumerate(rows):
-            image, row = _block_image(nums, pick, block), gram[i]
-            for j, other, read in rows[at:]:
+        for at, (i, _, _, image) in enumerate(rows):
+            row = gram[i]
+            for j, other, read, _ in rows[at:]:
                 row[j] += sum(map(mul, other, read(image)))
     for i, p in enumerate(polys):
         row = gram[i]
@@ -254,8 +245,10 @@ def _inner(f: MultiPoly, g: MultiPoly, mu: Fraction, lam: int | Fraction = 0) ->
     """L(f g) = (G . W_f) / (Df Dg D): f imaged at the keys of g, dotted with g's numerators."""
     dim = _batch_dim((f, g))
     table = _moment_table(dim, mu, lam, max(f.nums, default=0) + max(g.nums, default=0))
-    image = _image(f, _by_parity(g.nums, dim), table)
-    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), f.den * g.den * table.den)
+    columns, total = _by_parity(g.nums, dim), 0
+    for parity, ((_, _, _, image),) in _images([f], columns, table).items():
+        total += sum(map(mul, map(g.nums.__getitem__, columns.get(parity, ())), image))
+    return Fraction(total, f.den * g.den * table.den)
 
 
 def inner_sphere(f: MultiPoly, g: MultiPoly) -> Fraction:

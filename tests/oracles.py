@@ -228,7 +228,8 @@ def sphere_table_harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     """The harmonic basis by integer Gram-Schmidt under the sphere product itself.
 
     The same start vectors, blocks, primitive update and scale as ``harmonic_basis``,
-    but each u_j is imaged over its block's monomials through the sphere moment table,
+    but each u_j is imaged over its block's monomials term by term, one sphere moment
+    table entry at a time and not through the library's image kernel,
     W_j[b] = sum_a U_a M[a + b], so N_j = U_j . W_j and each norm is N_j / D.
     """
     blocks: dict[tuple[int, ...], list[MultiPoly]] = {}
@@ -240,7 +241,6 @@ def sphere_table_harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
         block = blocks[parity]
         keys = sorted(set().union(*(h.nums for h in block)))
         table = measures._moment_table(dim, measures._SPHERE_MU, 0, 2 * keys[-1])
-        by_parity = {keys[0] & measures._low_bits(dim): keys}
         done = []  # (U_j, W_j, N_j)
         for h in block:
             dots = []
@@ -258,7 +258,8 @@ def sphere_table_harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
             if out[max(out)] < 0:
                 content = -content
             u = MultiPoly._make(dim, 1, {k: n // content for k, n in out.items()})
-            image = measures._image(u, by_parity, table)
+            # A block holds one parity class, so every a + b below is an even monomial.
+            image = {b: sum(c * table[a + b] for a, c in u.nums.items()) for b in keys}
             sq = sum(c * image[b] for b, c in u.nums.items())
             done.append((u.nums, image, sq))
             ortho.append(u)

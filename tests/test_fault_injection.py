@@ -102,6 +102,17 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
         {"laplace-beltrami-eigen", "polar-decomposition"},
     ),
+    # The angular kernel's result over the denominator 1, not p's: Delta_0 p is right only for
+    # integer p.  The harmonics are primitive integer rows, so only the polar decomposition of
+    # the random homogeneous polynomials, drawn over a common denominator, sees it.
+    Mutant(
+        "angular-drops-denominator",
+        "polynomials.py",
+        "    return MultiPoly._make(dim, p.den, out)\n",
+        "    return MultiPoly._make(dim, 1, out)\n",
+        ["--dim", "3", "--max-degree", "3", "--suites", "harmonics"],
+        {"polar-decomposition"},
+    ),
     # A UniPoly left with a common factor in den and nums: equal polynomials stop comparing
     # equal, but every value, is_zero test and canonical text is unchanged, and the verifier
     # reads UniPolys only through those, so the run passes.
@@ -245,18 +256,20 @@ MUTANTS = [
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
     ),
-    # The Gram kernel's moment block read with its rows reversed, M[u'][v] for M[u][v] with u'
+    # The image kernel's moment block read with its rows mirrored, M[v][u'] for M[v][u] with u'
     # the mirror of u among the parity class's keys: every key sum is still one of the class,
-    # but the block is no longer the moment matrix.  From degree 2 in d = 3 a class holds two
-    # harmonics, which stop being sphere-orthogonal under it, and every ball Gram is wrong.
+    # but each member's numerators meet the wrong moments.  From degree 2 in d = 3 a class holds
+    # two harmonics, which stop being sphere-orthogonal under it; every ball Gram, the lower-
+    # degree images and the single products read the same block and are wrong too.
     Mutant(
         "gram-block-mirrored-rows",
         "measures.py",
-        "        block = [[table[u + v] for v in keys] for u in keys]\n",
-        "        block = [[table[u + v] for v in keys] for u in reversed(keys)]\n",
+        "        block = [[table[u + v] for u in keys] for v in columns.get(parity, ())]\n",
+        "        block = [[table[u + v] for u in reversed(keys)] for v in columns.get(parity, ())]\n",
         ["--dim", "3", "--max-degree", "3"],
-        {"classical-gram-diagonal", "classical-gram-offdiagonal", "harmonic-sphere-orthogonality",
-         "mass-gram-diagonal", "mass-gram-offdiagonal", "mass-product-factorization"},
+        {"classical-gram-diagonal", "classical-gram-offdiagonal", "classical-lower-degree",
+         "harmonic-sphere-orthogonality", "mass-gram-diagonal", "mass-gram-offdiagonal",
+         "mass-product-factorization", "product-symmetry"},
     ),
     # The radial Jacobi parameter beta_k = n - 2k + (d-2)/2 one unit too big.
     Mutant(
@@ -307,8 +320,8 @@ MUTANTS = [
     Mutant(
         "product-drops-left-denominator",
         "measures.py",
-        "    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), f.den * g.den * table.den)\n",
-        "    return Fraction(sum([w * g.nums[b] for b, w in image.items()]), g.den * table.den)\n",
+        "    return Fraction(total, f.den * g.den * table.den)\n",
+        "    return Fraction(total, g.den * table.den)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"product-symmetry"},
     ),

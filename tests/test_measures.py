@@ -282,15 +282,23 @@ class TestTermwiseOracle:
         # Every moment table starts empty and is first read at the highest or at the lowest
         # degree, so a table that is never regrown, or entries left on the old common
         # denominator after a regrow, shows in one order.
+        # A group with terms in the even class only, and the zero polynomial, which has terms in
+        # none: keys of classes that no polynomial of a group has, and single products of
+        # polynomials that share no class.  The empty key list images every polynomial nowhere.
         monkeypatch.setattr(measures, "_TABLES", {})
         rng = random.Random(2015)
         degree_groups = [(9, 8, 7), (3, 2), (1, 0)]
         for dim in (2, 3, 4, 5):
             groups = [[_tall_poly(rng, dim, n, 6) for n in degrees] for degrees in degree_groups]
             groups[1].append(MultiPoly.zero(dim))
+            even = {(2,) + (0,) * (dim - 1): Q(1, 3), (0,) * dim: Q(-5, 7)}
+            groups.append([MultiPoly(dim, even), MultiPoly.zero(dim)])
             if not high_first:
                 groups.reverse()
+            # Every monomial through degree 2 and one monomial x^v in every parity class v.
             monomials = [MultiPoly(dim, {e: 1}) for e in exps_upto(dim, 2)]
+            monomials += [MultiPoly(dim, {v: 1}) for v in product((0, 1), repeat=dim) if sum(v) > 2]
+            assert len({b & _low_bits(dim) for x in monomials for b in x.nums}) == 2 ** dim
             for mu in self.MUS:
                 for lam in (Q(0), self.LAM):
                     moment = cache(lambda e: gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e))
@@ -298,7 +306,9 @@ class TestTermwiseOracle:
                         gram = mass_gram(polys, mu, lam)
                         keys = set().union(*(f.nums for f in polys), *(x.nums for x in monomials))
                         den, images = moment_images(polys, keys, mu, lam)
+                        assert moment_images(polys, [], mu, lam)[1] == [{} for _ in polys]
                         for i, (f, image) in enumerate(zip(polys, images)):
+                            assert image.keys() == keys
                             for j, g in enumerate(polys):
                                 expect = termwise_inner(f, g, moment)
                                 dot = sum(c * image[b] for b, c in g.nums.items())
@@ -306,7 +316,9 @@ class TestTermwiseOracle:
                                 assert inner_mass(f, g, mu, lam) == expect
                             for x in monomials:
                                 (b,) = x.nums
-                                assert Q(image[b], f.den * den) == termwise_inner(f, x, moment)
+                                expect = termwise_inner(f, x, moment)
+                                assert Q(image[b], f.den * den) == expect
+                                assert inner_mass(f, x, mu, lam) == inner_mass(x, f, mu, lam) == expect
 
     def test_gram_kernel_entries(self):
         # Mixed parities and different denominators, two polynomials with disjoint supports

@@ -36,6 +36,12 @@ def _class_rows(polys):
             for p in polys for parity in {b & low for b in p.nums}]
 
 
+def _imaged_rows(images):
+    """The rows that one call of the image kernel imaged, from its result: one tuple of
+    numerators per polynomial and parity class it has terms in."""
+    return [tuple(nums) for rows in images.values() for _, nums, _, _ in rows]
+
+
 def strip_timing(lines):
     out = []
     for line in lines:
@@ -117,17 +123,22 @@ class TestRunSuites:
                 assert all(len(e) == d and sum(e) <= total for e in exps)
 
     def test_random_homogeneous_matches_the_public_constructor(self):
-        # The same draws from the same seed, and a polynomial equal to the one that the public
-        # constructor builds from them, zero draws dropped.
+        # The same draws from the same seed, one denominator and then one numerator per
+        # monomial, and a polynomial equal to the one that the public constructor builds from
+        # them, zero draws dropped and the common factor divided out.
+        dens = set()
         for d in (1, 2, 3, 5):
             for m in range(6):
                 rng, twin = random.Random(f"7:{d}:{m}"), random.Random(f"7:{d}:{m}")
                 for _ in range(4):
                     got = ball_suites._random_homogeneous(rng, d, m)
-                    monos = harmonics._monomials(d, m)
-                    want = MultiPoly(d, {e: twin.randint(-4, 4) for e in monos})
+                    den, monos = twin.randint(2, 6), harmonics._monomials(d, m)
+                    want = MultiPoly(d, {e: Q(twin.randint(-4, 4), den) for e in monos})
                     assert got == want and got.den == want.den and got.nums == want.nums
+                    dens.add(got.den)
                 assert rng.random() == twin.random()
+        # Every denominator from 1 (all draws share the drawn one's factors) to 6 occurs.
+        assert dens == set(range(1, 7))
 
     def test_product_positivity_fails_on_a_zero_norm(self, monkeypatch):
         real = measures.inner_mass
@@ -155,14 +166,16 @@ class TestRunSuites:
         assert records and all(r.status == STATUS_SKIP for r in records)
 
     def test_lambda_orthogonality_computes_each_pair_once(self, monkeypatch):
-        real_block_image, real_gram = measures._block_image, measures.mass_gram
+        real_images, real_gram = measures._images, measures.mass_gram
         real_inner, real_inner_mass = measures._inner, measures.inner_mass
-        imaged, inner_in_gram, in_gram, grams = [], [], [], []
+        imaged, kernel_calls, inner_in_gram, in_gram, grams = [], [], [], [], []
 
-        def block_image(nums, *args):
+        def images(*args):
+            out = real_images(*args)
             if in_gram:
-                imaged.append(tuple(nums))
-            return real_block_image(nums, *args)
+                kernel_calls.append(args)
+                imaged.extend(_imaged_rows(out))
+            return out
 
         def inner(*args, **kwargs):
             if in_gram:
@@ -182,16 +195,17 @@ class TestRunSuites:
             finally:
                 in_gram.pop()
 
-        monkeypatch.setattr(measures, "_block_image", block_image)
+        monkeypatch.setattr(measures, "_images", images)
         monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "inner_mass", inner_mass)
         monkeypatch.setattr(measures, "mass_gram", gram)
         records = run_suites(SuiteConfig(suites=("lambda-orthogonality",), **SMALL))
         assert all(r.status != STATUS_FAIL for r in records)
         # N = 6 elements through degree 2 in d = 2, each with terms in one parity class: one
-        # Gram matrix images each element once per class it has terms in and makes no
-        # pairwise product.
+        # Gram matrix, one call of the image kernel, images each element once per class it has
+        # terms in and makes no pairwise product.
         assert len(grams) == 1 and len(grams[0]) == 6
+        assert len(kernel_calls) == 1
         assert sorted(imaged) == sorted(_class_rows(grams[0]))
         assert len(imaged) == 6
         assert inner_in_gram == []
@@ -226,13 +240,14 @@ class TestRunSuites:
         assert calls_after - calls_before == items_after - items_before
 
     def test_harmonics_make_no_pairwise_sphere_product(self, monkeypatch):
-        real_block_image, real_table = measures._block_image, measures._moment_table
-        real_inner, real_moment, real_image = measures._inner, measures._moment, measures._image
+        real_images, real_table = measures._images, measures._moment_table
+        real_inner, real_moment = measures._inner, measures._moment
         imaged, tables, products, reads = [], [], [], []
 
-        def block_image(nums, *args):
-            imaged.append(tuple(nums))
-            return real_block_image(nums, *args)
+        def images(*args):
+            out = real_images(*args)
+            imaged.extend(_imaged_rows(out))
+            return out
 
         def table(*args):
             tables.append(args)
@@ -246,15 +261,10 @@ class TestRunSuites:
             products.append(args)
             return real_moment(*args)
 
-        def image(*args):
-            products.append(args)
-            return real_image(*args)
-
-        monkeypatch.setattr(measures, "_block_image", block_image)
+        monkeypatch.setattr(measures, "_images", images)
         monkeypatch.setattr(measures, "_moment_table", table)
         monkeypatch.setattr(measures, "_inner", inner)
         monkeypatch.setattr(measures, "_moment", moment)
-        monkeypatch.setattr(measures, "_image", image)
         monkeypatch.setattr(measures, "inner_sphere", lambda *args: products.append(args))
         # A cleared cache: every basis is built inside the run.
         build = cache(harmonics.harmonic_basis.__wrapped__)
@@ -286,6 +296,42 @@ class TestRunSuites:
             assert len(rows) == len(elements)
             assert work.pop("harmonic-sphere-orthogonality") == (rows, 1)
             assert all(w == ([], 0) for w in work.values())
+
+    def test_lower_degree_images_each_element_once_per_class(self, monkeypatch):
+        real_images, real_table = measures._images, measures._moment_table
+        imaged, tables, reads = [], [], []
+
+        def images(*args):
+            out = real_images(*args)
+            imaged.extend(_imaged_rows(out))
+            return out
+
+        def table(*args):
+            tables.append(args)
+            return real_table(*args)
+
+        monkeypatch.setattr(measures, "_images", images)
+        monkeypatch.setattr(measures, "_moment_table", table)
+        # The verifier reads the clock when it resumes a suite and after a check's last item,
+        # so the images between a check's two reads are that check's work.
+        monkeypatch.setattr(verify.time, "perf_counter",
+                            lambda: reads.append((len(imaged), len(tables))) or 0.0)
+        cfg = SuiteConfig(suites=("classical-orthogonality",), **dict(SMALL, dim=3, max_degree=4))
+        records = run_suites(cfg)
+        assert records and all(r.status != STATUS_FAIL for r in records)
+        assert len(reads) == 2 * len(records) + 1  # the last read finds the suite done
+        work = {r.identity: (sorted(imaged[reads[2 * i][0]:reads[2 * i + 1][0]]),
+                             reads[2 * i + 1][1] - reads[2 * i][1]) for i, r in enumerate(records)}
+        # Each degree n >= 1 images its elements once per parity class they have terms in, from
+        # one table read, over the lower-degree monomials; the Gram images every element once
+        # per class from one table, and no other check images anything.
+        by_degree = [[el.poly for el in classical_basis(n, 3, cfg.mu)] for n in range(5)]
+        lower = [row for polys in by_degree[1:] for row in _class_rows(polys)]
+        assert len(lower) == sum(map(len, by_degree[1:]))
+        assert work.pop("classical-lower-degree") == (sorted(lower), cfg.max_degree)
+        whole = [row for polys in by_degree for row in _class_rows(polys)]
+        assert work.pop("classical-gram-offdiagonal") == (sorted(whole), 1)
+        assert all(w == ([], 0) for w in work.values())
 
     def test_basis_builds_make_no_ball_product(self, monkeypatch):
         real_inner, real_moment = measures._inner, measures._moment
