@@ -314,14 +314,8 @@ def _suite_fourth_order(cfg: SuiteConfig) -> Iterator[tuple]:
                 yield (n, k), product, operators.fourth_order_eigenvalue(n, k, d, M)
 
     yield "eigenvalue-forms", p, forms()
-    control_params = dict(p, control=None, residual=None)
-
-    def negative_control():
-        control = MultiPoly.constant(d, 1) + MultiPoly.variable(d, 0)
-        control_params["control"] = str(control)
-        eig = operators.fourth_order_eigenvalue(1, 0, d, M)
-        residual = operators.fourth_order_op(control, M) - eig * control
-        control_params["residual"] = residual.canonical()
-        yield "nonzero", residual.is_zero(), False
-
-    yield "fourth-order-negative-control", control_params, negative_control()
+    control = MultiPoly.constant(d, 1) + MultiPoly.variable(d, 0)
+    eig = operators.fourth_order_eigenvalue(1, 0, d, M)
+    residual = operators.fourth_order_op(control, M) - eig * control
+    control_params = dict(p, control=str(control), residual=residual.canonical())
+    yield "fourth-order-negative-control", control_params, (("nonzero", residual.is_zero(), False),)

@@ -51,13 +51,15 @@ Three structural facts keep the computation small and exact:
   by the Euler operator, giving the angular Laplacian a purely polynomial
   form: Delta_0 f = ||x||^2 Delta f - (E^2 + (d-2) E) f with E = sum x_i d/dx_i.
   On degree-m harmonics this evaluates to -m(m+d-2) f.  Delta_0 is applied
-  in one pass over the packed terms (``polynomials.angular_laplacian``), and
-  the polar decomposition checks it against the composed form
+  in one pass over the packed terms (``polynomials._angular`` at eigenvalue
+  zero), and the polar decomposition checks it against the composed form
   ||x||^2 Delta f - m(m+d-2) f built from the Laplacian.
 
-Each residual is one integer pass: the eigenvalue is folded into the per-grade
+Each residual is one kernel call: the eigenvalue is folded into the per-grade
 scalar of the operator's kernel (``polynomials._euler`` and
 ``polynomials._angular``), which the public operators run at eigenvalue zero.
+A residual reads any polynomial, homogeneous or not, and is nonzero exactly
+where its docstring says, so an element off its grade fails its check.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .polynomials import (_FIELD, Exponents, MultiPoly, _angular, _euler, _gram_schmidt, _unpack,
-                          angular_laplacian, laplacian, pack, radius_squared)
+                          laplacian, pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -177,39 +179,35 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 
 
-def _check_homogeneous(p: MultiPoly, degree: int) -> None:
-    if not p.is_homogeneous(degree) and not p.is_zero():
-        raise ValueError(f"polynomial is not homogeneous of degree {degree}")
-
-
 def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
     """sum_i x_i dp/dx_i - degree * p; zero exactly when p is homogeneous of that degree.
 
     One pass of the Euler kernel with the eigenvalue folded in: grade g is scaled by g - m.
     """
-    _check_homogeneous(p, degree)
     return _euler(p, degree)
 
 
 def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
     """Angular part of the Laplacian, with radial derivatives realized by the Euler operator."""
-    return angular_laplacian(p)
+    return _angular(p, 0)
 
 
 def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """Eigen-equation residual Delta_0 p + m(m+d-2) p; zero exactly for harmonic p.
+    """Eigen-equation residual Delta_0 p + m(m+d-2) p; zero on every degree-m harmonic.
 
-    One pass of the angular kernel with the eigenvalue folded in: grade g is scaled by
-    m(m+d-2) - g(g+d-2) where Delta_0 alone scales it by -g(g+d-2).
+    On a homogeneous p of degree m it is zero only then.  Delta_0 commutes with a factor
+    ||x||^2, so it is zero on ||x||^2 Y for a degree-m harmonic Y too, and on every sum of
+    ||x||^(2i) Y_i.  One pass of the angular kernel with the eigenvalue folded in: grade g
+    is scaled by m(m+d-2) - g(g+d-2) where Delta_0 alone scales it by -g(g+d-2).
     """
-    _check_homogeneous(p, degree)
     return _angular(p, degree)
 
 
 def polar_decomposition_residual(p: MultiPoly, degree: int) -> MultiPoly:
-    """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero for every homogeneous p of degree m.
+    """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero exactly when p is homogeneous of degree m.
 
-    The composed side ||x||^2 Delta p less the folded angular side, in one combine.
+    It is (E^2 + (d-2) E - m(m+d-2)) p, which scales grade g by g(g+d-2) - m(m+d-2), zero
+    only at g = m for d >= 2.  The composed side ||x||^2 Delta p less the folded angular
+    side, in one combine.
     """
-    _check_homogeneous(p, degree)
     return radius_squared(p.dim) * laplacian(p) - _angular(p, degree)

@@ -13,40 +13,43 @@ Q a fourth-order partial differential equation with eigenvalue
 
     Lambda(n, k) = (M + k(n-k+(d-2)/2)) (M + (k+1)(n-k+d/2)).
 
-Each second-order operator is a scalar on each homogeneous grade g plus Delta
-(classical: -(d+g)(2mu-1+g)) or the damped -(1/4)(1-||x||^2) Delta (connection:
-M; conjugate: M + d/2 + g), applied by one integer kernel in one pass over the
-numerators of p and of Delta p, with one reduction; the fourth-order operator
-is two passes.  The arithmetic is exact, so every eigen-identity here can be
-checked down to the literal zero polynomial.
+Each second-order operator on the ball is one call of one integer kernel,
+
+    (c0 + c1 E + c2 E^2) p + (inner + outer ||x||^2) Delta p,    E = <x, grad>,
+
+with its five coefficients at the call site (classical: -d(2mu-1), -(d+2mu-1), -1,
+1, 0; connection: M, 0, 0, -1/4, 1/4; conjugate: M + d/2, 1, 0, -1/4, 1/4), the
+form of the line kernel ``jacobi._shift``: the coefficients go over one
+denominator, and one pass over the numerators of p and of Delta p makes one
+reduction; the fourth-order operator is two passes.  The arithmetic is exact,
+so every eigen-identity here can be checked down to the literal zero polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .jacobi import jacobi_polynomial, jacobi_type_poly
 from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, beta_shift,
-                          radius_squared)
+                          integer_numerators, radius_squared)
+
+# The 1/4 of the ball connection pair's -(1/4)(1-||x||^2) Delta.  The radial forms below keep
+# their own copy, so they stay a path independent of the kernel.
+_QUARTER = Fraction(1, 4)
 
 
-def _second_order(p: MultiPoly, diagonal, damped: bool) -> MultiPoly:
-    """diagonal(g) times each grade g of p, plus Delta p, or minus (1/4)(1-||x||^2) Delta p if damped."""
-    # Integers over den = lcm(quarter, the diagonal's denominators), one product per term.
+def _second_order(p: MultiPoly, c0, c1, c2, inner, outer) -> MultiPoly:
+    """(c0 + c1 E + c2 E^2) p + (inner + outer ||x||^2) Delta p, with E = <x, grad>, in one pass."""
+    # Integers over one denominator: grade g is scaled by c0 + c1 g + c2 g^2, and each
+    # numerator of Delta p lands at its key times inner and, stepped by each x_j^2 key, outer.
+    den, (c0, c1, c2, inner, outer) = integer_numerators((c0, c1, c2, inner, outer))
     shift = _FIELD * p.dim
-    diag = {g: diagonal(g) for g in {k >> shift for k in p.nums}}
-    quarter = 4 if damped else 1
-    den = lcm(quarter, *(c.denominator for c in diag.values()))
-    weights = {g: c.numerator * (den // c.denominator) for g, c in diag.items()}
-    out = {k: n * weights[k >> shift] for k, n in p.nums.items()}
-    scale = -den // quarter if damped else den
-    steps = radius_squared(p.dim).nums if damped else ()  # the x_j^2 keys; a product adds keys
+    out = {k: n * (c0 + (g := k >> shift) * (c1 + g * c2)) for k, n in p.nums.items()}
+    steps = radius_squared(p.dim).nums if outer else ()  # a product adds keys
     for k, n in _laplacian_nums(p).items():
-        n *= scale
-        out[k] = out.get(k, 0) + n
+        out[k] = out.get(k, 0) + inner * n
         for step in steps:
-            out[k + step] = out.get(k + step, 0) - n
+            out[k + step] = out.get(k + step, 0) + outer * n
     return MultiPoly._make(p.dim, den * p.den, out)
 
 
@@ -58,20 +61,18 @@ def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
     sum_j d/dx_j (x_j h) = (d + E) h.  Degree-n orthogonal polynomials for the
     ball weight are eigenfunctions with eigenvalue -(n+d)(n+2mu-1).
     """
-    shifted = 2 * as_fraction(mu) - 1
-    return _second_order(p, lambda g: -(p.dim + g) * (shifted + g), False)
+    s = 2 * as_fraction(mu) - 1
+    return _second_order(p, -p.dim * s, -(p.dim + s), -1, 1, 0)
 
 
 def ball_connection_op(p: MultiPoly, mass) -> MultiPoly:
     """[M - (1/4)(1-||x||^2) Delta] p; maps each classical element to its mass-modified partner."""
-    mass = as_fraction(mass)
-    return _second_order(p, lambda g: mass, True)
+    return _second_order(p, as_fraction(mass), 0, 0, -_QUARTER, _QUARTER)
 
 
 def ball_conjugate_op(p: MultiPoly, mass) -> MultiPoly:
     """[M + d/2 - (1/4)(1-||x||^2) Delta + <x, grad>] p; maps Q back to Lambda times P."""
-    base = as_fraction(mass) + Fraction(p.dim, 2)
-    return _second_order(p, lambda g: base + g, True)
+    return _second_order(p, as_fraction(mass) + Fraction(p.dim, 2), 1, 0, -_QUARTER, _QUARTER)
 
 
 def fourth_order_op(p: MultiPoly, mass) -> MultiPoly:

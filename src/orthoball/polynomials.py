@@ -7,11 +7,12 @@ polynomials hold equal data; arithmetic works on integers and divides out one
 gcd per result.  A monomial x^e is keyed by one packed int (Monagan & Pearce,
 CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
 so int order is graded-lexicographic order and a product adds keys.  The
-differential operators (``laplacian``, ``angular_laplacian``, ``euler_op``)
-read each exponent with one shift and apply themselves in one integer pass
-over the numerators, with one gcd at the end.  The last two are the kernels
-``_angular`` and ``_euler`` at eigenvalue zero; the harmonic residuals run the
-same kernels with the eigenvalue folded into each grade's scalar.  Fractions
+differential operators (``laplacian``, ``euler_op`` and the angular kernel
+``_angular``) read each exponent with one shift and apply themselves in one
+integer pass over the numerators, with one gcd at the end.  ``euler_op`` is
+``_euler`` at eigenvalue zero, as ``harmonics.laplace_beltrami_op`` is
+``_angular``; the harmonic residuals run the same kernels with the eigenvalue
+folded into each grade's scalar.  Fractions
 appear only in the views ``terms`` and ``coeffs``, built on each read, in
 ``MultiPoly.evaluate``, ``UniPoly.canonical()`` and ``str``;
 ``MultiPoly.canonical()`` reduces each numerator against ``den`` with one gcd,
@@ -586,11 +587,6 @@ def _angular(p: MultiPoly, degree: int) -> MultiPoly:
         for step in steps:
             out[k + step] = out.get(k + step, 0) + n
     return MultiPoly._make(dim, p.den, out)
-
-
-def angular_laplacian(p: MultiPoly) -> MultiPoly:
-    """Delta_0 p = ||x||^2 Delta p - E^2 p - (d-2) E p, with E the Euler operator, in one pass."""
-    return _angular(p, 0)
 
 
 def _euler(p: MultiPoly, degree: int) -> MultiPoly:

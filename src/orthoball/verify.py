@@ -15,13 +15,11 @@ build that several checks read is made before the first of them and charged to
 it alone.  The loop stops at the first item that fails and serializes it as
 the witness, so items that draw random trials are lazy: a failing check draws
 no more.  The items are read before the suite resumes, so they may read the
-variables of the loop that yields them, and ``params`` is read after them, so
-an item may fill in a parameter that it computes.  Orthogonality suites read
-every check from one Gram matrix per basis, and ``krall1d`` from one Gram
-matrix of the point-mass family per beta.  Their exact-zero items are only the
-nonzero entries, in row-major order, so a passing scan builds no tag and no
-witness and a failing one reports the same first entry that an item per entry
-would.
+variables of the loop that yields them.  Orthogonality suites read every check
+from one Gram matrix per basis, and ``krall1d`` from one Gram matrix of the
+point-mass family per beta.  Their exact-zero items are only the nonzero
+entries, in row-major order, so a passing scan builds no tag and no witness and
+a failing one reports the same first entry that an item per entry would.
 
 This module holds the framework and the two univariate suites, ``jacobi`` and
 ``krall1d``, and imports only ``polynomials`` at module level.  The seven ball

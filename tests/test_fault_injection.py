@@ -34,14 +34,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # The 1/4 of the damped -(1/4)(1-||x||^2) Delta in the ball operator kernel, read by both
-    # connection operators and not by the classical one; the radial and univariate forms keep
-    # their own copies and still pass.
+    # The 1/4 of the damped -(1/4)(1-||x||^2) Delta, the coefficients inner and outer of both
+    # connection operators' kernel calls and of no classical one; the radial and univariate
+    # forms keep their own copies and still pass.
     Mutant(
         "damped-laplacian-quarter",
         "operators.py",
-        "    quarter = 4 if damped else 1\n",
-        "    quarter = 3 if damped else 1\n",
+        "_QUARTER = Fraction(1, 4)\n",
+        "_QUARTER = Fraction(1, 3)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "connection,fourth-order"],
         {"connection-forward", "connection-backward", "connection-lift", "fourth-order-eigen"},
     ),
@@ -125,12 +125,13 @@ MUTANTS = [
         set(),
     ),
     # The divergence sum_j d/dx_j (x_j h) = (d + E) h with one d too few, in the classical
-    # operator's grade scalar -(d+g)(2mu-1+g): only the classical eigen-identity applies it.
+    # operator's grade scalar -(d+g)(2mu-1+g) = -ds - (d+s) g - g^2, s = 2mu-1: both of the
+    # kernel call's coefficients that read d.  Only the classical eigen-identity applies it.
     Mutant(
         "classical-op-divergence-dim",
         "operators.py",
-        "    return _second_order(p, lambda g: -(p.dim + g) * (shifted + g), False)\n",
-        "    return _second_order(p, lambda g: -(p.dim - 1 + g) * (shifted + g), False)\n",
+        "    return _second_order(p, -p.dim * s, -(p.dim + s), -1, 1, 0)\n",
+        "    return _second_order(p, -(p.dim - 1) * s, -(p.dim - 1 + s), -1, 1, 0)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-second-order-eigen"},
     ),
@@ -404,6 +405,18 @@ MUTANTS = [
         "                    num, den = num * prod(range(start, start - gap * c, c)), den * c ** -gap\n",
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # Each harmonic element plus the constant 1, off its grade m.  From m = 1 on the Euler
+    # residual sees the constant times -m, the Laplace-Beltrami residual sees it times
+    # m(m+d-2), and every two elements of a degree gain the sphere product <1, 1> = 1.  The
+    # recorded norms come from the unshifted rows and stay positive.
+    Mutant(
+        "harmonic-element-off-grade",
+        "harmonics.py",
+        "            ortho.append(MultiPoly._make(dim, 1, dict(zip(keys, u))))\n",
+        "            ortho.append(MultiPoly._make(dim, 1, dict(zip(keys, u))) + 1)\n",
+        ["--dim", "3", "--max-degree", "3", "--suites", "harmonics"],
+        {"euler-identity", "harmonic-sphere-orthogonality", "laplace-beltrami-eigen"},
     ),
     # The subtracted binomial C(m+d-3, d-1) of dim H_m at d-2: only the count of the built
     # basis is compared with the formula.

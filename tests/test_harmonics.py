@@ -6,7 +6,6 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import gamma_sphere_moment, sphere_table_harmonic_basis, termwise_inner
@@ -247,16 +246,20 @@ class TestEulerIdentity:
             assert euler_residual(Y, 4).is_zero()
 
     def test_rejects_inhomogeneous(self):
-        with pytest.raises(ValueError):
-            euler_residual(MultiPoly(2, {(1, 0): 1, (0, 0): 1}), 1)
+        # E (x1 + 1) - (x1 + 1) = -1: the constant is off the grade m = 1.
+        assert euler_residual(MultiPoly(2, {(1, 0): 1, (0, 0): 1}), 1) == MultiPoly.constant(2, -1)
 
 
 class TestLaplaceBeltrami:
     def test_eigen_on_harmonics(self):
+        # Delta_0 commutes with a factor ||x||^2, so the non-homogeneous Y + ||x||^2 Y passes too.
         for d in (2, 3):
+            r2 = radius_squared(d)
             for m in range(6):
                 for Y in harmonic_basis(d, m).elements:
                     assert laplace_beltrami_residual(Y, m).is_zero()
+                    assert laplace_beltrami_residual(r2 * Y, m).is_zero()
+                    assert laplace_beltrami_residual(Y + r2 * Y, m).is_zero()
 
     def test_radius_squared_is_constant_on_sphere(self):
         # ||x||^2 restricts to 1 on the sphere, so the angular Laplacian kills it.
@@ -269,6 +272,9 @@ class TestLaplaceBeltrami:
     def test_polar_decomposition_on_cube(self):
         p = MultiPoly(2, {(3, 0): 1})
         assert polar_decomposition_residual(p, 3).is_zero()
+        # Off the grade m = 2: grade g is scaled by g(g+d-2) - m(m+d-2), here -4 at g = 0.
+        off_grade = MultiPoly(2, {(2, 0): 1, (0, 0): 1})
+        assert polar_decomposition_residual(off_grade, 2) == MultiPoly.constant(2, -4)
 
     def test_polar_decomposition_random_sweep(self):
         rng = random.Random(5)
@@ -296,6 +302,7 @@ class TestLaplaceBeltrami:
     @settings(max_examples=150)
     @given(_homogeneous())
     @example((3, 2, MultiPoly.zero(3)))
+    @example((2, 2, MultiPoly(2, {(2, 0): 1, (0, 0): 1})))
     def test_folded_residuals_match_composed_forms(self, case):
         # Each one-pass residual against the operator it folds its eigenvalue into, under ==.
         d, m, p = case

@@ -64,8 +64,8 @@ _POLYS = st.integers(1, 5).flatmap(
 
 
 def _damped(p):
-    """The kernel's damped part alone, -(1/4)(1-||x||^2) Delta p."""
-    return _second_order(p, lambda g: 0, True)
+    """The kernel's damped term alone, -(1/4)(1-||x||^2) Delta p: every other coefficient 0."""
+    return _second_order(p, 0, 0, 0, -Q(1, 4), Q(1, 4))
 
 
 @settings(max_examples=100)
@@ -84,6 +84,10 @@ _PROBE = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 0, 0): Q(1, 7), (0
        _RATIONAL_MU, st.fractions(-3, 5, max_denominator=7), st.fractions(Q(1, 7), 5, max_denominator=7))
 @example(_PROBE, UniPoly([1, Q(-2, 3), 0, 5]), Q(1, 3), Q(1, 2), Q(7, 3))
 @example(_PROBE, UniPoly([Q(1, 5), 0, 3, Q(-1, 2)]), Q(-1, 4), Q(-1, 4), Q(2, 5))
+# A diagonal over 4 (mu = 3/8) and a mass over 4 (M = 3/4): each shares the quarter's factor,
+# so the one common denominator of a kernel call is less than its coefficients' product.
+@example(_PROBE, UniPoly([Q(3, 4), 1, Q(-1, 4)]), Q(3, 8), Q(3, 4), Q(7, 3))
+@example(_PROBE, UniPoly([1, Q(-2, 3), 0, 5]), Q(1, 3), Q(1, 2), Q(3, 4))
 def test_kernels_match_composed_forms(p, f, mu, beta, mass):
     # Each one-pass operator against the sum of whole polynomials it replaced, under ==.
     assert classical_ball_op(p, mu) == composed_classical_ball_op(p, mu)
@@ -93,8 +97,8 @@ def test_kernels_match_composed_forms(p, f, mu, beta, mass):
     assert conjugate_connection_op(f, beta, mass) == composed_conjugate_connection_op(f, beta, mass)
 
 
-# The residuals accept only homogeneous polynomials of their degree m, so they read a probe
-# of degree 4; the Euler residual is zero on every polynomial it accepts.
+# The residuals read a probe homogeneous of their degree m = 4: the Euler residual is zero
+# exactly on such polynomials, and the Laplace-Beltrami one is not, as the probe is not harmonic.
 _HOMOGENEOUS_PROBE = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 1, 2): Q(1, 7), (0, 0, 4): 4})
 
 _ONE_PASS = {
