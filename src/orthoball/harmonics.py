@@ -50,16 +50,18 @@ Three structural facts keep the computation small and exact:
 * On a homogeneous polynomial of degree m the radial derivative is realized
   by the Euler operator, giving the angular Laplacian a purely polynomial
   form: Delta_0 f = ||x||^2 Delta f - (E^2 + (d-2) E) f with E = sum x_i d/dx_i.
-  On degree-m harmonics this evaluates to -m(m+d-2) f.  Delta_0 is applied
-  in one pass over the packed terms (``polynomials._angular`` at eigenvalue
-  zero), and the polar decomposition checks it against the composed form
-  ||x||^2 Delta f - m(m+d-2) f built from the Laplacian.
+  On degree-m harmonics this evaluates to -m(m+d-2) f.  Delta_0 is one call of
+  the library's one multivariate second-order kernel,
+  ``polynomials._second_order``, which reads no Laplacian key, and the polar
+  decomposition checks it against the composed form ||x||^2 Delta f - m(m+d-2) f
+  built from ``laplacian``.
 
-Each residual is one kernel call: the eigenvalue is folded into the per-grade
-scalar of the operator's kernel (``polynomials._euler`` and
-``polynomials._angular``), which the public operators run at eigenvalue zero.
-A residual reads any polynomial, homogeneous or not, and is nonzero exactly
-where its docstring says, so an element off its grade fails its check.
+Each operator and residual is one kernel call with integer coefficients at the
+call site: E - m is ``_second_order`` with (c0, c1, c2, inner, outer) =
+(-m, 1, 0, 0, 0), and Delta_0 + m(m+d-2) is the same kernel with
+(m(m+d-2), 2-d, -1, 0, 1), the eigenvalue folded into the per-grade scalar.  A
+residual reads any polynomial, homogeneous or not, and is nonzero exactly where
+its docstring says, so an element off its grade fails its check.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
 
-from .polynomials import (_FIELD, Exponents, MultiPoly, _angular, _euler, _gram_schmidt, _unpack,
+from .polynomials import (_FIELD, Exponents, MultiPoly, _gram_schmidt, _second_order, _unpack,
                           laplacian, pack, radius_squared)
 
 
@@ -182,14 +184,14 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
 def euler_residual(p: MultiPoly, degree: int) -> MultiPoly:
     """sum_i x_i dp/dx_i - degree * p; zero exactly when p is homogeneous of that degree.
 
-    One pass of the Euler kernel with the eigenvalue folded in: grade g is scaled by g - m.
+    One kernel pass with the eigenvalue folded in: grade g is scaled by g - m.
     """
-    return _euler(p, degree)
+    return _second_order(p, 1, -degree, 1, 0, 0, 0)
 
 
 def laplace_beltrami_op(p: MultiPoly) -> MultiPoly:
     """Angular part of the Laplacian, with radial derivatives realized by the Euler operator."""
-    return _angular(p, 0)
+    return _second_order(p, 1, 0, 2 - p.dim, -1, 0, 1)
 
 
 def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:
@@ -197,17 +199,20 @@ def laplace_beltrami_residual(p: MultiPoly, degree: int) -> MultiPoly:
 
     On a homogeneous p of degree m it is zero only then.  Delta_0 commutes with a factor
     ||x||^2, so it is zero on ||x||^2 Y for a degree-m harmonic Y too, and on every sum of
-    ||x||^(2i) Y_i.  One pass of the angular kernel with the eigenvalue folded in: grade g
-    is scaled by m(m+d-2) - g(g+d-2) where Delta_0 alone scales it by -g(g+d-2).
+    ||x||^(2i) Y_i.  One kernel pass with the eigenvalue folded in: grade g is scaled by
+    m(m+d-2) - g(g+d-2) where Delta_0 alone scales it by -g(g+d-2).  At d = 1 the grade
+    scalar g(g-1) does not tell g = 0 from g = 1, so d < 2 raises ValueError.
     """
-    return _angular(p, degree)
+    if p.dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {p.dim}")
+    return _second_order(p, 1, degree * (degree + p.dim - 2), 2 - p.dim, -1, 0, 1)
 
 
 def polar_decomposition_residual(p: MultiPoly, degree: int) -> MultiPoly:
     """||x||^2 Delta p - Delta_0 p - m(m+d-2) p; zero exactly when p is homogeneous of degree m.
 
     It is (E^2 + (d-2) E - m(m+d-2)) p, which scales grade g by g(g+d-2) - m(m+d-2), zero
-    only at g = m for d >= 2.  The composed side ||x||^2 Delta p less the folded angular
-    side, in one combine.
+    only at g = m for d >= 2; d < 2 raises ValueError.  The composed side ||x||^2 Delta p
+    less the folded angular side, in one combine.
     """
-    return radius_squared(p.dim) * laplacian(p) - _angular(p, degree)
+    return radius_squared(p.dim) * laplacian(p) - laplace_beltrami_residual(p, degree)

@@ -13,16 +13,18 @@ Q a fourth-order partial differential equation with eigenvalue
 
     Lambda(n, k) = (M + k(n-k+(d-2)/2)) (M + (k+1)(n-k+d/2)).
 
-Each second-order operator on the ball is one call of one integer kernel,
+Each second-order operator on the ball is one call of the library's one
+multivariate second-order kernel, ``polynomials._second_order``,
 
     (c0 + c1 E + c2 E^2) p + (inner + outer ||x||^2) Delta p,    E = <x, grad>,
 
 with its five coefficients at the call site (classical: -d(2mu-1), -(d+2mu-1), -1,
-1, 0; connection: M, 0, 0, -1/4, 1/4; conjugate: M + d/2, 1, 0, -1/4, 1/4), the
-form of the line kernel ``jacobi._shift``: the coefficients go over one
-denominator, and one pass over the numerators of p and of Delta p makes one
-reduction; the fourth-order operator is two passes.  The arithmetic is exact,
-so every eigen-identity here can be checked down to the literal zero polynomial.
+1, 0; connection: M, 0, 0, -1/4, 1/4; conjugate: M + d/2, 1, 0, -1/4, 1/4), put
+over one denominator with ``integer_numerators`` as ``jacobi.connection_op`` does
+for the line kernel ``jacobi._shift``; one integer pass over p's numerators makes
+one reduction, and the fourth-order operator is two passes.  The arithmetic is
+exact, so every eigen-identity here can be checked down to the literal zero
+polynomial.
 """
 
 from __future__ import annotations
@@ -30,27 +32,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .jacobi import jacobi_polynomial, jacobi_type_poly
-from .polynomials import (_FIELD, MultiPoly, UniPoly, _laplacian_nums, as_fraction, beta_shift,
-                          integer_numerators, radius_squared)
+from .polynomials import (MultiPoly, UniPoly, _second_order, as_fraction, beta_shift,
+                          integer_numerators)
 
 # The 1/4 of the ball connection pair's -(1/4)(1-||x||^2) Delta.  The radial forms below keep
 # their own copy, so they stay a path independent of the kernel.
 _QUARTER = Fraction(1, 4)
-
-
-def _second_order(p: MultiPoly, c0, c1, c2, inner, outer) -> MultiPoly:
-    """(c0 + c1 E + c2 E^2) p + (inner + outer ||x||^2) Delta p, with E = <x, grad>, in one pass."""
-    # Integers over one denominator: grade g is scaled by c0 + c1 g + c2 g^2, and each
-    # numerator of Delta p lands at its key times inner and, stepped by each x_j^2 key, outer.
-    den, (c0, c1, c2, inner, outer) = integer_numerators((c0, c1, c2, inner, outer))
-    shift = _FIELD * p.dim
-    out = {k: n * (c0 + (g := k >> shift) * (c1 + g * c2)) for k, n in p.nums.items()}
-    steps = radius_squared(p.dim).nums if outer else ()  # a product adds keys
-    for k, n in _laplacian_nums(p).items():
-        out[k] = out.get(k, 0) + inner * n
-        for step in steps:
-            out[k + step] = out.get(k + step, 0) + outer * n
-    return MultiPoly._make(p.dim, den * p.den, out)
 
 
 def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
@@ -62,17 +49,21 @@ def classical_ball_op(p: MultiPoly, mu) -> MultiPoly:
     ball weight are eigenfunctions with eigenvalue -(n+d)(n+2mu-1).
     """
     s = 2 * as_fraction(mu) - 1
-    return _second_order(p, -p.dim * s, -(p.dim + s), -1, 1, 0)
+    den, coefficients = integer_numerators((-p.dim * s, -(p.dim + s), -1, 1, 0))
+    return _second_order(p, den, *coefficients)
 
 
 def ball_connection_op(p: MultiPoly, mass) -> MultiPoly:
     """[M - (1/4)(1-||x||^2) Delta] p; maps each classical element to its mass-modified partner."""
-    return _second_order(p, as_fraction(mass), 0, 0, -_QUARTER, _QUARTER)
+    den, coefficients = integer_numerators((as_fraction(mass), 0, 0, -_QUARTER, _QUARTER))
+    return _second_order(p, den, *coefficients)
 
 
 def ball_conjugate_op(p: MultiPoly, mass) -> MultiPoly:
     """[M + d/2 - (1/4)(1-||x||^2) Delta + <x, grad>] p; maps Q back to Lambda times P."""
-    return _second_order(p, as_fraction(mass) + Fraction(p.dim, 2), 1, 0, -_QUARTER, _QUARTER)
+    mass = as_fraction(mass)
+    den, coefficients = integer_numerators((mass + Fraction(p.dim, 2), 1, 0, -_QUARTER, _QUARTER))
+    return _second_order(p, den, *coefficients)
 
 
 def fourth_order_op(p: MultiPoly, mass) -> MultiPoly:

@@ -7,12 +7,13 @@ polynomials hold equal data; arithmetic works on integers and divides out one
 gcd per result.  A monomial x^e is keyed by one packed int (Monagan & Pearce,
 CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
 so int order is graded-lexicographic order and a product adds keys.  The
-differential operators (``laplacian``, ``euler_op`` and the angular kernel
-``_angular``) read each exponent with one shift and apply themselves in one
-integer pass over the numerators, with one gcd at the end.  ``euler_op`` is
-``_euler`` at eigenvalue zero, as ``harmonics.laplace_beltrami_op`` is
-``_angular``; the harmonic residuals run the same kernels with the eigenvalue
-folded into each grade's scalar.  Fractions
+differential operators read each exponent with one shift and apply themselves
+in one integer pass over the numerators, with one gcd at the end: ``laplacian``,
+and ``_second_order``, the library's one multivariate second-order kernel
+(c0 + c1 E + c2 E^2 + (inner + outer ||x||^2) Delta) / den with E = <x, grad>
+and integer coefficients, the form of the line kernel ``jacobi._shift``.
+``euler_op``, the harmonic operators and residuals and the ball operators are
+each one call of it with their coefficients at the call site.  Fractions
 appear only in the views ``terms`` and ``coeffs``, built on each read, in
 ``MultiPoly.evaluate``, ``UniPoly.canonical()`` and ``str``;
 ``MultiPoly.canonical()`` reduces each numerator against ``den`` with one gcd,
@@ -540,8 +541,8 @@ def _couplings(dim: int, lam=None, mass=None) -> tuple[Fraction, Fraction]:
     return lam, mass_parameter(dim, lam)
 
 
-def _laplacian_nums(p: MultiPoly) -> dict[int, int]:
-    """The numerators of Delta p over p.den, zeros included, from one pass over p's terms.
+def laplacian(p: MultiPoly) -> MultiPoly:
+    """Sum of second partials over every axis, in one pass over p's terms.
 
     d^2/dx_i^2 takes x^e to e_i (e_i - 1) x^(e - 2 e_i): two less in field i and in the
     total-degree field.
@@ -553,48 +554,40 @@ def _laplacian_nums(p: MultiPoly) -> dict[int, int]:
             if (e := k >> shift & _FIELD_MASK) > 1:
                 key = k - 2 * (top + (1 << shift))
                 out[key] = out.get(key, 0) + n * e * (e - 1)
-    return out
+    return MultiPoly._make(p.dim, p.den, out)
 
 
-def laplacian(p: MultiPoly) -> MultiPoly:
-    """Sum of second partials over every axis."""
-    return MultiPoly._make(p.dim, p.den, _laplacian_nums(p))
+def _second_order(p: MultiPoly, den: int, c0: int, c1: int, c2: int, inner: int,
+                  outer: int) -> MultiPoly:
+    """(c0 p + c1 E p + c2 E^2 p + inner Delta p + outer ||x||^2 Delta p) / den, in one pass.
 
-
-def _angular(p: MultiPoly, degree: int) -> MultiPoly:
-    """Delta_0 p + m(m+d-2) p at m = ``degree``, in one pass: the angular kernel.
-
-    Delta_0 = ||x||^2 Delta - E^2 - (d-2) E, and E^2 + (d-2) E scales the grade-g part by
-    g (g + d - 2), so grade g is scaled by m(m+d-2) - g(g+d-2).  d^2/dx_i^2 takes x^e to
-    e_i (e_i - 1) x^(e - 2 e_i), kept here in grade g so that a product with ||x||^2 is one
-    step of 2 e_j in an exponent field; the Laplacian's own keys are not read.
+    The library's one multivariate second-order kernel, E = <x, grad>, on integers over
+    den > 0: grade g is scaled by c0 + c1 g + c2 g^2.  d^2/dx_i^2 takes x^e to
+    e_i (e_i - 1) x^(e - 2 e_i), kept here in grade g; ``inner`` then lowers the grade by 2,
+    and ``outer``, a product with ||x||^2, steps one exponent field by 2.  No Laplacian key
+    is read, so ``laplacian`` stays a path independent of this kernel.
     """
     dim = p.dim
     top_shift = _FIELD * dim
-    shifts = range(0, top_shift, _FIELD)
-    eigen = degree * (degree + dim - 2)
-    out: dict[int, int] = {}
-    lowered: dict[int, int] = {}
-    for k, n in p.nums.items():
-        g = k >> top_shift
-        out[k] = n * (eigen - g * (g + dim - 2))
-        for shift in shifts:
-            if (e := k >> shift & _FIELD_MASK) > 1:
-                key = k - (2 << shift)
-                lowered[key] = lowered.get(key, 0) + n * e * (e - 1)
-    steps = [2 << shift for shift in shifts]
-    for k, n in lowered.items():
-        for step in steps:
-            out[k + step] = out.get(k + step, 0) + n
-    return MultiPoly._make(dim, p.den, out)
-
-
-def _euler(p: MultiPoly, degree: int) -> MultiPoly:
-    """E p - m p at m = ``degree``, in one pass: the Euler kernel scales grade g by g - m."""
-    shift = _FIELD * p.dim
-    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) - degree) for k, n in p.nums.items()})
+    out = {k: n * (c0 + (g := k >> top_shift) * (c1 + g * c2)) for k, n in p.nums.items()}
+    if inner or outer:
+        shifts = range(0, top_shift, _FIELD)
+        lowered: dict[int, int] = {}
+        for k, n in p.nums.items():
+            for shift in shifts:
+                if (e := k >> shift & _FIELD_MASK) > 1:
+                    key = k - (2 << shift)
+                    lowered[key] = lowered.get(key, 0) + n * e * (e - 1)
+        down = 2 << top_shift
+        steps = [2 << shift for shift in shifts] if outer else ()
+        for k, n in lowered.items():
+            if inner:
+                out[k - down] = out.get(k - down, 0) + inner * n
+            for step in steps:
+                out[k + step] = out.get(k + step, 0) + outer * n
+    return MultiPoly._make(dim, den * p.den, out)
 
 
 def euler_op(p: MultiPoly) -> MultiPoly:
     """The operator E = sum_i x_i d/dx_i; multiplies each homogeneous grade by its degree."""
-    return _euler(p, 0)
+    return _second_order(p, 1, 0, 1, 0, 0, 0)

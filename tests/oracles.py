@@ -14,8 +14,7 @@ harmonic start vectors and the moment table that the last one reads.
 from fractions import Fraction
 from math import gcd, lcm
 
-from orthoball import (HarmonicBasis, MultiPoly, UniPoly, euler_op, laplacian, measures,
-                       radius_squared)
+from orthoball import HarmonicBasis, MultiPoly, UniPoly, laplacian, measures, radius_squared
 from orthoball.exact_gamma import rising_factorial
 from orthoball.harmonics import _cauchy_harmonic, _monomials
 
@@ -267,6 +266,12 @@ def sphere_table_harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     return HarmonicBasis(dim, degree, tuple(ortho), tuple(norms))
 
 
+def euler(p):
+    """E p = sum_i x_i dp/dx_i, as a sum of products of whole polynomials."""
+    return sum((MultiPoly.variable(p.dim, i) * p.partial(i) for i in range(p.dim)),
+               MultiPoly.zero(p.dim))
+
+
 def damped_laplacian(p):
     """(1/4)(1-||x||^2) Delta p, as a product of whole polynomials."""
     return Fraction(1, 4) * ((1 - radius_squared(p.dim)) * laplacian(p))
@@ -274,8 +279,8 @@ def damped_laplacian(p):
 
 def composed_classical_ball_op(p, mu):
     """Delta - (d + E)(2mu - 1 + E) p, E the Euler operator, as a sum of whole polynomials."""
-    inner = (2 * Fraction(mu) - 1) * p + euler_op(p)
-    return laplacian(p) - p.dim * inner - euler_op(inner)
+    inner = (2 * Fraction(mu) - 1) * p + euler(p)
+    return laplacian(p) - p.dim * inner - euler(inner)
 
 
 def composed_ball_connection_op(p, mass):
@@ -285,7 +290,7 @@ def composed_ball_connection_op(p, mass):
 
 def composed_ball_conjugate_op(p, mass):
     """[M + d/2 - (1/4)(1-||x||^2) Delta + E] p."""
-    return (Fraction(mass) + Fraction(p.dim, 2)) * p - damped_laplacian(p) + euler_op(p)
+    return (Fraction(mass) + Fraction(p.dim, 2)) * p - damped_laplacian(p) + euler(p)
 
 
 def composed_connection_op(f, beta, mass):

@@ -80,38 +80,62 @@ MUTANTS = [
     ),
     # The Laplacian's second partials lowering one exponent field of the packed monomial but
     # not the total-degree field: the exponents read back right, but the degree and grlex
-    # order do not.  A harmonic's Laplacian still cancels to zero; the angular Laplacian
-    # reads no Laplacian key, so the polar decomposition sees it.
+    # order do not.  A harmonic's Laplacian still cancels to zero, and the second-order kernel
+    # reads no Laplacian key, so only the polar decomposition, whose composed side is built
+    # from the Laplacian, sees it.
     Mutant(
         "partial-keeps-total-degree",
         "polynomials.py",
         "                key = k - 2 * (top + (1 << shift))\n",
         "                key = k - 2 * (1 << shift)\n",
         ["--dim", "2", "--max-degree", "2"],
-        {"classical-second-order-eigen", "connection-backward", "connection-forward",
-         "connection-lift", "fourth-order-eigen", "polar-decomposition"},
+        {"polar-decomposition"},
     ),
-    # The angular kernel's grade factor g(g+d-2) at g(g+d-1): Delta_0 is no longer the
-    # composed ||x||^2 Delta - E^2 - (d-2) E, and no harmonic is its eigenfunction.  The
-    # Laplace-Beltrami and polar residuals run the same kernel with m(m+d-2) folded in.
+    # The Laplace-Beltrami residual's E coefficient 2 - d at 1 - d, so its grade factor
+    # g(g+d-2) is g(g+d-1): no harmonic solves the eigen-equation, and the polar residual,
+    # which reads this one, no longer matches its composed side.
     Mutant(
         "angular-laplacian-grade",
-        "polynomials.py",
-        "        out[k] = n * (eigen - g * (g + dim - 2))\n",
-        "        out[k] = n * (eigen - g * (g + dim - 1))\n",
+        "harmonics.py",
+        "    return _second_order(p, 1, degree * (degree + p.dim - 2), 2 - p.dim, -1, 0, 1)\n",
+        "    return _second_order(p, 1, degree * (degree + p.dim - 2), 1 - p.dim, -1, 0, 1)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
         {"laplace-beltrami-eigen", "polar-decomposition"},
     ),
-    # The angular kernel's result over the denominator 1, not p's: Delta_0 p is right only for
-    # integer p.  The harmonics are primitive integer rows, so only the polar decomposition of
-    # the random homogeneous polynomials, drawn over a common denominator, sees it.
+    # The second-order kernel's result over its coefficients' denominator alone, not times
+    # p's: the result is right only for integer p.  The harmonic callers pass den = 1 and the
+    # harmonics are primitive integer rows, so only the polar decomposition of the random
+    # homogeneous polynomials, drawn over a common denominator, sees it.
     Mutant(
         "angular-drops-denominator",
         "polynomials.py",
-        "    return MultiPoly._make(dim, p.den, out)\n",
-        "    return MultiPoly._make(dim, 1, out)\n",
+        "    return MultiPoly._make(dim, den * p.den, out)\n",
+        "    return MultiPoly._make(dim, den, out)\n",
         ["--dim", "3", "--max-degree", "3", "--suites", "harmonics"],
         {"polar-decomposition"},
+    ),
+    # The second-order kernel's in-grade second partial lowering x_i by one, not two: every
+    # caller with a Laplacian term is wrong, the angular and the ball operators alike.  The
+    # Euler operator has none, and the harmonics' own Laplacian check reads ``laplacian``.
+    Mutant(
+        "second-order-lowering",
+        "polynomials.py",
+        "                    key = k - (2 << shift)\n",
+        "                    key = k - (1 << shift)\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-second-order-eigen", "connection-backward", "connection-forward",
+         "connection-lift", "fourth-order-eigen", "laplace-beltrami-eigen", "polar-decomposition"},
+    ),
+    # The second-order kernel's inner Delta p landing one grade low, not two: only callers
+    # with an inner coefficient, the ball operators, read it; Delta_0 has ||x||^2 Delta alone.
+    Mutant(
+        "second-order-inner-step",
+        "polynomials.py",
+        "        down = 2 << top_shift\n",
+        "        down = 1 << top_shift\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"classical-second-order-eigen", "connection-backward", "connection-forward",
+         "connection-lift", "fourth-order-eigen"},
     ),
     # A UniPoly left with a common factor in den and nums: equal polynomials stop comparing
     # equal, but every value, is_zero test and canonical text is unchanged, and the verifier
@@ -130,8 +154,8 @@ MUTANTS = [
     Mutant(
         "classical-op-divergence-dim",
         "operators.py",
-        "    return _second_order(p, -p.dim * s, -(p.dim + s), -1, 1, 0)\n",
-        "    return _second_order(p, -(p.dim - 1) * s, -(p.dim - 1 + s), -1, 1, 0)\n",
+        "    den, coefficients = integer_numerators((-p.dim * s, -(p.dim + s), -1, 1, 0))\n",
+        "    den, coefficients = integer_numerators((-(p.dim - 1) * s, -(p.dim - 1 + s), -1, 1, 0))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"classical-second-order-eigen"},
     ),
@@ -563,14 +587,14 @@ MUTANTS = [
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
     ),
-    # The Euler kernel scales each grade g by g + 1 - m instead of g - m, so E scales it by
-    # its degree plus one.  The angular kernel reads grades itself, so among the harmonic
-    # identities only the Euler identity runs this kernel.
+    # The Euler residual's kernel call scales each grade g by g + 1 - m instead of g - m, so
+    # E scales it by its degree plus one.  The angular calls carry their own coefficients, so
+    # among the harmonic identities only the Euler identity reads this one.
     Mutant(
         "euler-op-degree",
-        "polynomials.py",
-        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) - degree) for k, n in p.nums.items()})\n",
-        "    return MultiPoly._make(p.dim, p.den, {k: n * ((k >> shift) + 1 - degree) for k, n in p.nums.items()})\n",
+        "harmonics.py",
+        "    return _second_order(p, 1, -degree, 1, 0, 0, 0)\n",
+        "    return _second_order(p, 1, 1 - degree, 1, 0, 0, 0)\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "harmonics"],
         {"euler-identity"},
     ),

@@ -6,13 +6,13 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import gamma_sphere_moment, sphere_table_harmonic_basis, termwise_inner
+from oracles import euler, gamma_sphere_moment, sphere_table_harmonic_basis, termwise_inner
 
 from orthoball import (
     MultiPoly,
-    euler_op,
     euler_residual,
     harmonic_basis,
     harmonic_space_dim,
@@ -276,6 +276,14 @@ class TestLaplaceBeltrami:
         off_grade = MultiPoly(2, {(2, 0): 1, (0, 0): 1})
         assert polar_decomposition_residual(off_grade, 2) == MultiPoly.constant(2, -4)
 
+    def test_residuals_reject_one_variable(self):
+        # At d = 1 the grade scalar g(g-1) is 0 at both g = 0 and g = 1, so a zero residual
+        # would not mean homogeneous of degree m: polar(x1 + 1, 0) would read 0.
+        p = MultiPoly(1, {(1,): 1, (0,): 1})
+        for residual in (laplace_beltrami_residual, polar_decomposition_residual):
+            with pytest.raises(ValueError, match="at least 2"):
+                residual(p, 0)
+
     def test_polar_decomposition_random_sweep(self):
         rng = random.Random(5)
         for d in (2, 3):
@@ -295,8 +303,8 @@ class TestLaplaceBeltrami:
                          Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))}
                 cases.append(MultiPoly(d, terms))
             for p in cases:
-                e = euler_op(p)
-                composed = r2 * laplacian(p) - euler_op(e) - (d - 2) * e
+                e = euler(p)
+                composed = r2 * laplacian(p) - euler(e) - (d - 2) * e
                 assert laplace_beltrami_op(p) == composed
 
     @settings(max_examples=150)
@@ -307,7 +315,7 @@ class TestLaplaceBeltrami:
         # Each one-pass residual against the operator it folds its eigenvalue into, under ==.
         d, m, p = case
         eigen = m * (m + d - 2)
-        assert euler_residual(p, m) == euler_op(p) - m * p
+        assert euler_residual(p, m) == euler(p) - m * p
         assert laplace_beltrami_residual(p, m) == laplace_beltrami_op(p) + eigen * p
         assert polar_decomposition_residual(p, m) == (
             radius_squared(d) * laplacian(p) - laplace_beltrami_op(p) - eigen * p)

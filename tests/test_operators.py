@@ -31,7 +31,7 @@ from orthoball import (
     substitute_radial,
     type_eigenvalue,
 )
-from orthoball.operators import _second_order
+from orthoball.polynomials import _second_order
 from oracles import (
     composed_ball_conjugate_op,
     composed_ball_connection_op,
@@ -39,6 +39,7 @@ from oracles import (
     composed_conjugate_connection_op,
     composed_connection_op,
     damped_laplacian,
+    euler,
 )
 
 
@@ -65,7 +66,7 @@ _POLYS = st.integers(1, 5).flatmap(
 
 def _damped(p):
     """The kernel's damped term alone, -(1/4)(1-||x||^2) Delta p: every other coefficient 0."""
-    return _second_order(p, 0, 0, 0, -Q(1, 4), Q(1, 4))
+    return _second_order(p, 4, 0, 0, 0, -1, 1)
 
 
 @settings(max_examples=100)
@@ -97,12 +98,28 @@ def test_kernels_match_composed_forms(p, f, mu, beta, mass):
     assert conjugate_connection_op(f, beta, mass) == composed_conjugate_connection_op(f, beta, mass)
 
 
+_COEFFICIENT = st.integers(-9, 9)
+
+
+@settings(max_examples=200)
+@given(_POLYS, st.integers(1, 12), _COEFFICIENT, _COEFFICIENT, _COEFFICIENT, _COEFFICIENT,
+       _COEFFICIENT)
+@example(_PROBE, 6, 5, -2, 1, 3, -4)
+@example(_PROBE, 6, 5, -2, 1, 0, 0)
+def test_kernel_matches_composed_form(p, den, c0, c1, c2, inner, outer):
+    # The one kernel against whole polynomials: E from oracles.euler, Delta from laplacian.
+    e, lap = euler(p), laplacian(p)
+    composed = c0 * p + c1 * e + c2 * euler(e) + inner * lap + outer * (radius_squared(p.dim) * lap)
+    assert _second_order(p, den, c0, c1, c2, inner, outer) == composed * Q(1, den)
+
+
 # The residuals read a probe homogeneous of their degree m = 4: the Euler residual is zero
 # exactly on such polynomials, and the Laplace-Beltrami one is not, as the probe is not harmonic.
 _HOMOGENEOUS_PROBE = MultiPoly(3, {(3, 1, 0): Q(2, 3), (0, 2, 2): -5, (1, 1, 2): Q(1, 7), (0, 0, 4): 4})
 
 _ONE_PASS = {
     "laplacian": laplacian,
+    "euler_op": euler_op,
     "laplace_beltrami_op": laplace_beltrami_op,
     "damped_kernel": _damped,
     "classical_ball_op": lambda p: classical_ball_op(p, Q(1, 3)),
