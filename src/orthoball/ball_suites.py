@@ -151,7 +151,7 @@ def _offdiagonal(els, gram):
 def _diagonal(els, gram):
     """Each recorded squared norm must be positive and equal its diagonal entry of ``gram``."""
     return (
-        (_key(el), el.sq_norm > 0 and gram[i][i] == el.sq_norm, True) for i, el in enumerate(els)
+        (_key(el), el.sq_norm > 0 and gram.get((i, i)) == el.sq_norm, True) for i, el in enumerate(els)
     )
 
 
@@ -224,7 +224,7 @@ def _suite_lambda_orthogonality(cfg: SuiteConfig) -> Iterator[tuple]:
                 product = jacobi.inner_jacobi_mass(
                     a.radial, b.radial, alpha, a.index.beta_k, cfg.lam, cfg.dim
                 )
-                yield _key(a) + _key(b), gram[i][j] - product * a.harmonic_sq_norm
+                yield _key(a) + _key(b), gram.get((i, j), 0) - product * a.harmonic_sq_norm
 
     els = _elements(cfg, bases.mass_basis, cfg.mu, cfg.lam)
     gram = measures.mass_gram([el.poly for el in els], cfg.mu, cfg.lam)

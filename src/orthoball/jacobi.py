@@ -184,19 +184,18 @@ def _form(key: tuple[int, int, int], scale, lam, size: int):
     return image, scale.denominator * lam.denominator * den
 
 
-def _gram(fs, key: tuple[int, int, int], scale=1, lam=0) -> list[list[Fraction]]:
-    # The symmetric Gram matrix [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] of fs: each f imaged
-    # once, each entry j >= i one Fraction W_f . G over base Df Dg where it is nonzero.
+def _gram(fs, key: tuple[int, int, int], scale=1, lam=0) -> dict[tuple[int, int], Fraction]:
+    # The Gram matrix [scale * L_J^(a,b)(f g) + lam * f(1) g(1)] of fs as its nonzero entries
+    # with i <= j, keyed (i, j): each f imaged once, each nonzero dot W_f . G one Fraction over
+    # base Df Dg.
     image, base = _form(key, scale, lam, max((len(f.nums) for f in fs), default=0))
-    zero = Fraction(0)
-    gram = [[zero] * len(fs) for _ in fs]
+    gram = {}
     for i, f in enumerate(fs):
         w = image(f.nums)
-        for j in range(i, len(fs)):
-            g = fs[j]
+        for j, g in enumerate(fs[i:], i):
             top = sum(map(mul, w, g.nums))
             if top:
-                gram[i][j] = gram[j][i] = Fraction(top, base * f.den * g.den)
+                gram[i, j] = Fraction(top, base * f.den * g.den)
     return gram
 
 
@@ -266,8 +265,9 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     return _functional(f, g, key, *_mass_form(key, lam, dim))
 
 
-def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> list[list[Fraction]]:
-    """The Gram matrix [inner_jacobi_mass(f, g, ...)] of ``polys``: one image per polynomial."""
+def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> dict[tuple[int, int], Fraction]:
+    """The Gram matrix [inner_jacobi_mass(f, g, ...)] of ``polys`` as its nonzero entries with
+    i <= j, keyed (i, j); an absent pair is zero.  One image per polynomial."""
     key = _jacobi_params(alpha, beta)
     return _gram(list(polys), key, *_mass_form(key, lam, dim))
 

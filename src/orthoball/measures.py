@@ -39,8 +39,9 @@ L(p x^v) = W[v] / (Dp D).  Its three callers ask for:
 
 * the class's own keys, in ``_gram``: G is a sum over the classes of
   R M R^T, a row of R the numerators of a member, and each member's image is
-  dotted with the row of every member j >= i; an entry is one Fraction over
-  Di Dj D.  ``mass_gram`` and ``sphere_gram`` serve it.
+  dotted with the row of every member j >= i.  The integer sums collect in a
+  map keyed (i, j), and each nonzero one becomes one Fraction over Di Dj D:
+  ``mass_gram`` and ``sphere_gram`` return only those entries with i <= j.
 * the given keys, in ``moment_images``, where W[v] = 0 at a key of a class
   in which p has no terms.
 * the keys of g, in a single product: L(f g) = (G . W_f) / (Df Dg D).
@@ -204,40 +205,35 @@ def moment_images(polys, keys, mu, lam=0) -> tuple[int, list[dict[int, int]]]:
     return table.den, images
 
 
-def _gram(polys, mu: Fraction, lam: int | Fraction) -> list[list[Fraction]]:
+def _gram(polys, mu: Fraction, lam: int | Fraction) -> dict[tuple[int, int], Fraction]:
     polys = list(polys)
     if not polys:
-        return []
+        return {}
     dim = _batch_dim(polys)
     table = _moment_table(dim, mu, lam, 2 * max(max(p.nums, default=0) for p in polys))
-    n, zero = len(polys), Fraction(0)
     # Each class is imaged at its own sorted keys, the positions that every member's pick reads.
     columns = _by_parity(sorted(set().union(*(p.nums for p in polys))), dim)
-    # The integer sums build up in the upper triangle of gram, then become its entries.
-    gram = [[0] * n for _ in range(n)]
+    sums = {}  # (i, j) -> the integer sum over the classes that polys i and j share
     for rows in _images(polys, columns, table).values():
         # G is symmetric, so member i is dotted only with the members j >= i, which follow it.
         for at, (i, _, _, image) in enumerate(rows):
-            row = gram[i]
             for j, other, read, _ in rows[at:]:
-                row[j] += sum(map(mul, other, read(image)))
-    for i, p in enumerate(polys):
-        row = gram[i]
-        for j in range(i, n):
-            total = row[j]
-            gram[j][i] = row[j] = Fraction(total, p.den * polys[j].den * table.den) if total else zero
-    return gram
+                sums[i, j] = sums.get((i, j), 0) + sum(map(mul, other, read(image)))
+    return {(i, j): Fraction(total, polys[i].den * polys[j].den * table.den)
+            for (i, j), total in sums.items() if total}
 
 
-def mass_gram(polys, mu, lam=0) -> list[list[Fraction]]:
-    """The Gram matrix [inner_mass(f, g, mu, lam)] of ``polys``, from one moment block per
-    parity class and one image per polynomial and class it has terms in."""
+def mass_gram(polys, mu, lam=0) -> dict[tuple[int, int], Fraction]:
+    """The Gram matrix [inner_mass(f, g, mu, lam)] of ``polys`` as its nonzero entries with
+    i <= j, keyed (i, j); an absent pair is zero.  One moment block per parity class and one
+    image per polynomial and class it has terms in."""
     return _gram(polys, _check_mu(mu), _check_lam(lam))
 
 
-def sphere_gram(polys) -> list[list[Fraction]]:
-    """The Gram matrix [inner_sphere(f, g)] of ``polys``, from one moment block per parity
-    class and one image per polynomial and class it has terms in."""
+def sphere_gram(polys) -> dict[tuple[int, int], Fraction]:
+    """The Gram matrix [inner_sphere(f, g)] of ``polys`` as its nonzero entries with i <= j,
+    keyed (i, j); an absent pair is zero.  One moment block per parity class and one image
+    per polynomial and class it has terms in."""
     return _gram(polys, _SPHERE_MU, 0)
 
 

@@ -263,14 +263,6 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         return max(self.nums, default=-1) >> (_FIELD * self.dim)
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {k >> (_FIELD * self.dim) for k in self.nums}
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
-
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded-lexicographic order (the canonical iteration order)."""
         return [(_unpack(k, self.dim), Fraction(self.nums[k], self.den)) for k in sorted(self.nums)]

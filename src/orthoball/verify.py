@@ -17,9 +17,10 @@ the witness, so items that draw random trials are lazy: a failing check draws
 no more.  The items are read before the suite resumes, so they may read the
 variables of the loop that yields them.  Orthogonality suites read every check
 from one Gram matrix per basis, and ``krall1d`` from one Gram matrix of the
-point-mass family per beta.  Their exact-zero items are only the nonzero
-entries, in row-major order, so a passing scan builds no tag and no witness and
-a failing one reports the same first entry that an item per entry would.
+point-mass family per beta.  A Gram matrix is the map of its nonzero entries
+with i <= j, so the exact-zero items are its off-diagonal keys in row-major
+order: a passing scan builds no tag and no witness, and a failing one reports
+the same first entry that an item per entry would.
 
 This module holds the framework and the two univariate suites, ``jacobi`` and
 ``krall1d``, and imports only ``polynomials`` at module level.  The seven ball
@@ -173,12 +174,13 @@ def _serialize(value) -> str:
 
 
 def _nonzero_above_diagonal(gram):
-    """Each nonzero entry above the diagonal of ``gram``, tagged (i, j), in row-major order.
+    """Each entry above the diagonal of the Gram map ``gram``, tagged (i, j), in row-major
+    order: its sorted off-diagonal keys.
 
-    An exact-zero check over a Gram matrix passes all its zeros without building a tag or
-    a witness for them; its first item, if any, is the first failure of the row-major scan.
+    The map holds no zero entry, so an exact-zero check over it builds a tag and a witness
+    for no passing pair; its first item, if any, is the first failure of a row-major scan.
     """
-    return (((i, j), row[j]) for i, row in enumerate(gram) for j in range(i + 1, len(row)) if row[j])
+    return ((ij, gram[ij]) for ij in sorted(gram) if ij[0] < ij[1])
 
 
 def _witness(kind: str, values) -> str | None:
@@ -263,7 +265,7 @@ def _suite_krall1d(cfg: SuiteConfig) -> Iterator[tuple]:
              gamma_ratio((top, beta + k + 1), (half_dim, alpha + beta + k + 1)) / cfg.lam)
             for k in ks
         )
-        yield "pointmass-degree", p, ((k, (qs[k].degree, gram[k][k] > 0), (k, True)) for k in ks)
+        yield "pointmass-degree", p, ((k, (qs[k].degree, gram.get((k, k), 0) > 0), (k, True)) for k in ks)
         gs = jacobi.gram_schmidt_jacobi_mass(len(ks), alpha, beta, cfg.lam, cfg.dim)
         yield "pointmass-gram-schmidt", p, (
             (k, gs[k] * qs[k].leading_coeff() - qs[k] * gs[k].leading_coeff()) for k in ks

@@ -142,6 +142,14 @@ def termwise_inner(f, g, moment) -> Fraction:
     return total
 
 
+def gram_map(rows) -> dict:
+    """The dense Gram matrix ``rows``, checked symmetric, as the library returns one: its
+    nonzero entries with i <= j, keyed (i, j).  Two such maps are equal exactly when the
+    matrices agree at every pair, an absent pair being zero."""
+    assert all(row[j] == rows[j][i] for i, row in enumerate(rows) for j in range(i))
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row[i:], i) if v}
+
+
 def _binomial(n: int, k: int) -> int:
     return _factorial(n) // (_factorial(k) * _factorial(n - k))
 

@@ -276,10 +276,22 @@ MUTANTS = [
     Mutant(
         "gram-entry-drops-row-denominator",
         "measures.py",
-        "            gram[j][i] = row[j] = Fraction(total, p.den * polys[j].den * table.den) if total else zero\n",
-        "            gram[j][i] = row[j] = Fraction(total, polys[j].den * table.den) if total else zero\n",
+        "    return {(i, j): Fraction(total, polys[i].den * polys[j].den * table.den)\n",
+        "    return {(i, j): Fraction(total, polys[j].den * table.den)\n",
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
+    ),
+    # The Gram's sum over the parity classes kept as the last class's sum alone.  Every element
+    # of either basis has terms in one parity class only, so no pair that the verifier reads
+    # spans two classes and the run passes.  Tier-1's test_gram_kernel_entries and
+    # test_gram_and_images_from_one_table, whose polynomials span several classes, kill it.
+    Mutant(
+        "gram-keeps-one-class-sum",
+        "measures.py",
+        "                sums[i, j] = sums.get((i, j), 0) + sum(map(mul, other, read(image)))\n",
+        "                sums[i, j] = sum(map(mul, other, read(image)))\n",
+        ["--dim", "3", "--max-degree", "3"],
+        set(),
     ),
     # The image kernel's moment block read with its rows mirrored, M[v][u'] for M[v][u] with u'
     # the mirror of u among the parity class's keys: every key sum is still one of the class,

@@ -70,7 +70,7 @@ class TestBasisProperties:
             for m in range(7):
                 for Y in harmonic_basis(d, m).elements:
                     assert laplacian(Y).is_zero()
-                    assert Y.is_homogeneous(m)
+                    assert euler_residual(Y, m).is_zero()
 
     def test_pairwise_sphere_orthogonality(self):
         """Gram-Schmidt reads moment images; the oracle sums Gamma-form moments term by term."""
@@ -220,7 +220,7 @@ class TestCauchyHarmonic:
                 for e in free:
                     h = _cauchy_harmonic(e)
                     assert laplacian(h).is_zero()
-                    assert h.is_homogeneous(m)
+                    assert euler_residual(h, m).is_zero()
                     terms = h.terms
                     assert [terms.get(f, 0) for f in free] == [int(f == e) for f in free]
 

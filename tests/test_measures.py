@@ -8,6 +8,7 @@ from oracles import (
     beta_sphere_ball_ratio,
     gamma_ball_moment,
     gamma_sphere_moment,
+    gram_map,
     iterated_disk_moment,
     termwise_inner,
     wallis_circle_moment,
@@ -16,7 +17,9 @@ from oracles import (
 from orthoball import (
     ExactnessError,
     MultiPoly,
+    UniPoly,
     ball_moment,
+    gram_jacobi_mass,
     inner_ball,
     inner_mass,
     inner_sphere,
@@ -303,17 +306,17 @@ class TestTermwiseOracle:
                 for lam in (Q(0), self.LAM):
                     moment = cache(lambda e: gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e))
                     for polys in groups:
-                        gram = mass_gram(polys, mu, lam)
+                        rows = [[termwise_inner(f, g, moment) for g in polys] for f in polys]
+                        assert mass_gram(polys, mu, lam) == gram_map(rows)
                         keys = set().union(*(f.nums for f in polys), *(x.nums for x in monomials))
                         den, images = moment_images(polys, keys, mu, lam)
                         assert moment_images(polys, [], mu, lam)[1] == [{} for _ in polys]
                         for i, (f, image) in enumerate(zip(polys, images)):
                             assert image.keys() == keys
                             for j, g in enumerate(polys):
-                                expect = termwise_inner(f, g, moment)
                                 dot = sum(c * image[b] for b, c in g.nums.items())
-                                assert gram[i][j] == Q(dot, f.den * g.den * den) == expect
-                                assert inner_mass(f, g, mu, lam) == expect
+                                assert Q(dot, f.den * g.den * den) == rows[i][j]
+                                assert inner_mass(f, g, mu, lam) == rows[i][j]
                             for x in monomials:
                                 (b,) = x.nums
                                 expect = termwise_inner(f, x, moment)
@@ -348,7 +351,24 @@ class TestTermwiseOracle:
                 moment = cache(moment)
                 expect = [[termwise_inner(a, b, moment) for b in polys] for a in polys]
                 for n in range(len(polys) + 1):
-                    assert gram(n) == [row[:n] for row in expect[:n]]
+                    assert gram(n) == gram_map([row[:n] for row in expect[:n]])
+
+    def test_grams_hold_only_nonzero_entries_on_or_above_the_diagonal(self):
+        # Every Gram function returns a map whose values are all nonzero and whose keys (i, j)
+        # all have i <= j < n.  The zero polynomial and a pair of opposite parities put zeros
+        # on and above the diagonal, and a member against itself is never below it.
+        rng = random.Random(37)
+        for dim in (2, 3):
+            polys = [_tall_poly(rng, dim, 4, 5), MultiPoly.zero(dim), MultiPoly.variable(dim, 0),
+                     MultiPoly.constant(dim, Q(2, 3)), _tall_poly(rng, dim, 3, 4)]
+            radial = [UniPoly([Q(1, 2)]), UniPoly.zero(), UniPoly([Q(-1, 3), 1]), UniPoly([0, 0, 5])]
+            grams = [(sphere_gram(polys), polys), (mass_gram(polys, Q(3, 4), self.LAM), polys),
+                     (mass_gram(polys, Q(-1, 4)), polys),
+                     (gram_jacobi_mass(radial, Q(1, 4), Q(dim - 2, 2), self.LAM, dim), radial)]
+            for gram, members in grams:
+                assert all(isinstance(v, Q) and v != 0 for v in gram.values())
+                assert all(0 <= i <= j < len(members) for i, j in gram)
+                assert (1, 1) not in gram and (0, 0) in gram
 
     def test_images_validate_their_functional(self):
         f = MultiPoly.variable(2, 0)
@@ -359,7 +379,7 @@ class TestTermwiseOracle:
             moment_images([f], f.nums, Q(1, 2), Q(-1, 3))
         with pytest.raises(ValueError):
             moment_images([f, MultiPoly.variable(3, 0)], f.nums, Q(1, 2))
-        assert mass_gram([], Q(1, 2)) == sphere_gram([]) == []
+        assert mass_gram([], Q(1, 2)) == sphere_gram([]) == {}
         with pytest.raises(ValueError):
             mass_gram([f], Q(-1, 2))
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoball import MultiPoly, ball_suites, bases, harmonics, jacobi, measures, operators, verify
 from orthoball.bases import classical_basis
@@ -40,6 +42,17 @@ def _imaged_rows(images):
     """The rows that one call of the image kernel imaged, from its result: one tuple of
     numerators per polynomial and parity class it has terms in."""
     return [tuple(nums) for rows in images.values() for _, nums, _, _ in rows]
+
+
+@st.composite
+def _supported_configs(draw):
+    """A run of every suite anywhere in the supported range: d 2-6, rational mu > -1/2 with a
+    denominator up to 12 (odd d with mu not a half-integer too), lam or M, degree <= 3, a seed."""
+    mu = draw(st.fractions(Q(-1, 2), 4, max_denominator=12).filter(lambda mu: mu > Q(-1, 2)))
+    coupling = draw(st.fractions(0, 4, max_denominator=12).filter(lambda c: c > 0))
+    return SuiteConfig(dim=draw(st.integers(2, 6)), mu=mu, max_degree=draw(st.integers(0, 3)),
+                       seed=draw(st.integers(0, 2 ** 32)),
+                       **{draw(st.sampled_from(("lam", "mass"))): coupling})
 
 
 def strip_timing(lines):
@@ -83,6 +96,18 @@ class TestRunSuites:
         summary = summarize(cfg, records)
         assert summary["status"] == "pass"
         assert summary["counts"]["total"] == len(records)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_supported_configs())
+    def test_every_check_passes_across_the_supported_range(self, cfg):
+        # Off mu = 1/2 the connection and fourth-order suites each emit one declared skip.
+        records = run_suites(cfg)
+        assert all(r.status in (STATUS_ZERO, STATUS_MATCH, STATUS_SKIP) for r in records)
+        skipped = [(r.suite, r.identity) for r in records if r.status == STATUS_SKIP]
+        declared = [(name, identity) for name, (identity, _) in verify._FOURTH_ORDER_SUITES.items()]
+        assert skipped == ([] if cfg.mu == Q(1, 2) else declared)
+        counts = summarize(cfg, records)["counts"]
+        assert counts["total"] == len(records) > 0 and counts["failed"] == 0
 
     def test_every_record_well_formed(self):
         cfg = SuiteConfig(suites=("jacobi", "moments"), **SMALL)
@@ -541,11 +566,11 @@ class TestCli:
 
         def gram(polys, *args):
             entries = real(polys, *args)
-            if len(entries) >= 4:
-                # (1, 2) comes first by column and by distance from the diagonal, (0, 3) by row.
-                for (i, j), value in [((1, 2), Q(5, 7)), ((0, 3), Q(-2, 3))]:
-                    entries[i][j] = entries[j][i] = value
-                planted.append(entries)
+            if len(polys) >= 4:
+                # (1, 2) comes first by column, by distance from the diagonal and in the map's
+                # own order; (0, 3) comes first by row.
+                entries.update({(1, 2): Q(5, 7), (0, 3): Q(-2, 3)})
+                planted.append((len(polys), entries))
             return entries
 
         monkeypatch.setattr(measures, gram_name, gram)
@@ -559,9 +584,9 @@ class TestCli:
             "mass-gram-offdiagonal": ball_suites._elements(cfg, bases.mass_basis, cfg.mu, cfg.lam),
         }
         assert len(planted) == len(identities)
-        for identity, entries in zip(identities, planted):
+        for identity, (n, entries) in zip(identities, planted):
             # The item-wise scan: the first nonzero entry above the diagonal, in row-major order.
-            i, j = next((i, j) for i, j in combinations(range(len(entries)), 2) if entries[i][j])
+            i, j = next((i, j) for i, j in combinations(range(n), 2) if entries.get((i, j), 0))
             assert (i, j) == (0, 3)
             els = elements.get(identity)
             tag = [i, j] if els is None else [*ball_suites._key(els[i]), *ball_suites._key(els[j])]
@@ -578,10 +603,16 @@ class TestCli:
         # Neither would a run where every selected suite is skipped.
         assert main(["--suites", "fourth-order", "--mu", "1/3"]) == 2
         assert main(["--suites", "connection", "--mu", "3/2"]) == 2
+        # The edges of the supported range: d >= 2, mu > -1/2, M > 0, lam > 0, degree >= 0.
+        for argv in (["--dim", "0"], ["--mu", "-1/2"], ["--mu", "-3/4"], ["--M", "0"], ["--M", "-1"],
+                     ["--lambda", "-1"], ["--max-degree", "-1"],
+                     ["--dim", "2", "--export-basis", "2,lambda", "--lambda", "0"],
+                     ["--dim", "2", "--export-basis", "2,lambda", "--M", "0"]):
+            assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.strip().split("\n")
-        assert len(err) == 7
+        assert len(err) == 16
         assert all(line.startswith("configuration error") for line in err)
 
     @pytest.mark.parametrize("module, name, argv", [
