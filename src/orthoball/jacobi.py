@@ -38,18 +38,18 @@ the library's one integer Gram-Schmidt, polynomials._gram_schmidt, on the unit r
 1, t, t^2, ... under the same image.  The three-term recurrence builds each P_n on
 integer numerators in one pass, with no Fraction, into one list per parameter pair,
 grown on demand.
-The point-mass construction holds for every a > -1; its two Gamma ratios, the
-total mass and the one in the shift a_k, are rational when a or b - d/2 is an
-integer, always so on the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio
-alone decides that.  The shift's Gamma part is one running product in k per
-(d, a, b), which reads gamma_ratio only where the product starts or restarts.
+The point-mass construction holds for every a > -1; its one Gamma ratio, the
+weight's total mass S, is rational when a or b - d/2 is an integer, always so on
+the ball (b - d/2 = m - 1), and exact_gamma.gamma_ratio alone decides that, once
+per (d, a, b).  The Gamma part of the shift a_k is S times Pochhammer factors:
+S (a+b+1) at k = 0 and S (b+1)_k k! / ((a+1)_k (a+b+2)_(k-1)) from k = 1 on.
 Below the public entry points the layer has one parameter form, the key (r, A, B) with
 a = A/r and b = B/r: each entry point builds it once with _jacobi_params, which checks
 a > -1 and b > -1 as two integer comparisons, and the recurrence, the moment table, the
-total mass, the Gamma part and every cache read the key.  The line kernel takes its
-coefficients as integers over one denominator: the ODE's over r, the shift a_k and the
-Jacobi-type shift over their own, and the connection operators' over the lcm of their
-arguments' denominators.
+total mass, the Gamma part and the three caches read the key, the total masses' with d.
+The line kernel takes its coefficients as integers over one denominator: the ODE's over
+r, the shift a_k and the Jacobi-type shift over their own, and the connection operators'
+over the lcm of their arguments' denominators.
 The connection operators and the fourth-order equation hold at
 mu = FOURTH_ORDER_MU = 1/2 alone (a = 0); every check of that rule, and the
 basis export's eigenvalue field, reads it here.
@@ -59,10 +59,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
-from .exact_gamma import ExactnessError, gamma_ratio, rising_factorial
+from .exact_gamma import ExactnessError, gamma_ratio
 from .polynomials import UniPoly, _gram_schmidt, as_fraction, integer_numerators
 
 
@@ -223,33 +223,26 @@ def _point_mass(lam) -> Fraction:
     return lam
 
 
-def _mass_gamma(dim: int, alpha: Fraction, beta: Fraction, top, bottom) -> Fraction:
-    """Gamma(d/2+a+1) Gamma(top) / (Gamma(d/2) Gamma(bottom)); its ExactnessError names mu, beta, d."""
-    half_dim = Fraction(dim, 2)
-    try:
-        return gamma_ratio((half_dim + alpha + 1, top), (half_dim, bottom))
-    except ExactnessError:
-        raise ExactnessError(
-            f"the exact point-mass construction needs mu - 1/2 or beta - d/2 to be an integer, "
-            f"got mu={alpha + Fraction(1, 2)}, beta={beta}, d={dim}"
-        ) from None
-
-
-def _mass_form(key: tuple[int, int, int], lam, dim: int) -> tuple[Fraction, Fraction]:
-    """(scale, lam) of inner_jacobi_mass at a checked key: the weight's total mass and lam, checked."""
-    return _total_mass(dim, key), _point_mass(lam)
-
-
 _TOTAL_MASSES: dict[tuple[int, int, int, int], Fraction] = {}  # (d, r, A, B) -> total mass
 
 
 def _total_mass(dim: int, key: tuple[int, int, int]) -> Fraction:
-    """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)); (d/2)_m / (d/2+a+1)_m on the ball."""
+    """Gamma(d/2+a+1) Gamma(b+1) / (Gamma(d/2) Gamma(a+b+2)); (d/2)_m / (d/2+a+1)_m on the ball.
+
+    The one gamma_ratio of the point-mass construction, cached per (d, r, A, B); its
+    ExactnessError names mu, beta and d.
+    """
     r, a, b = key
     key = (dim, r, a, b)
     if key not in _TOTAL_MASSES:
-        alpha, beta = Fraction(a, r), Fraction(b, r)
-        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)
+        alpha, beta, half_dim = Fraction(a, r), Fraction(b, r), Fraction(dim, 2)
+        try:
+            _TOTAL_MASSES[key] = gamma_ratio((half_dim + alpha + 1, beta + 1), (half_dim, alpha + beta + 2))
+        except ExactnessError:
+            raise ExactnessError(
+                f"the exact point-mass construction needs mu - 1/2 or beta - d/2 to be an integer, "
+                f"got mu={alpha + Fraction(1, 2)}, beta={beta}, d={dim}"
+            ) from None
     return _TOTAL_MASSES[key]
 
 
@@ -262,14 +255,14 @@ def inner_jacobi_mass(f: UniPoly, g: UniPoly, alpha, beta, lam, dim: int) -> Fra
     polynomials are mass_orthogonal_poly; the prefactor ties it to the dim-ball geometry.
     """
     key = _jacobi_params(alpha, beta)
-    return _functional(f, g, key, *_mass_form(key, lam, dim))
+    return _functional(f, g, key, _total_mass(dim, key), _point_mass(lam))
 
 
 def gram_jacobi_mass(polys, alpha, beta, lam, dim: int) -> dict[tuple[int, int], Fraction]:
     """The Gram matrix [inner_jacobi_mass(f, g, ...)] of ``polys`` as its nonzero entries with
     i <= j, keyed (i, j); an absent pair is zero.  One image per polynomial."""
     key = _jacobi_params(alpha, beta)
-    return _gram(list(polys), key, *_mass_form(key, lam, dim))
+    return _gram(list(polys), key, _total_mass(dim, key), _point_mass(lam))
 
 
 def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniPoly]:
@@ -283,32 +276,25 @@ def gram_schmidt_jacobi_mass(size: int, alpha, beta, lam, dim: int) -> list[UniP
     division by it does.
     """
     key = _jacobi_params(alpha, beta)
-    image, _ = _form(key, *_mass_form(key, lam, dim), size)
+    image, _ = _form(key, _total_mass(dim, key), _point_mass(lam), size)
     starts = [[0] * k + [1] for k in range(size)]
     return [UniPoly._make(1, u) for u, _ in _gram_schmidt(starts, image)]
-
-
-_GAMMA_PARTS: dict[tuple[int, int, int, int], list[Fraction]] = {}  # (d, r, A, B) -> parts
 
 
 def _gamma_part(k: int, dim: int, r: int, a: int, b: int) -> Fraction:
     """Gamma(d/2+a+1) Gamma(b+k+1) / (Gamma(d/2) Gamma(a+b+k+1)) times k! / (a+1)_k.
 
-    One running product in k per (d, a, b), with a = A/r and b = B/r: the step
-    k-1 -> k multiplies by (b+k) k / ((a+b+k)(a+k)), on integers.  Where a + b + k = 0
-    the step is undefined (the value at k - 1 is 0), and the product restarts from
-    _mass_gamma, as it starts at k = 0.
+    The cached total mass S times Pochhammer factors, with a = A/r and b = B/r: S (a+b+1)
+    at k = 0, and S (b+1)_k k! / ((a+1)_k (a+b+2)_(k-1)) from k = 1 on, on integers
+    prod_(i<k) (B+r+ir) k! r^(k-1) / (prod_(i<k) (A+r+ir) prod_(i<k-1) (A+B+2r+ir)).
+    a, b > -1 makes each of these factors positive, so none divides by zero.
     """
-    parts = _GAMMA_PARTS.setdefault((dim, r, a, b), [])
-    if len(parts) <= k:
-        for j in range(len(parts), k + 1):
-            if j and a + b + j * r:
-                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))
-            else:
-                alpha, beta = Fraction(a, r), Fraction(b, r)
-                parts.append(_mass_gamma(dim, alpha, beta, beta + j + 1, alpha + beta + j + 1)
-                             * factorial(j) / rising_factorial(alpha + 1, j))
-    return parts[k]
+    mass = _total_mass(dim, (r, a, b))
+    if not k:
+        return mass * Fraction(a + b + r, r)
+    return mass * Fraction(prod(b + r + i * r for i in range(k)) * factorial(k) * r ** (k - 1),
+                           prod(a + r + i * r for i in range(k))
+                           * prod(a + b + 2 * r + i * r for i in range(k - 1)))
 
 
 def _mass_coefficient(k: int, r: int, a: int, b: int, lam: Fraction, dim: int) -> tuple[int, int]:

@@ -67,16 +67,19 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-orthogonality"},
     ),
-    # A wrong cached total mass G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) of the point-mass weight,
-    # at G(a+b+3) (G the Gamma function), which unbalances the Jacobi part against lam * delta_1.
+    # A wrong cached total mass S = G(d/2+a+1) G(b+1) / (G(d/2) G(a+b+2)) of the point-mass
+    # weight, at G(a+b+3) (G the Gamma function).  The shift a_k reads the same S, so a mass
+    # scaled by c builds the q_k of the coupling lam / c, orthogonal under c times the wrong
+    # form: orthogonality and Gram-Schmidt pass.  The normalization, whose reference reads
+    # gamma_ratio on its own, and the Jacobi-type family at a = 0, which reads no S, see it.
     # The classical norms read the same constant, but this run builds no ball basis.
     Mutant(
         "pointmass-total-mass",
         "jacobi.py",
-        "        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 2)\n",
-        "        _TOTAL_MASSES[key] = _mass_gamma(dim, alpha, beta, beta + 1, alpha + beta + 3)\n",
+        "            _TOTAL_MASSES[key] = gamma_ratio((half_dim + alpha + 1, beta + 1), (half_dim, alpha + beta + 2))\n",
+        "            _TOTAL_MASSES[key] = gamma_ratio((half_dim + alpha + 1, beta + 1), (half_dim, alpha + beta + 3))\n",
         ["--dim", "2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
-        {"pointmass-orthogonality", "pointmass-gram-schmidt"},
+        {"pointmass-normalization", "pointmass-type-agreement"},
     ),
     # The Laplacian's second partials lowering one exponent field of the packed monomial but
     # not the total-degree field: the exponents read back right, but the degree and grlex
@@ -431,16 +434,17 @@ MUTANTS = [
         {"sphere-ball-ratio"},
     ),
     # Gamma(top) / Gamma(bottom) at a negative gap as (top)_(-gap) in place of its inverse.  At
-    # mu = 3/2 (a = 1) in d = 2 the total mass G(b+1) / G(b+3), the start of the shift's Gamma
-    # part and the normalization's G(b+k+1) / G(b+k+2) all have a negative gap, so the q_k
-    # are neither orthogonal nor normalized.
+    # mu = 3/2 (a = 1) in d = 2 the total mass G(b+1) / G(b+3) and the normalization's
+    # G(b+k+1) / G(b+k+2) have a negative gap.  The shift reads the wrong total mass S, but a
+    # uniformly wrong S only builds the q_k of another coupling, still orthogonal, so the
+    # normalization alone sees it.
     Mutant(
         "gamma-ratio-negative-gap",
         "exact_gamma.py",
         "                    num, den = num * c ** -gap, den * prod(range(start, start - gap * c, c))\n",
         "                    num, den = num * prod(range(start, start - gap * c, c)), den * c ** -gap\n",
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
-        {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
+        {"pointmass-normalization"},
     ),
     # Each harmonic element plus the constant 1, off its grade m.  From m = 1 on the Euler
     # residual sees the constant times -m, the Laplace-Beltrami residual sees it times
@@ -588,16 +592,42 @@ MUTANTS = [
         ["--dim", "2", "--max-degree", "2"],
         {"connection-lift", "connection-univariate", "jacobi-ode", "parts-identity"},
     ),
-    # The shift a_k's k! / (a+1)_k at k! / (a+2)_k, through the running product's step factor
-    # a + k at a + k + 1 (on integers, A + j r at A + r + j r): at a = 1 every q_k with k >= 1 is
-    # wrong, but of degree k and with a positive norm.
+    # The shift a_k's k! / (a+1)_k at k! / (a+2)_k, through the Pochhammer product's factors
+    # A + r + i r at A + 2r + i r: at a = 1 every q_k with k >= 1 is wrong, but of degree k and
+    # with a positive norm.  Unlike a wrong total mass S, which scales every a_k's Gamma part
+    # alike, this factor changes with k, so no one coupling makes the q_k orthogonal.
     Mutant(
         "mass-coefficient-binomial",
         "jacobi.py",
-        "                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + j * r)))\n",
-        "                parts.append(parts[-1] * Fraction((b + j * r) * j * r, (a + b + j * r) * (a + r + j * r)))\n",
+        "                           prod(a + r + i * r for i in range(k))\n",
+        "                           prod(a + 2 * r + i * r for i in range(k))\n",
         ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
         {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # The shift's (a+b+2)_(k-1) at (a+b+1)_(k-1), the factors A + B + 2r + i r at A + B + r + i r:
+    # from k = 2 on the Gamma part is off by a factor that changes with k, which no uniformly
+    # wrong S, only the coupling lam / c, could be; at a = 1 the q_k keep degree k and a
+    # positive norm.
+    Mutant(
+        "mass-coefficient-pochhammer-base",
+        "jacobi.py",
+        "                           * prod(a + b + 2 * r + i * r for i in range(k - 1)))\n",
+        "                           * prod(a + b + r + i * r for i in range(k - 1)))\n",
+        ["--dim", "2", "--mu", "3/2", "--max-degree", "2", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality"},
+    ),
+    # The shift's r^(k-1) at r^k, which scales the Gamma part at k >= 1 by r but not at k = 0,
+    # so unlike a uniformly wrong S no coupling makes the q_k orthogonal.  At d = 3 the betas are
+    # half-integers and r = 2, so every pointmass check but the degree fails, the Jacobi-type
+    # family at a = 0 included; at d = 2, where r = 1, the mutant survives.
+    Mutant(
+        "mass-coefficient-denominator-power",
+        "jacobi.py",
+        "    return mass * Fraction(prod(b + r + i * r for i in range(k)) * factorial(k) * r ** (k - 1),\n",
+        "    return mass * Fraction(prod(b + r + i * r for i in range(k)) * factorial(k) * r ** k,\n",
+        ["--dim", "3", "--max-degree", "3", "--suites", "jacobi,krall1d"],
+        {"pointmass-gram-schmidt", "pointmass-normalization", "pointmass-orthogonality",
+         "pointmass-type-agreement"},
     ),
     # The Euler residual's kernel call scales each grade g by g + 1 - m instead of g - m, so
     # E scales it by its degree plus one.  The angular calls carry their own coefficients, so

@@ -4,6 +4,8 @@ from functools import cache
 from math import comb, factorial, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (beta_step, gram_map, gram_schmidt, jacobi_explicit_sum, point_mass_total,
                      radial_weight_integral)
 
@@ -342,6 +344,27 @@ def _fraction_jacobi(n, a, b):
             - (2 * (n + a - 1) * (n + b - 1) * s / lead) * q)
 
 
+def _direct_gamma_part(k, a, b, d):
+    # G(d/2+a+1) G(b+k+1) / (G(d/2) G(a+b+k+1)) k! / (a+1)_k from gamma_ratio, None where it
+    # has no Pochhammer form.
+    try:
+        return (gamma_ratio((Q(d, 2) + a + 1, b + k + 1), (Q(d, 2), a + b + k + 1))
+                * factorial(k) / rising_factorial(a + 1, k))
+    except ExactnessError:
+        return None
+
+
+def _above_minus_one(q):
+    return st.integers(1 - q, 4 * q).map(lambda p: Q(p, q))
+
+
+# Pairs of rationals a, b > -1 with denominators up to 12, and pairs on the line a + b = -1.
+_MASS_PAIRS = st.one_of(
+    st.tuples(st.integers(1, 12).flatmap(_above_minus_one), st.integers(1, 12).flatmap(_above_minus_one)),
+    st.integers(2, 12).flatmap(lambda q: st.integers(1 - q, -1).map(lambda p: (Q(p, q), Q(-q - p, q)))),
+)
+
+
 class TestIntegerPaths:
     """Each integer path of the radial layer equals the Fraction form it replaces, under ==."""
 
@@ -380,7 +403,7 @@ class TestIntegerPaths:
         from orthoball.verify import SuiteConfig, run_suites
 
         caches = [name for name, value in vars(jacobi).items() if isinstance(value, dict) and name.isupper()]
-        assert sorted(caches) == ["_GAMMA_PARTS", "_JACOBI", "_MOMENTS", "_TOTAL_MASSES"]
+        assert sorted(caches) == ["_JACOBI", "_MOMENTS", "_TOTAL_MASSES"]
         for name in caches:
             monkeypatch.setattr(jacobi, name, {})
         run_suites(SuiteConfig(dim=3, max_degree=4, suites=("jacobi", "krall1d", "connection")))
@@ -499,11 +522,11 @@ class TestIntegerPaths:
 
     @pytest.mark.parametrize("high_first", [False, True])
     def test_gamma_part_running_product_matches_the_direct_form(self, monkeypatch, high_first):
-        # The running product in k against G(d/2+a+1) G(b+k+1) / (G(d/2) G(a+b+k+1)) k! / (a+1)_k
-        # read from gamma_ratio at each k, from an empty cache whether the first call asks for
-        # k = 14 or for k = 0.  At a = b = -1/2, d = 3 the value at k = 0 is 0 and the step to
-        # k = 1 would divide by a + b + 1 = 0, so the product restarts there.
-        monkeypatch.setattr(jacobi, "_GAMMA_PARTS", {})
+        # The total mass times Pochhammer factors against G(d/2+a+1) G(b+k+1) / (G(d/2) G(a+b+k+1))
+        # k! / (a+1)_k read from gamma_ratio at each k, from an empty _TOTAL_MASSES whether the
+        # first call asks for k = 14 or for k = 0.  At a = b = -1/2, d = 3 the value at k = 0
+        # is 0 (a + b + 1 = 0) and the one at k = 1 is not.
+        monkeypatch.setattr(jacobi, "_TOTAL_MASSES", {})
         cases = [(Q(a), b, d) for a in MASS_ALPHAS for b in SIGNED_PARAMS + (Q(0), Q(1), Q(7, 2))
                  for d in (2, 3, 4)]
         cases.append((Q(-1, 2), Q(-1, 2), 3))
@@ -511,16 +534,46 @@ class TestIntegerPaths:
         for a, b, d in cases:
             params = jacobi._jacobi_params(a, b)
             for k in ks:
-                try:
-                    want = (gamma_ratio((Q(d, 2) + a + 1, b + k + 1), (Q(d, 2), a + b + k + 1))
-                            * factorial(k) / rising_factorial(a + 1, k))
-                except ExactnessError:
+                want = _direct_gamma_part(k, a, b, d)
+                if want is None:
                     with pytest.raises(ExactnessError):
                         jacobi._gamma_part(k, d, *params)
                     continue
                 assert jacobi._gamma_part(k, d, *params) == want
         assert jacobi._gamma_part(0, 3, 2, -1, -1) == 0
         assert jacobi._gamma_part(1, 3, 2, -1, -1) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_MASS_PAIRS, d=st.integers(2, 7), k=st.integers(0, 20))
+    def test_gamma_part_matches_the_direct_form_on_drawn_parameters(self, pair, d, k):
+        a, b = pair
+        want = _direct_gamma_part(k, a, b, d)
+        params = jacobi._jacobi_params(a, b)
+        if want is None:
+            with pytest.raises(ExactnessError):
+                jacobi._gamma_part(k, d, *params)
+        else:
+            assert jacobi._gamma_part(k, d, *params) == want
+
+    def test_one_gamma_ratio_per_radial_weight(self, monkeypatch):
+        # The family q_0 .. q_12 at one (d, a, b) reads gamma_ratio once, for the total mass.
+        calls = []
+        real = jacobi.gamma_ratio
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(jacobi, "gamma_ratio", counted)
+        monkeypatch.setattr(jacobi, "_TOTAL_MASSES", {})
+        for k in range(13):
+            mass_orthogonal_poly(k, Q(1, 4), Q(3, 2), Q(2, 5), 3)
+        assert len(calls) == 1
+
+    def test_exactness_error_names_mu_beta_and_d(self):
+        # a = 1/2 and b - d/2 = -1/2: the total mass has no Pochhammer form.
+        with pytest.raises(ExactnessError, match=r"got mu=1, beta=1/2, d=2$"):
+            mass_coefficient(2, Q(1, 2), Q(1, 2), Q(1, 3), 2)
 
     # Each public entry point that builds P_n checks a > -1 and b > -1 once, then reads the
     # cached recurrence; jacobi_type_poly has a = 0 built in.
