@@ -24,7 +24,8 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 # The polynomial layer is loaded by every verifier run before this module is.
-from .polynomials import MultiPoly, UniPoly, beta_shift, laplacian, pack, substitute_radial
+from .polynomials import (MultiPoly, UniPoly, _monomials, beta_shift, laplacian, pack,
+                          substitute_radial)
 from .verify import _HALF, SuiteConfig, _beta_values, _nonzero_above_diagonal, _params
 
 if TYPE_CHECKING:
@@ -50,11 +51,9 @@ def _random_multipoly(rng: random.Random, dim: int, degree: int) -> MultiPoly:
 
 
 def _random_homogeneous(rng: random.Random, dim: int, degree: int) -> MultiPoly:
-    from . import harmonics
-
     # Rational coefficients over one drawn denominator, so a kernel that drops a polynomial's
     # denominator shows; the stored form is the integer draws over it, reduced.
-    monos = harmonics._monomials(dim, degree)
+    monos = _monomials(dim, degree)
     return MultiPoly._make(dim, rng.randint(2, 6), {pack(e): rng.randint(-4, 4) for e in monos})
 
 
@@ -84,10 +83,8 @@ def _suite_harmonics(cfg: SuiteConfig) -> Iterator[tuple]:
 
 
 def _exps_upto(dim: int, total: int):
-    from . import harmonics
-
     for deg in range(total + 1):
-        yield from harmonics._monomials(dim, deg)
+        yield from _monomials(dim, deg)
 
 
 def _bumps(e):

@@ -43,9 +43,10 @@ Three structural facts keep the computation small and exact:
   has head exponents e' - 2j and sorts before x^e, and the dim H_m monomials
   with e_d <= 1 are all the free columns.  So no elimination is needed.
 * The Laplacian preserves the componentwise parity of a monomial's exponent
-  vector, so h_e lies in the parity block of e and Gram-Schmidt splits into
-  independent parity blocks.  Polynomials from different blocks share no
-  monomial, so they are orthogonal under the Fischer product, and under the
+  vector, so h_e lies in the parity block of e, its class under
+  ``polynomials._parity_mask``, and Gram-Schmidt splits into independent
+  blocks, taken in the mask's order.  Polynomials from different blocks share
+  no monomial, so they are orthogonal under the Fischer product, and under the
   sphere product too, whose moments of mixed-parity products vanish.
 * On a homogeneous polynomial of degree m the radial derivative is realized
   by the Euler operator, giving the angular Laplacian a purely polynomial
@@ -72,8 +73,8 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
 
-from .polynomials import (_FIELD, Exponents, MultiPoly, _gram_schmidt, _second_order, _unpack,
-                          laplacian, pack, radius_squared)
+from .polynomials import (Exponents, MultiPoly, _axis_unit, _gram_schmidt, _monomials,
+                          _parity_mask, _second_order, _unpack, laplacian, pack, radius_squared)
 
 
 def harmonic_space_dim(dim: int, degree: int) -> int:
@@ -94,19 +95,6 @@ class HarmonicBasis(NamedTuple):
     sphere_norms: tuple[Fraction, ...]  # squared norms under the normalized sphere product
 
 
-@cache
-def _monomials(dim: int, degree: int) -> tuple[Exponents, ...]:
-    """Every exponent vector of total degree ``degree`` in ``dim`` variables, in grlex order."""
-    if dim == 1:
-        return ((degree,),)
-    out = []
-    for head in range(degree + 1):
-        for tail in _monomials(dim - 1, degree - head):
-            out.append((head,) + tail)
-    out.sort(key=pack)
-    return tuple(out)
-
-
 def _cauchy_harmonic(e: Exponents) -> MultiPoly:
     """The harmonic x^e plus terms of higher x_d-exponent, for e_d = a in {0, 1}.
 
@@ -122,13 +110,13 @@ def _cauchy_harmonic(e: Exponents) -> MultiPoly:
     # (prod of the axis weights so far, i so far, key) for each j, one head axis at a time.
     # The weight e'_l! / ((e'_l - 2t)! t!) is the running product
     # w_(t+1) = w_t (e'_l - 2t)(e'_l - 2t - 1) / (t + 1), and the key step takes 2t off the
-    # axis field and puts it on the last one, so the total degree stays.
+    # axis and puts it on x_d, whose unit is 1, so the total degree stays.
     terms = [(1, 0, pack(e))]
     for axis, k in enumerate(head):
-        shift = _FIELD * (dim - 1 - axis) + 1
+        unit = _axis_unit(axis, dim)
         w, steps = 1, []
         for t in range(k // 2 + 1):
-            steps.append((w, t, (t << shift) - 2 * t))
+            steps.append((w, t, 2 * t * (unit - 1)))
             w = w * (k - 2 * t) * (k - 2 * t - 1) // (t + 1)
         terms = [(v * w, i + t, key - step) for v, i, key in terms for w, t, step in steps]
     # The x_d factor (-1)^i i! (a + 2I)! / (a + 2i)! of every term with |j| = i.
@@ -152,10 +140,10 @@ def harmonic_basis(dim: int, degree: int) -> HarmonicBasis:
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     # One harmonic per monomial x^e with e_d <= 1, in parity blocks, each in grlex order.
-    blocks: dict[Exponents, list[Exponents]] = {}
+    blocks: dict[int, list[Exponents]] = {}
     for e in _monomials(dim, degree):
         if e[-1] < 2:
-            blocks.setdefault(tuple(v & 1 for v in e), []).append(e)
+            blocks.setdefault(pack(e) & _parity_mask(dim), []).append(e)
     # <f, g>_sphere = [f, g] / (d (d+2) ... (d+2m-2)) on degree-m harmonics.
     sphere_den = prod(range(dim, dim + 2 * degree, 2))
 

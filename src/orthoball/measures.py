@@ -30,8 +30,8 @@ the next power of two.  A monomial moment is its table entry over D, or zero
 when an exponent is odd.  Every product reads the table through one kernel,
 ``_images``, on the stored form of the polynomials (integer numerators over
 a denominator Dp, keyed by packed monomials, see ``polynomials``).  Moments
-pair only keys of one parity, the lowest bit of every exponent field, so the
-kernel groups the terms of its polynomials by parity class.  In each class it
+pair only keys of one parity class (``polynomials._parity_mask``), so the
+kernel groups the terms of its polynomials by class.  In each class it
 reads the integer moment block M[v][u] = M[u + v] once, over the class's
 sorted keys u and the keys v that its caller asks for, and images each member
 P once from its nonzero entries: W[v] = sum_u P_u M[u + v], so that
@@ -39,8 +39,8 @@ L(p x^v) = W[v] / (Dp D).  Its three callers ask for:
 
 * the class's own keys, in ``_gram``: G is a sum over the classes of
   R M R^T, a row of R the numerators of a member, and each member's image is
-  dotted with the row of every member j >= i.  The integer sums collect in a
-  map keyed (i, j), and each nonzero one becomes one Fraction over Di Dj D:
+  dotted with the row of every member j >= i.  The nonzero dots collect in a
+  map keyed (i, j), and each nonzero sum becomes one Fraction over Di Dj D:
   ``mass_gram`` and ``sphere_gram`` return only those entries with i <= j.
 * the given keys, in ``moment_images``, where W[v] = 0 at a key of a class
   in which p has no terms.
@@ -54,25 +54,14 @@ from functools import cache
 from math import prod
 from operator import itemgetter, mul
 
-from .exact_gamma import gamma_ratio
-from .polynomials import (_FIELD, _FIELD_MASK, _SPHERE_MU, MultiPoly, _check_mu, as_exponents,
-                          as_fraction, integer_numerators, pack)
-
-
-@cache
-def _low_bits(dim: int) -> int:
-    """The lowest bit of each exponent field: x^e and x^f pair iff their packings agree here."""
-    return sum(1 << (i * _FIELD) for i in range(dim))
+from .polynomials import (_SPHERE_MU, MultiPoly, _check_mu, _half_degree, _parity_mask,
+                          _unpack, as_exponents, as_fraction, integer_numerators, pack)
 
 
 @cache
 def _double_factorials(packed: int, dim: int) -> int:
     """N(a) = prod_i (2 a_i - 1)!! for the even monomial x^(2a) packed as ``packed``."""
-    n = 1
-    for _ in range(dim):
-        n *= prod(range((packed & _FIELD_MASK) - 1, 0, -2))
-        packed >>= _FIELD
-    return n
+    return prod(prod(range(e - 1, 0, -2)) for e in _unpack(packed, dim))
 
 
 def _radial(dim: int, mu: Fraction, lam: int | Fraction, s: int) -> Fraction:
@@ -101,11 +90,6 @@ class _Moments(dict):
 _TABLES: dict[tuple[int, Fraction, int | Fraction], _Moments] = {}  # (d, mu, lam) -> table
 
 
-def _half_degree(packed: int, dim: int) -> int:
-    """Half the total degree of the packed monomial, rounded down: |a| for x^(2a)."""
-    return packed >> (dim * _FIELD + 1)
-
-
 def _moment_table(dim: int, mu: Fraction, lam: int | Fraction, top: int) -> _Moments:
     """The table of (dim, mu, lam), rebuilt at the next power of two in the half-degree
     when it stops short of the packed monomial ``top``."""
@@ -119,7 +103,7 @@ def _moment_table(dim: int, mu: Fraction, lam: int | Fraction, top: int) -> _Mom
 def _moment(exps, mu: Fraction) -> Fraction:
     """L(x^exps) at (mu, lam = 0): its table entry over D, or zero when an exponent is odd."""
     packed = pack(exps)
-    if packed & _low_bits(len(exps)):
+    if packed & _parity_mask(len(exps)):
         return Fraction(0)
     table = _moment_table(len(exps), mu, 0, packed)
     return Fraction(table[packed], table.den)
@@ -150,8 +134,8 @@ def _batch_dim(polys) -> int:
 
 
 def _by_parity(keys, dim: int) -> dict[int, list[int]]:
-    """The packed monomial ``keys`` grouped by parity, the lowest bit of every exponent field."""
-    low, by_parity = _low_bits(dim), {}
+    """The packed monomial ``keys`` grouped by parity class."""
+    low, by_parity = _parity_mask(dim), {}
     for b in keys:
         by_parity.setdefault(b & low, []).append(b)
     return by_parity
@@ -169,7 +153,7 @@ def _images(polys: list[MultiPoly], columns: dict[int, list[int]], table: _Momen
     parity class, with the numerators ``nums`` of its terms in the class, a ``pick`` of their
     positions among the class's sorted keys, and its image W[k] = sum_u P_u M[u + v_k] at the
     keys v_k of ``columns[parity]`` (parity -> keys of that class), from one moment block."""
-    low, classes = _low_bits(polys[0].dim), {}  # parity -> {i: {u: c_iu}}
+    low, classes = _parity_mask(polys[0].dim), {}  # parity -> {i: {u: c_iu}}
     for i, p in enumerate(polys):
         for u, c in p.nums.items():
             classes.setdefault(u & low, {}).setdefault(i, {})[u] = c
@@ -218,7 +202,8 @@ def _gram(polys, mu: Fraction, lam: int | Fraction) -> dict[tuple[int, int], Fra
         # G is symmetric, so member i is dotted only with the members j >= i, which follow it.
         for at, (i, _, _, image) in enumerate(rows):
             for j, other, read, _ in rows[at:]:
-                sums[i, j] = sums.get((i, j), 0) + sum(map(mul, other, read(image)))
+                if total := sum(map(mul, other, read(image))):
+                    sums[i, j] = sums.get((i, j), 0) + total
     return {(i, j): Fraction(total, polys[i].den * polys[j].den * table.den)
             for (i, j), total in sums.items() if total}
 
@@ -272,6 +257,8 @@ def sphere_ball_ratio(dim: int, mu) -> Fraction:
     rational when mu is a half-integer or d is even.  Raises ExactnessError when
     neither a nor b is an integer.
     """
+    from .exact_gamma import gamma_ratio
+
     mu = _check_mu(mu)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")

@@ -6,7 +6,9 @@ integer numerators ``nums`` sharing no common factor with it, so equal
 polynomials hold equal data; arithmetic works on integers and divides out one
 gcd per result.  A monomial x^e is keyed by one packed int (Monagan & Pearce,
 CASC 2007): the total degree in the top 32-bit field, then e_0 down to e_(d-1),
-so int order is graded-lexicographic order and a product adds keys.  The
+so int order is graded-lexicographic order and a product adds keys.  Only this
+module reads the layout: it owns the field width and order, the parity classes
+(``_parity_mask``) and the grlex enumeration (``_monomials``).  The
 differential operators read each exponent with one shift and apply themselves
 in one integer pass over the numerators, with one gcd at the end: ``laplacian``,
 and ``_second_order``, the library's one multivariate second-order kernel
@@ -96,6 +98,36 @@ def pack(exps: Exponents) -> int:
 
 def _unpack(packed: int, dim: int) -> Exponents:
     return tuple((packed >> (_FIELD * i)) & _FIELD_MASK for i in reversed(range(dim)))
+
+
+@cache
+def _monomials(dim: int, degree: int) -> tuple[Exponents, ...]:
+    """Every exponent vector of total degree ``degree`` in ``dim`` variables, in grlex order."""
+    if dim == 1:
+        return ((degree,),)
+    out = []
+    for head in range(degree + 1):
+        for tail in _monomials(dim - 1, degree - head):
+            out.append((head,) + tail)
+    out.sort(key=pack)
+    return tuple(out)
+
+
+@cache
+def _parity_mask(dim: int) -> int:
+    """The lowest bit of each exponent field: x^e and x^f have one parity class iff their
+    packings agree here, and the masked packings sort as the tuples (e_i & 1) do."""
+    return sum(1 << (_FIELD * i) for i in range(dim))
+
+
+def _half_degree(packed: int, dim: int) -> int:
+    """Half the total degree of the packed monomial, rounded down: |a| for x^(2a)."""
+    return packed >> (dim * _FIELD + 1)
+
+
+def _axis_unit(axis: int, dim: int) -> int:
+    """One more x_axis in a packed monomial, the total-degree field aside."""
+    return 1 << (_FIELD * (dim - 1 - axis))
 
 
 @cache
@@ -475,12 +507,7 @@ def _gram_schmidt(starts: Iterable[Sequence[int]],
 @cache
 def radius_squared(dim: int) -> MultiPoly:
     """The polynomial x1^2 + ... + xd^2, one shared instance per dimension."""
-    terms = {}
-    for axis in range(dim):
-        e = [0] * dim
-        e[axis] = 2
-        terms[tuple(e)] = 1
-    return MultiPoly(dim, terms)
+    return MultiPoly(dim, {e: 1 for e in _monomials(dim, 2) if 2 in e})
 
 
 def substitute_radial(q: UniPoly, dim: int) -> MultiPoly:

@@ -16,7 +16,8 @@ from math import gcd, lcm
 
 from orthoball import HarmonicBasis, MultiPoly, UniPoly, laplacian, measures, radius_squared
 from orthoball.exact_gamma import rising_factorial
-from orthoball.harmonics import _cauchy_harmonic, _monomials
+from orthoball.harmonics import _cauchy_harmonic
+from orthoball.polynomials import _monomials
 
 
 def jacobi_explicit_sum(n: int, alpha, beta) -> UniPoly:

@@ -50,7 +50,7 @@ from orthoball import (
     type_eigenvalue,
 )
 from orthoball.exact_gamma import rising_factorial
-from orthoball.harmonics import _monomials
+from orthoball.polynomials import _monomials
 
 
 class _Budget:

@@ -23,7 +23,7 @@ from orthoball import (
     type_eigenvalue,
 )
 from orthoball import bases
-from orthoball.harmonics import _monomials
+from orthoball.polynomials import _monomials
 
 
 def exps_upto(dim, total):

@@ -217,8 +217,8 @@ MUTANTS = [
     Mutant(
         "double-factorial-step",
         "measures.py",
-        "        n *= prod(range((packed & _FIELD_MASK) - 1, 0, -2))\n",
-        "        n *= prod(range((packed & _FIELD_MASK) + 1, 0, -2))\n",
+        "    return prod(prod(range(e - 1, 0, -2)) for e in _unpack(packed, dim))\n",
+        "    return prod(prod(range(e + 1, 0, -2)) for e in _unpack(packed, dim))\n",
         ["--dim", "2", "--max-degree", "2"],
         {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
@@ -228,13 +228,27 @@ MUTANTS = [
     # sizes itself by the same shift: every ball and sphere moment past degree 0.
     Mutant(
         "moment-table-half-degree",
-        "measures.py",
+        "polynomials.py",
         "    return packed >> (dim * _FIELD + 1)\n",
         "    return packed >> (dim * _FIELD)\n",
         ["--dim", "2", "--max-degree", "2"],
         {"ball-weight-recurrence", "classical-gram-diagonal", "classical-gram-offdiagonal",
          "classical-lower-degree", "mass-gram-diagonal", "mass-gram-offdiagonal",
          "mass-product-factorization", "sphere-moment-consistency"},
+    ),
+    # The parity classes without x_d's bit: a moment with an odd power of x_d reads a nonzero
+    # table entry, and keys of either x_d parity share one moment block.  Every basis element
+    # lies in one parity class, so each diagonal entry reads even exponents only, and two
+    # harmonics of one degree that differ in x_d's parity differ in another exponent's too.
+    # The moment identities, the lower-degree images and the offdiagonal ball Grams see it.
+    Mutant(
+        "parity-mask-drops-last-axis",
+        "polynomials.py",
+        "    return sum(1 << (_FIELD * i) for i in range(dim))\n",
+        "    return sum(1 << (_FIELD * i) for i in range(1, dim))\n",
+        ["--dim", "2", "--max-degree", "2"],
+        {"ball-weight-recurrence", "classical-gram-offdiagonal", "classical-lower-degree",
+         "mass-gram-offdiagonal", "sphere-moment-consistency"},
     ),
     # A regrown moment table that keeps the entries of the table it replaces, each still on
     # the old common denominator: products read before and after a regrow disagree, so
@@ -284,15 +298,15 @@ MUTANTS = [
         ["--dim", "3", "--max-degree", "3"],
         {"classical-gram-diagonal", "mass-gram-diagonal", "mass-product-factorization"},
     ),
-    # The Gram's sum over the parity classes kept as the last class's sum alone.  Every element
+    # The Gram's sum over the parity classes kept as the last nonzero class dot.  Every element
     # of either basis has terms in one parity class only, so no pair that the verifier reads
     # spans two classes and the run passes.  Tier-1's test_gram_kernel_entries and
     # test_gram_and_images_from_one_table, whose polynomials span several classes, kill it.
     Mutant(
         "gram-keeps-one-class-sum",
         "measures.py",
-        "                sums[i, j] = sums.get((i, j), 0) + sum(map(mul, other, read(image)))\n",
-        "                sums[i, j] = sum(map(mul, other, read(image)))\n",
+        "                    sums[i, j] = sums.get((i, j), 0) + total\n",
+        "                    sums[i, j] = total\n",
         ["--dim", "3", "--max-degree", "3"],
         set(),
     ),

@@ -23,8 +23,8 @@ from orthoball import (
     polar_decomposition_residual,
     radius_squared,
 )
-from orthoball.harmonics import _cauchy_harmonic, _monomials
-from orthoball.polynomials import fraction_text, pack
+from orthoball.harmonics import _cauchy_harmonic
+from orthoball.polynomials import _monomials, fraction_text, pack
 
 # One line "dim degree sha256" per basis; regenerate only when the bases are meant to
 # change: PYTHONPATH=src python tests/test_harmonics.py > tests/golden/harmonic_bases.txt

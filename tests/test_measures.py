@@ -30,8 +30,7 @@ from orthoball import (
     sphere_moment,
 )
 from orthoball import measures
-from orthoball.harmonics import _monomials
-from orthoball.measures import _low_bits
+from orthoball.polynomials import _monomials, _parity_mask
 
 
 def exps_upto(dim, total):
@@ -301,7 +300,7 @@ class TestTermwiseOracle:
             # Every monomial through degree 2 and one monomial x^v in every parity class v.
             monomials = [MultiPoly(dim, {e: 1}) for e in exps_upto(dim, 2)]
             monomials += [MultiPoly(dim, {v: 1}) for v in product((0, 1), repeat=dim) if sum(v) > 2]
-            assert len({b & _low_bits(dim) for x in monomials for b in x.nums}) == 2 ** dim
+            assert len({b & _parity_mask(dim) for x in monomials for b in x.nums}) == 2 ** dim
             for mu in self.MUS:
                 for lam in (Q(0), self.LAM):
                     moment = cache(lambda e: gamma_ball_moment(e, mu) + lam * gamma_sphere_moment(e))
@@ -336,7 +335,7 @@ class TestTermwiseOracle:
             left, right = MultiPoly(dim, dict(terms[::2])), MultiPoly(dim, dict(terms[1::2]))
             low, high = _parity_cover(rng, dim)
             cover = low + high
-            assert len({b & _low_bits(dim) for b in cover.nums}) == 2 ** dim
+            assert len({b & _parity_mask(dim) for b in cover.nums}) == 2 ** dim
             assert len({cover.den, low.den, high.den}) == 3
             polys = [f, left, MultiPoly.zero(dim), cover, right, low, g, high]
             grams = [(lambda n: sphere_gram(polys[:n]), gamma_sphere_moment)]

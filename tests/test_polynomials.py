@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,10 @@ from hypothesis import strategies as st
 from oracles import gram_schmidt
 
 from orthoball import MultiPoly, UniPoly, laplacian, radius_squared, substitute_radial
-from orthoball.polynomials import _gram_schmidt, as_fraction, fraction_text, pack
+from orthoball.polynomials import (_gram_schmidt, _half_degree, _monomials, _parity_mask,
+                                   as_fraction, fraction_text, pack)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orthoball"
 
 
 def P(dim, terms):
@@ -170,6 +175,39 @@ def test_as_fraction_returns_a_fraction_unchanged():
 def test_radius_squared_is_shared_per_dimension():
     assert radius_squared(3) is radius_squared(3)
     assert radius_squared(3) == P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(0, 8))
+def test_rules_on_the_packed_layout(dim, degree):
+    # The grlex enumeration: every exponent vector of the degree once, in increasing key order.
+    monos = _monomials(dim, degree)
+    assert len(set(monos)) == len(monos) == comb(degree + dim - 1, dim - 1)
+    assert all(len(e) == dim and sum(e) == degree for e in monos)
+    keys = [pack(e) for e in monos]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # The parity classes: one masked key per tuple (e_i & 1), sorting as the tuples do.
+    exps = [e for m in range(degree + 1) for e in _monomials(dim, m)]
+    parity = {e: tuple(v & 1 for v in e) for e in exps}
+    classes = {pack(e) & _parity_mask(dim): parity[e] for e in exps}
+    assert len(classes) == len(set(parity.values()))
+    assert all(classes[pack(e) & _parity_mask(dim)] == parity[e] for e in exps)
+    assert [classes[k] for k in sorted(classes)] == sorted(classes.values())
+    # The half-degree of x^(2a) is |a|.
+    assert all(_half_degree(pack(tuple(2 * v for v in a)), dim) == degree for a in monos)
+
+
+def test_only_polynomials_reads_the_packed_layout():
+    layout = {"_FIELD", "_FIELD_MASK"}
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in layout:
+                readers.add(path.name)
+    assert readers == {"polynomials.py"}
 
 
 @settings(max_examples=60)

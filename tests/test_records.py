@@ -99,7 +99,15 @@ def test_univariate_run_loads_only_the_univariate_layer():
 def test_harmonics_run_loads_neither_bases_nor_operators():
     loaded = _package_modules(_main_call("--dim", "3", "--max-degree", "2", "--suites", "harmonics"))
     assert {"orthoball.harmonics", "orthoball.ball_suites"} <= loaded
-    assert not loaded & {"orthoball.bases", "orthoball.operators"}
+    assert not loaded & {"orthoball.bases", "orthoball.operators", "orthoball.exact_gamma",
+                         "orthoball.jacobi"}
+
+
+def test_moments_run_loads_no_harmonics():
+    # The grlex enumeration lives in polynomials, so listing monomials loads no harmonic layer.
+    loaded = _package_modules(_main_call("--dim", "3", "--max-degree", "2", "--suites", "moments"))
+    assert {"orthoball.measures", "orthoball.ball_suites"} <= loaded
+    assert "orthoball.harmonics" not in loaded
 
 
 def test_export_loads_no_verifier():

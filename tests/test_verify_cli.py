@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoball import MultiPoly, ball_suites, bases, harmonics, jacobi, measures, operators, verify
+from orthoball import (MultiPoly, ball_suites, bases, harmonics, jacobi, measures, operators,
+                       polynomials, verify)
 from orthoball.bases import classical_basis
 from orthoball.cli import main
 from orthoball.verify import (
@@ -33,7 +34,7 @@ SMALL = dict(dim=2, mu=Q(1, 2), lam=Q(1, 4), max_degree=2)
 def _class_rows(polys):
     """Each polynomial's numerators in each parity class it has terms in, one tuple per pair:
     the rows that the Gram kernel images, one image each."""
-    low = measures._low_bits(polys[0].dim)
+    low = polynomials._parity_mask(polys[0].dim)
     return [tuple(c for b, c in p.nums.items() if b & low == parity)
             for p in polys for parity in {b & low for b in p.nums}]
 
@@ -157,7 +158,7 @@ class TestRunSuites:
                 rng, twin = random.Random(f"7:{d}:{m}"), random.Random(f"7:{d}:{m}")
                 for _ in range(4):
                     got = ball_suites._random_homogeneous(rng, d, m)
-                    den, monos = twin.randint(2, 6), harmonics._monomials(d, m)
+                    den, monos = twin.randint(2, 6), polynomials._monomials(d, m)
                     want = MultiPoly(d, {e: Q(twin.randint(-4, 4), den) for e in monos})
                     assert got == want and got.den == want.den and got.nums == want.nums
                     dens.add(got.den)
